@@ -1,0 +1,9 @@
+"""Import the program from ``src/`` and the benchmark modules from ``perfbench/``."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "perfbench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
