@@ -1,13 +1,11 @@
-"""Ablation C: estimator fidelity knobs.
+"""Ablation C: estimator fidelity knob.
 
-Sweeps (a) the number of unbiased random-time draws and (b) the
-Savitzky-Golay smoothing window, measuring the recovered SelectMail curve
-against ground truth at the paper's anchors. Shows why the defaults
-(3x oversample, window 101) are reasonable: fewer draws adds variance,
-a much wider window adds shape bias.
+Sweeps the Savitzky-Golay smoothing window, measuring the recovered
+SelectMail curve against ground truth at the paper's anchors. Shows why
+the default (window 101) is reasonable: a much narrower window keeps
+noise, a much wider one adds shape bias. (U is exact, so the number of
+random-time draws is no longer a knob.)
 """
-
-import numpy as np
 
 from repro.core import AutoSens, AutoSensConfig, compare_to_truth
 from repro.viz import format_table
@@ -17,10 +15,8 @@ from repro.workload.preference import paper_curve
 ANCHORS = (500.0, 1000.0)
 
 
-def _recovery_error(logs, oversample: float, window: int) -> float:
-    engine = AutoSens(AutoSensConfig(
-        seed=3, unbiased_oversample=oversample, smoothing_window=window,
-    ))
+def _recovery_error(logs, window: int) -> float:
+    engine = AutoSens(AutoSensConfig(seed=3, smoothing_window=window))
     curve = engine.preference_curve(logs, action="SelectMail",
                                     user_class="business")
     truth = paper_curve("SelectMail", "business")
@@ -33,30 +29,18 @@ def test_estimator_ablation(benchmark):
     def run():
         result = owa_scenario(seed=11, duration_days=8.0, n_users=450,
                               candidates_per_user_day=150.0).generate()
-        logs = result.logs
-        oversweep = {o: _recovery_error(logs, o, 101)
-                     for o in (0.5, 1.0, 3.0, 6.0)}
-        windowsweep = {w: _recovery_error(logs, 3.0, w)
-                       for w in (21, 51, 101, 201, 401)}
-        return oversweep, windowsweep
+        return {w: _recovery_error(result.logs, w)
+                for w in (21, 51, 101, 201, 401)}
 
-    oversweep, windowsweep = benchmark.pedantic(run, rounds=1, iterations=1)
+    windowsweep = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print()
-    print("Ablation C1: unbiased draw oversampling (window fixed at 101)")
-    print(format_table(
-        ["oversample", "mean abs anchor error"],
-        [[f"{o}x", err] for o, err in oversweep.items()],
-    ))
-    print("Ablation C2: smoothing window (oversample fixed at 3x)")
+    print("Ablation C: smoothing window")
     print(format_table(
         ["window (10 ms bins)", "mean abs anchor error"],
         [[w, err] for w, err in windowsweep.items()],
     ))
 
-    # Every configuration keeps mid-anchor error moderate...
-    assert all(err < 0.15 for err in oversweep.values())
-    # ...and the paper's defaults are within 2x of the best configuration.
-    best = min(min(oversweep.values()), min(windowsweep.values()))
-    assert oversweep[3.0] <= max(2.0 * best, 0.06)
+    # The paper's default is within 2.5x of the best window.
+    best = min(windowsweep.values())
     assert windowsweep[101] <= max(2.5 * best, 0.06)

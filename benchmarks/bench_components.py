@@ -42,8 +42,7 @@ def test_slotted_counts_speed(benchmark, medium_result):
     logs = medium_result.logs
     bins = latency_bins()
     counts = benchmark(
-        lambda: slotted_counts(logs, bins, rng=2,
-                               n_unbiased_samples=2 * len(logs))
+        lambda: slotted_counts(logs, bins)
     )
     assert counts.biased_counts.sum() > 0
 

@@ -58,7 +58,7 @@ def main() -> None:
 
     # Show the estimated alpha curve over the day.
     alpha = estimate_alpha(logs, latency_bins(), scheme="hour-of-day",
-                           rng=SEED, bin_average="weighted")
+                           bin_average="weighted")
     print("estimated hour-of-day activity factor (busiest hour = 1):")
     bars = []
     peak = float(np.nanmax(alpha.alpha_by_slot))

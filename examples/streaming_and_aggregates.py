@@ -54,10 +54,7 @@ def main() -> None:
     print(f"consumed {n_chunks} day-chunks, {stream.n_rows} rows total")
 
     # 2. Aggregate exchange: export a table, reload it, analyze it.
-    counts = slotted_counts(
-        sliced, config.bins(),
-        n_unbiased_samples=3 * len(sliced), rng=SEED,
-    )
+    counts = slotted_counts(sliced, config.bins())
     with tempfile.TemporaryDirectory() as tmp:
         table_path = Path(tmp) / "selectmail_counts.json"
         save_counts(counts, table_path)

@@ -67,7 +67,7 @@ def run_fig3(seed: int = 11, scale: Scale = FULL) -> ExperimentOutcome:
 
     # (b) B and U PDFs.
     biased = biased_histogram(logs, bins)
-    unbiased = unbiased_histogram(logs, bins, n_samples=3 * len(logs), rng=seed + 1)
+    unbiased = unbiased_histogram(logs, bins)
     b_pdf = biased.pdf()
     u_pdf = unbiased.pdf()
     centers = bins.centers

@@ -11,10 +11,10 @@ The legacy copies below are deliberately verbatim ports of the old
 ``repro.core.alpha`` loops, so every timed pair is also checked for
 numerical agreement (``PerfReport.stage('slotted_counts').max_abs_diff``).
 Deterministic stages (biased counts, period slots, corrected contraction)
-agree bit-for-bit; the Monte Carlo unbiased draw changed its batch schedule
-in the single-draw sampler rewrite, so its time fractions agree only up to
-sampling noise — the reported ``max_abs_diff`` for those stages is the
-statistical equivalence bound, not a bitwise one.
+agree bit-for-bit; the shipped time fractions are the exact limit of the
+unbiased draw the legacy loop still samples, so they agree only up to that
+draw's sampling noise — the reported ``max_abs_diff`` for those stages is
+the statistical equivalence bound, not a bitwise one.
 
 Run from the CLI::
 
@@ -47,6 +47,7 @@ from repro.core.alpha import (
 from repro.core.pipeline import AutoSens, AutoSensConfig
 from repro.core.preference import average_results
 from repro.core.result import PreferenceResult
+from repro.core.unbiased import UNBIASED_MASS_PER_ACTION
 from repro.errors import EmptyDataError
 from repro.stats.histogram import Histogram1D, HistogramBins
 from repro.stats.rng import SeedLike, spawn_rng
@@ -61,7 +62,7 @@ from repro.workload.scenarios import owa_scenario
 SMOKE = Scale(duration_days=2.0, n_users=80, candidates_per_user_day=40.0)
 
 #: Millions-of-actions scale (~5M candidates, >2M accepted actions): the
-#: headroom proof for the single-draw sampler. Run with ``legacy=False``
+#: headroom proof for the exact U estimator. Run with ``legacy=False``
 #: (``bench_report.py --no-legacy``) — the per-slot legacy loops take
 #: minutes at this size and prove nothing new.
 XL = Scale(duration_days=14.0, n_users=1800, candidates_per_user_day=200.0)
@@ -192,9 +193,9 @@ def _legacy_slotted_counts(
 
     Deterministic outputs (biased counts, slot ids, slot seconds) are
     bit-identical to the shipped version. The unbiased time fractions are
-    not: this reference keeps the old fixed-size 12-batch redraw schedule,
-    while the shipped sampler draws one waste-compensated batch, so the two
-    consume the RNG differently and agree only statistically.
+    not: this reference samples them with the old fixed-size 12-batch
+    redraw loop, while the shipped version computes their exact limit, so
+    the two agree only statistically.
     """
     if logs.is_empty:
         raise EmptyDataError("cannot slot empty logs")
@@ -414,13 +415,14 @@ def _corrected_path(logs: LogStore, config: AutoSensConfig, legacy: bool) -> Pre
     """
     bins = config.bins()
     computer = config.computer()
-    n_unbiased = int(np.ceil(config.unbiased_oversample * len(logs)))
-    build = _legacy_slotted_counts if legacy else slotted_counts
-    counts = build(
-        logs, bins, scheme=config.slot_scheme,
-        n_unbiased_samples=n_unbiased, rng=config.seed,
-        estimator=config.unbiased_estimator,
-    )
+    if legacy:
+        counts = _legacy_slotted_counts(
+            logs, bins, scheme=config.slot_scheme,
+            n_unbiased_samples=int(np.ceil(UNBIASED_MASS_PER_ACTION * len(logs))),
+            rng=config.seed,
+        )
+    else:
+        counts = slotted_counts(logs, bins, scheme=config.slot_scheme)
     references = counts.busiest_slots(config.n_reference_slots)
     per_reference = []
     for reference in references:
@@ -455,11 +457,8 @@ def run_perf_suite(
 
     - ``generate``: workload synthesis (chunked; serial executor).
     - ``period_slots``: the hour→period lookup vs the old Python loop.
-    - ``slotted_counts``: the single-draw sampler + count tensor vs the
-      old per-slot masks and 12-batch redraw loop.
-    - ``slotted_counts_sharded``: the same draw split over 4 serial time
-      shards — documents the stratification overhead and the
-      sharded-vs-unsharded equivalence bound (no legacy baseline).
+    - ``slotted_counts``: the exact U weights + count tensor vs the old
+      per-slot masks and 12-batch redraw loop.
     - ``corrected_multi_reference``: the full time-corrected
       multi-reference path — the acceptance-criterion stage.
     - ``preference_curve``: one cold engine call (absolute time only).
@@ -521,17 +520,17 @@ def run_perf_suite(
         max_abs_diff=slots_diff,
     ))
 
-    # Stage: the count tensor + single-draw sampler. The deterministic half
-    # (biased counts) stays bit-identical to the legacy loops; the Monte
-    # Carlo half (time fractions) uses a different draw schedule, so its
-    # diff is sampling noise — max_abs_diff reports that statistical bound,
-    # and the detail line records the (always 0) biased diff separately.
-    n_unbiased = int(np.ceil(config.unbiased_oversample * len(sliced)))
-    new_s, new_counts = _timed(lambda: slotted_counts(
-        sliced, bins, n_unbiased_samples=n_unbiased, rng=seed), repeats)
+    # Stage: the count tensor + exact U. The biased half stays bit-identical
+    # to the legacy loops; the legacy time fractions are a Monte Carlo
+    # draw, so their diff is sampling noise — max_abs_diff reports that
+    # statistical bound, and the detail line records the (always 0) biased
+    # diff separately.
+    new_s, new_counts = _timed(lambda: slotted_counts(sliced, bins), repeats)
     if legacy:
         old_s, old_counts = _timed(lambda: _legacy_slotted_counts(
-            sliced, bins, n_unbiased_samples=n_unbiased, rng=seed), repeats)
+            sliced, bins,
+            n_unbiased_samples=int(np.ceil(UNBIASED_MASS_PER_ACTION * len(sliced))),
+            rng=seed), repeats)
         biased_diff = float(np.max(np.abs(new_counts.biased_counts - old_counts.biased_counts)))
         fraction_diff = float(np.max(np.abs(new_counts.time_fractions - old_counts.time_fractions)))
         counts_detail = (
@@ -545,18 +544,6 @@ def run_perf_suite(
         name="slotted_counts", seconds=new_s, baseline_seconds=old_s,
         max_abs_diff=fraction_diff,
         detail=counts_detail,
-    ))
-
-    # Stage: the same draw stratified over 4 serial time shards. No legacy
-    # baseline — this documents the sharding overhead (expected ~1x on one
-    # core) and the sharded-vs-unsharded equivalence bound in one place.
-    shard_s, shard_counts = _timed(lambda: slotted_counts(
-        sliced, bins, n_unbiased_samples=n_unbiased, rng=seed, n_shards=4), repeats)
-    report.stages.append(StageTiming(
-        name="slotted_counts_sharded", seconds=shard_s,
-        max_abs_diff=float(np.max(np.abs(
-            shard_counts.time_fractions - new_counts.time_fractions))),
-        detail="4 serial time shards vs unsharded; diff is stratified-MC noise",
     ))
 
     # Stage: the acceptance criterion — the end-to-end time-corrected

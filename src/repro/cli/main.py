@@ -430,9 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--user-class", default=None)
     ana.add_argument("--reference-ms", type=float, default=300.0)
     ana.add_argument("--no-time-correction", action="store_true")
-    ana.add_argument("--u-shards", type=int, default=1, metavar="N",
-                     help="time shards for the unbiased draw (N>1 runs them "
-                          "on the process executor; same result on any backend)")
     ana.add_argument("--seed", type=int, default=0)
     ana.add_argument("--export", default=None,
                      help="write the curve series to this CSV path")
@@ -456,9 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     counts.add_argument("--action", default=None)
     counts.add_argument("--user-class", default=None)
     counts.add_argument("--scheme", default="hour-of-day")
-    counts.add_argument("--u-shards", type=int, default=1, metavar="N",
-                        help="time shards for the unbiased draw (N>1 runs them "
-                             "on the process executor)")
     counts.add_argument("--seed", type=int, default=0)
     counts.add_argument("--out", required=True, help="output JSON path")
 
@@ -689,12 +683,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     config = AutoSensConfig(
         reference_ms=args.reference_ms,
         time_correction=not args.no_time_correction,
-        unbiased_shards=args.u_shards,
         seed=args.seed,
     )
-    # Shards only pay off on a multi-core process pool; a single stratum
-    # stays on the default serial executor.
-    shard_executor = "process" if args.u_shards > 1 else None
     supervisor = _supervisor_from(args)
     if path.suffix == ".json":
         from repro.core.aggregate import curve_from_counts, load_counts
@@ -708,14 +698,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         with supervisor.scope():
             logs = _read_logs(path, args, supervisor=supervisor)
             _report_ingest(logs)
-            engine = AutoSens(config, executor=shard_executor)
+            engine = AutoSens(config)
             curve = engine.preference_curve(
                 logs, action=args.action, user_class=args.user_class
             )
     else:
         logs = _read_logs(path, args)
         _report_ingest(logs)
-        engine = AutoSens(config, executor=shard_executor)
+        engine = AutoSens(config)
         curve = engine.preference_curve(
             logs, action=args.action, user_class=args.user_class
         )
@@ -775,8 +765,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_counts(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from repro.core import AutoSensConfig
     from repro.core.aggregate import save_counts
     from repro.core.alpha import slotted_counts
@@ -789,13 +777,7 @@ def _cmd_export_counts(args: argparse.Namespace) -> int:
         print("the requested slice is empty", file=sys.stderr)
         return 2
     config = AutoSensConfig(seed=args.seed, slot_scheme=args.scheme)
-    counts = slotted_counts(
-        sliced, config.bins(), scheme=args.scheme,
-        n_unbiased_samples=int(np.ceil(config.unbiased_oversample * len(sliced))),
-        rng=args.seed,
-        n_shards=args.u_shards,
-        executor="process" if args.u_shards > 1 else None,
-    )
+    counts = slotted_counts(sliced, config.bins(), scheme=args.scheme)
     save_counts(counts, args.out)
     print(f"wrote sufficient statistics for {len(sliced)} actions "
           f"({counts.slot_ids.size} slots x {counts.bins.count} bins) to {args.out}")

@@ -30,12 +30,8 @@ import numpy as np
 
 import repro.obs as obs
 from repro.errors import ConfigError, EmptyDataError, InsufficientDataError
-from repro.parallel.executor import resolve_executor
-from repro.parallel.seeding import task_seeds
 from repro.runtime.deadline import check_deadline
 from repro.stats.histogram import Histogram1D, HistogramBins
-from repro.stats.rng import SeedLike, spawn_rng
-from repro.stats.sampling import midpoints_of, nearest_time_sample
 from repro.telemetry.log_store import LogStore
 from repro.telemetry import timeutil
 from repro.types import DayPeriod, ALL_DAY_PERIODS
@@ -212,217 +208,99 @@ def slot_time_coverage(
     return out
 
 
-#: Bound on top-up batches after the main waste-compensated draw. The first
-#: batch is sized to land past ``target`` with ~4σ slack, so top-ups only
-#: fire when the acceptance estimate was badly off (e.g. a pathological
-#: latency grid); each one re-anchors on the observed acceptance rate.
-MAX_TOPUP_BATCHES = 8
+def _slot_cuts(lo: float, hi: float, tz: float) -> np.ndarray:
+    """Every whole hour of local (``tz``) and UTC time strictly inside ``(lo, hi)``.
 
-#: Floor on the estimated acceptance rate. Bounds the inflation factor of a
-#: single batch (≤ 64× the outstanding need) so a degenerate estimate can
-#: never request an absurd allocation.
-MIN_ACCEPTANCE = 1.0 / 64.0
-
-
-def _acceptance_estimate(
-    slot_seconds: np.ndarray,
-    window_s: float,
-    sample_bin_idx: np.ndarray,
-) -> float:
-    """Expected share of uniform-time queries the unbiased draw will accept.
-
-    A query is accepted when it (a) falls in a slot that holds actions and
-    (b) selects a sample whose latency lands on the bin grid. (a) is the
-    populated-slot share of the window from :func:`slot_time_coverage`;
-    (b) is approximated by the in-grid sample share (exact if selection
-    were uniform over samples). Degenerate inputs fall back to 1.0 — the
-    top-up path corrects any over-estimate.
+    Every slot scheme changes slot only on one of these instants, so the
+    slot is constant between two consecutive cuts.
     """
-    covered = float(np.sum(slot_seconds))
-    time_share = min(covered / window_s, 1.0) if (window_s > 0 and covered > 0) else 1.0
-    grid_share = float(np.mean(sample_bin_idx >= 0)) if sample_bin_idx.size else 1.0
-    return float(np.clip(time_share * grid_share, MIN_ACCEPTANCE, 1.0))
+    cuts = []
+    for shift in (tz * timeutil.SECONDS_PER_HOUR, 0.0):
+        first = np.floor((lo + shift) / timeutil.SECONDS_PER_HOUR) + 1.0
+        last = np.ceil((hi + shift) / timeutil.SECONDS_PER_HOUR) - 1.0
+        cuts.append(np.arange(first, last + 1.0) * timeutil.SECONDS_PER_HOUR - shift)
+    cuts = np.union1d(*cuts)
+    return cuts[(cuts > lo) & (cuts < hi)]
 
 
-def _draw_unbiased_tensor(
+def _exact_unbiased_tensor(
     sorted_times: np.ndarray,
     sample_bin_idx: np.ndarray,
     slot_ids: np.ndarray,
     n_bins: int,
     scheme: str,
     tz: float,
-    lo: float,
-    hi: float,
-    target: int,
-    acceptance: float,
-    generator: np.random.Generator,
-) -> Tuple[np.ndarray, int, int, int]:
-    """Accumulate the (n_slots, n_bins) unbiased count tensor past ``target``.
+) -> np.ndarray:
+    """The (n_slots, n_bins) expectation of the paper's unbiased draw.
 
-    The waste-compensated core of the sampling estimator: instead of
-    redrawing fixed-size batches until enough queries are accepted, draw
-    one batch inflated by the expected acceptance rate (plus ~4σ slack so
-    a single batch suffices with overwhelming probability), resolve every
-    query in one fused pass — slot assignment, nearest-sample lookup
-    against precomputed midpoints, bin gather — and count the accepted
-    ones. Rare shortfalls top up with the same inflation re-anchored on
-    the acceptance rate actually observed.
-
-    Returns ``(u, accepted, drawn, batches)``.
+    A uniform query over ``[first, last]`` sample time selects the sample
+    whose Voronoi cell — the stretch of time nearer to it than to any other
+    sample — contains it, and lands in the slot of the query time under the
+    slice's median timezone ``tz``. So each cell is cut at every slot
+    boundary, and each piece adds its length to (slot of the piece, bin of
+    the sample). Samples sharing a timestamp split their cell equally (the
+    draw's uniform tie-break). Pieces in slots without actions and samples
+    off the bin grid are dropped, as the draw rejects those queries.
     """
-    n_slots = slot_ids.size
-    u = np.zeros((n_slots, n_bins), dtype=float)
-    if not np.any(sample_bin_idx >= 0):
-        return u, 0, 0, 0  # nothing on the grid: no query can ever be accepted
+    n = sorted_times.size
+    lo, hi = float(sorted_times[0]), float(sorted_times[-1])
+    if hi <= lo:  # all samples at one instant
+        hi = lo + 1.0
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    np.not_equal(sorted_times[1:], sorted_times[:-1], out=new_run[1:])
+    run_start = np.flatnonzero(new_run)
+    run_len = np.diff(np.append(run_start, n))
+    distinct = sorted_times[run_start]
+    edges = np.concatenate(([lo], 0.5 * (distinct[1:] + distinct[:-1]), [hi]))
 
-    has_dups = sorted_times.size > 1 and bool(
-        np.any(sorted_times[1:] == sorted_times[:-1])
-    )
-    mids = midpoints_of(sorted_times) if not has_dups else None
-    # Contiguous slot ids (the common full-log case) turn the sorted-lookup
-    # membership test into plain integer arithmetic.
-    contiguous = n_slots > 0 and int(slot_ids[-1]) - int(slot_ids[0]) + 1 == n_slots
-    s0 = int(slot_ids[0]) if n_slots else 0
+    # Merge the slot boundaries ("cuts") into the cell edges. Every point of
+    # the merged axis opens a piece: it belongs to the cell of the last edge
+    # at or before it, and to the stretch between consecutive cuts after
+    # the last cut at or before it — one slot per stretch.
+    cuts = _slot_cuts(lo, hi, tz)
+    is_cut = np.zeros(edges.size + cuts.size, dtype=bool)
+    is_cut[np.searchsorted(edges, cuts, side="right") + np.arange(cuts.size)] = True
+    points = np.empty(is_cut.size)
+    points[is_cut] = cuts
+    points[~is_cut] = edges
+    lengths = np.diff(points)
+    owner = (np.cumsum(~is_cut) - 1)[:-1]
+    stretch = np.cumsum(is_cut)[:-1]
+    bounds = np.concatenate(([lo], cuts, [hi]))
+    stretch_rows, stretch_member = _rows_in_slots(
+        slot_ids, slot_of_times(0.5 * (bounds[1:] + bounds[:-1]), scheme, tz))
+    rows, member = stretch_rows[stretch], stretch_member[stretch]
 
-    accepted = drawn = batches = 0
-    acceptance = float(np.clip(acceptance, MIN_ACCEPTANCE, 1.0))
-    while accepted < target and batches <= MAX_TOPUP_BATCHES:
-        check_deadline("slotted_counts.draw")
-        need = target - accepted
-        slack = 4.0 * np.sqrt(need) + 16.0
-        n_draw = int(np.ceil((need + slack) / acceptance))
-        queries = generator.uniform(lo, hi, n_draw)
-        # Only *counts* leave this loop, so query order is free to choose;
-        # resolving them in time order makes the nearest-neighbour
-        # searchsorted cache-local (~8x less wall time at full scale).
-        queries.sort()
-        selected = nearest_time_sample(
-            sorted_times, queries, rng=generator,
-            assume_sorted=True, midpoints=mids, has_duplicates=has_dups,
-        )
-        q_bins = sample_bin_idx[selected]
-        q_slots = slot_of_times(queries, scheme, tz)
-        if contiguous:
-            rows = q_slots - s0
-            keep = (rows >= 0) & (rows < n_slots) & (q_bins >= 0)
-        else:
-            rows, member = _rows_in_slots(slot_ids, q_slots)
-            keep = member & (q_bins >= 0)
-        kept = int(np.count_nonzero(keep))
-        if kept:
-            u += _count_tensor(rows[keep], q_bins[keep], n_slots, n_bins)
-        accepted += kept
-        drawn += n_draw
-        batches += 1
-        # Re-anchor on the observed rate so a second shortfall is unlikely.
-        acceptance = float(np.clip(kept / max(n_draw, 1), MIN_ACCEPTANCE, acceptance))
-    return u, accepted, drawn, batches
-
-
-def _unbiased_shard_task(payload: tuple) -> Tuple[np.ndarray, int, int, int]:
-    """One U-estimation shard: draw over a time sub-window, return its tensor.
-
-    Executed via :mod:`repro.parallel` executors; the payload carries only
-    the shard's sample slice (plus one halo sample each side, so every
-    query in the sub-window finds its true nearest neighbour), which keeps
-    process-backend pickling costs proportional to the shard, not the log.
-    Deterministic given the payload — the serial and process backends are
-    bit-identical shard by shard.
-    """
-    (times, latencies, slot_ids, bins, scheme, tz, lo, hi, target, seed) = payload
-    sample_bin_idx = bins.index_of(np.asarray(latencies))
-    seconds = slot_time_coverage(lo, hi, scheme, slot_ids, tz_offset_hours=tz)
-    acceptance = _acceptance_estimate(seconds, hi - lo, sample_bin_idx)
-    return _draw_unbiased_tensor(
-        np.asarray(times, dtype=float), sample_bin_idx, slot_ids, bins.count,
-        scheme, tz, lo, hi, target, acceptance, spawn_rng(seed),
-    )
-
-
-def _sharded_unbiased_tensor(
-    sorted_times: np.ndarray,
-    sorted_latencies: np.ndarray,
-    slot_ids: np.ndarray,
-    bins: HistogramBins,
-    scheme: str,
-    tz: float,
-    lo: float,
-    hi: float,
-    target: int,
-    n_shards: int,
-    generator: np.random.Generator,
-    executor,
-) -> Tuple[np.ndarray, int, int, int]:
-    """Stratified U-estimation: equal-width time sub-windows, summed tensors.
-
-    Each shard draws its proportional share of ``target`` uniformly over
-    its own sub-window, so the union is a stratified version of the single
-    uniform draw — same expectation, slightly lower variance. Per-shard
-    seeds derive deterministically from the caller's generator via
-    :func:`repro.parallel.seeding.task_seeds`, so results depend only on
-    (rng, n_shards), never on the executor backend.
-    """
-    edges = np.linspace(lo, hi, n_shards + 1)
-    root = int(generator.integers(2**63 - 1))
-    seeds = task_seeds(root, "slotted_counts/unbiased", n_shards)
-    base, rem = divmod(int(target), n_shards)
-    payloads = []
-    for s in range(n_shards):
-        a, b = float(edges[s]), float(edges[s + 1])
-        i0 = int(np.searchsorted(sorted_times, a, side="left"))
-        i1 = int(np.searchsorted(sorted_times, b, side="left"))
-        j0, j1 = max(i0 - 1, 0), min(i1 + 1, sorted_times.size)
-        payloads.append((
-            sorted_times[j0:j1], sorted_latencies[j0:j1], slot_ids, bins,
-            scheme, tz, a, b, base + (1 if s < rem else 0), seeds[s],
-        ))
-    results = resolve_executor(executor).map_ordered(_unbiased_shard_task, payloads)
-    u = np.zeros((slot_ids.size, bins.count), dtype=float)
-    accepted = drawn = batches = 0
-    for shard_u, shard_accepted, shard_drawn, shard_batches in results:
-        u += shard_u
-        accepted += shard_accepted
-        drawn += shard_drawn
-        batches += shard_batches
-    return u, accepted, drawn, batches
+    if distinct.size == n:
+        sample = owner
+    else:  # spread each piece equally over the samples of its run
+        reps = run_len[owner]
+        first = np.cumsum(reps) - reps
+        sample = np.repeat(run_start[owner] - first, reps) + np.arange(int(reps.sum()))
+        lengths = np.repeat(lengths / reps, reps)
+        rows = np.repeat(rows, reps)
+        member = np.repeat(member, reps)
+    bin_idx = sample_bin_idx[sample]
+    keep = member & (bin_idx >= 0)
+    return _count_tensor(
+        rows[keep], bin_idx[keep], slot_ids.size, n_bins, weights=lengths[keep])
 
 
 def slotted_counts(
     logs: LogStore,
     bins: HistogramBins,
     scheme: str = "hour-of-day",
-    n_unbiased_samples: Optional[int] = None,
-    rng: SeedLike = None,
-    estimator: str = "sampling",
-    n_shards: int = 1,
-    executor=None,
 ) -> SlottedCounts:
     """Compute per-slot biased counts c[T, L] and time fractions f[T, L].
 
-    ``estimator="voronoi"`` replaces the Monte Carlo unbiased draw with
-    deterministic Voronoi-cell weights (each sample's time share is
-    assigned to the slot containing the sample; cells crossing slot
-    boundaries are attributed whole, an error bounded by the typical
-    inter-action gap over the slot length).
-
-    ``n_shards > 1`` splits the sampling estimator's draw into that many
-    time sub-windows executed via ``executor`` (any
-    :func:`repro.parallel.executor.resolve_executor` spec; default
-    serial). Sharded results are deterministic for a given ``(rng,
-    n_shards)`` regardless of backend, and statistically equivalent to —
-    but not bit-identical with — the unsharded draw. Ignored by the
-    deterministic ``voronoi`` estimator.
+    ``f`` is exact: the infinite-draw limit of the paper's random-time /
+    nearest-sample procedure, computed from slot-clipped Voronoi cells
+    (:func:`_exact_unbiased_tensor`), with no sampling noise and no seed.
     """
     check_deadline("slotted_counts")
     if logs.is_empty:
         raise EmptyDataError("cannot slot empty logs")
-    if estimator not in ("sampling", "voronoi"):
-        raise ConfigError(
-            f"unknown unbiased estimator {estimator!r}; use 'sampling' or 'voronoi'"
-        )
-    if n_shards < 1:
-        raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
-    generator = spawn_rng(rng)
 
     action_slots = slot_of_times(logs.times, scheme, logs.tz_offsets)
     slot_ids = np.unique(action_slots)
@@ -436,70 +314,17 @@ def slotted_counts(
         action_rows = np.searchsorted(slot_ids, action_slots)
         c = _count_tensor(action_rows[in_grid], bin_idx[in_grid], n_slots, bins.count)
 
-    # slot_seconds double-duty: it is the merge weight recorded on the
-    # result AND the populated-slot coverage that sizes the unbiased draw.
-    tz = float(np.median(logs.tz_offsets)) if len(logs) else 0.0
+    # Queries are slotted under the slice's median timezone; slot_seconds is
+    # the merge weight recorded on the result.
+    tz = float(np.median(logs.tz_offsets))
     t0, t1 = logs.time_range()
     seconds = slot_time_coverage(t0, t1, scheme, slot_ids, tz_offset_hours=tz)
 
-    # f[T, L] — time fraction per slot from that slot's unbiased draw. Each
-    # query is assigned to its slot, so every slot's sample share is
-    # proportional to its time share. Queries whose slot holds no actions
-    # (e.g. daytime hours when analyzing a night-period slice) or whose
-    # selected latency is off-grid are rejected; the draw is inflated by
-    # the expected acceptance rate so one batch usually suffices.
-    with obs.span("slotted_counts.unbiased", estimator=estimator) as u_span:
-        if estimator == "voronoi":
-            from repro.core.unbiased import voronoi_weights
-
-            order = np.argsort(logs.times, kind="mergesort")
-            sorted_times = logs.times[order]
-            sorted_latencies = logs.latencies_ms[order]
-            sorted_tz = logs.tz_offsets[order]
-            weights = voronoi_weights(sorted_times)
-            sample_slots = slot_of_times(sorted_times, scheme, sorted_tz)
-            v_bin_idx = bins.index_of(sorted_latencies)
-            v_in_grid = v_bin_idx >= 0
-            sample_rows = np.searchsorted(slot_ids, sample_slots)
-            u = _count_tensor(
-                sample_rows[v_in_grid], v_bin_idx[v_in_grid], n_slots, bins.count,
-                weights=weights[v_in_grid],
-            )
-        else:
-            target = n_unbiased_samples if n_unbiased_samples is not None else 2 * len(logs)
-            # Sort once; draws, top-ups and shards all reuse the sorted view.
-            order = np.argsort(logs.times, kind="mergesort")
-            sorted_times = logs.times[order]
-            sorted_latencies = logs.latencies_ms[order]
-            lo, hi = float(sorted_times[0]), float(sorted_times[-1])
-            if hi <= lo:  # all samples at one instant
-                hi = lo + 1.0
-            if n_shards > 1:
-                u, accepted, drawn, batches = _sharded_unbiased_tensor(
-                    sorted_times, sorted_latencies, slot_ids, bins, scheme, tz,
-                    lo, hi, target, n_shards, generator, executor,
-                )
-            else:
-                sample_bin_idx = bins.index_of(sorted_latencies)
-                acceptance_est = _acceptance_estimate(seconds, hi - lo, sample_bin_idx)
-                u, accepted, drawn, batches = _draw_unbiased_tensor(
-                    sorted_times, sample_bin_idx, slot_ids, bins.count, scheme,
-                    tz, lo, hi, target, acceptance_est, generator,
-                )
-            rate = accepted / drawn if drawn else 0.0
-            u_span.set(
-                accepted=int(accepted), target=int(target),
-                n_draw_batches=int(batches), drawn=int(drawn),
-                acceptance_rate=round(rate, 4), n_shards=int(n_shards),
-            )
-            if obs.enabled():
-                from repro.obs import probes
-
-                obs.inc("autosens_unbiased_queries_drawn_total", float(drawn))
-                obs.inc("autosens_unbiased_queries_accepted_total", float(accepted))
-                obs.inc("autosens_unbiased_draw_batches_total", float(max(batches, 0)))
-                probes.emit(probes.probe_unbiased_acceptance(
-                    accepted, target, drawn, batches))
+    # f[T, L] — time fraction per slot at each latency.
+    with obs.span("slotted_counts.unbiased"):
+        order = np.argsort(logs.times, kind="mergesort")
+        u = _exact_unbiased_tensor(
+            logs.times[order], bin_idx[order], slot_ids, bins.count, scheme, tz)
     slot_totals = u.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(slot_totals > 0, u / slot_totals, 0.0)
@@ -595,16 +420,12 @@ def estimate_alpha(
     bins: HistogramBins,
     scheme: str = "hour-of-day",
     reference_slot: Optional[int] = None,
-    n_unbiased_samples: Optional[int] = None,
     min_bin_count: float = 5.0,
     min_time_fraction: float = 1e-6,
     bin_average: str = "simple",
-    rng: SeedLike = None,
 ) -> AlphaEstimate:
     """One-shot α estimation: :func:`slotted_counts` + :func:`alpha_from_counts`."""
-    counts = slotted_counts(
-        logs, bins, scheme=scheme, n_unbiased_samples=n_unbiased_samples, rng=rng
-    )
+    counts = slotted_counts(logs, bins, scheme=scheme)
     return alpha_from_counts(
         counts,
         reference_slot=reference_slot,

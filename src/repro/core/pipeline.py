@@ -32,7 +32,7 @@ from repro.runtime.deadline import check_deadline
 from repro.runtime.memory import estimate_counts_bytes, estimate_nbytes
 from repro.runtime.supervisor import active_supervisor
 from repro.stats.histogram import Histogram1D, HistogramBins, latency_bins
-from repro.stats.rng import RngFactory, SeedLike
+from repro.stats.rng import RngFactory
 from repro.core.alpha import (
     AlphaEstimate,
     alpha_from_counts,
@@ -65,15 +65,7 @@ class AutoSensConfig:
     smoothing_degree: int = 3
     reference_ms: float = 300.0
     min_unbiased_count: float = 40.0
-    unbiased_oversample: float = 3.0
     time_correction: bool = True
-    #: 'sampling' = the paper's Monte Carlo unbiased draw;
-    #: 'voronoi' = its deterministic infinite-draw limit.
-    unbiased_estimator: str = "sampling"
-    #: Time shards for the sampling U-estimator (1 = one stratum). Results
-    #: depend on the value (stratified draw) but never on the executor
-    #: backend that runs the shards.
-    unbiased_shards: int = 1
     slot_scheme: str = "hour-of-day"
     n_reference_slots: int = 3
     alpha_bin_average: str = "simple"
@@ -85,19 +77,6 @@ class AutoSensConfig:
         if self.n_reference_slots < 1:
             raise ConfigError(
                 f"n_reference_slots must be >= 1, got {self.n_reference_slots}"
-            )
-        if self.unbiased_oversample <= 0:
-            raise ConfigError(
-                f"unbiased_oversample must be positive, got {self.unbiased_oversample}"
-            )
-        if self.unbiased_estimator not in ("sampling", "voronoi"):
-            raise ConfigError(
-                "unbiased_estimator must be 'sampling' or 'voronoi', "
-                f"got {self.unbiased_estimator!r}"
-            )
-        if self.unbiased_shards < 1:
-            raise ConfigError(
-                f"unbiased_shards must be >= 1, got {self.unbiased_shards}"
             )
 
     def bins(self) -> HistogramBins:
@@ -452,29 +431,13 @@ class AutoSens:
 
     # -- distributions --------------------------------------------------------
 
-    def distributions(
-        self,
-        logs: LogStore,
-        rng: SeedLike = None,
-    ) -> tuple:
+    def distributions(self, logs: LogStore) -> tuple:
         """(B, U) for already-sliced logs, honoring the time correction."""
         cfg = self.config
         bins = cfg.bins()
-        generator = rng if rng is not None else self._rng.child("distributions")
-        n_unbiased = int(np.ceil(cfg.unbiased_oversample * len(logs)))
         if not cfg.time_correction:
-            biased = biased_histogram(logs, bins)
-            unbiased = unbiased_histogram(
-                logs, bins, n_samples=n_unbiased, rng=generator,
-                estimator=cfg.unbiased_estimator,
-            )
-            return biased, unbiased
-        counts = slotted_counts(
-            logs, bins, scheme=cfg.slot_scheme,
-            n_unbiased_samples=n_unbiased, rng=generator,
-            estimator=cfg.unbiased_estimator,
-            n_shards=cfg.unbiased_shards, executor=self.executor,
-        )
+            return biased_histogram(logs, bins), unbiased_histogram(logs, bins)
+        counts = slotted_counts(logs, bins, scheme=cfg.slot_scheme)
         alpha = alpha_from_counts(
             counts,
             bin_average=cfg.alpha_bin_average,
@@ -524,30 +487,17 @@ class AutoSens:
         check_deadline(f"curve [{description}]")
         bins = cfg.bins()
         computer = cfg.computer()
-        n_unbiased = int(np.ceil(cfg.unbiased_oversample * len(sliced)))
         supervisor = active_supervisor()
         if supervisor is not None and supervisor.memory is not None:
             # Admission control: refuse a slice whose working set cannot
             # fit the hard budget at all, before the expensive pass runs.
             supervisor.memory.admit(
-                estimate_counts_bytes(
-                    len(sliced), bins.count,
-                    oversample=cfg.unbiased_oversample,
-                ),
+                estimate_counts_bytes(len(sliced), bins.count),
                 what=f"slice [{description}]",
             )
-        # A *pure* stream keyed by the slice: serial, process-pool and cached
-        # evaluations of the same slice all see identical randomness.
-        make_rng = lambda: self._rng.stream(f"curve/{description}")
-
         if not cfg.time_correction:
             def compute_plain() -> Tuple[Histogram1D, Histogram1D]:
-                biased = biased_histogram(sliced, bins)
-                unbiased = unbiased_histogram(
-                    sliced, bins, n_samples=n_unbiased, rng=make_rng(),
-                    estimator=cfg.unbiased_estimator,
-                )
-                return biased, unbiased
+                return biased_histogram(sliced, bins), unbiased_histogram(sliced, bins)
 
             biased, unbiased = self._memo("histograms", logs, key, compute_plain)
             return computer.compute(
@@ -555,18 +505,13 @@ class AutoSens:
                 slice_description=description, n_actions=len(sliced),
             )
 
-        # The expensive part — one pass over the actions plus the unbiased
-        # draw — happens exactly once per slice; every reference slot below
-        # is then an O(n_slots × n_bins) contraction of the tensor.
+        # The expensive part — one pass over the actions plus the exact
+        # unbiased weights — happens exactly once per slice; every reference
+        # slot below is then an O(n_slots × n_bins) contraction of the tensor.
         with obs.span("slotted_counts", n_actions=len(sliced)):
             counts = self._memo(
                 "counts", logs, key,
-                lambda: slotted_counts(
-                    sliced, bins, scheme=cfg.slot_scheme,
-                    n_unbiased_samples=n_unbiased, rng=make_rng(),
-                    estimator=cfg.unbiased_estimator,
-                    n_shards=cfg.unbiased_shards, executor=self.executor,
-                ),
+                lambda: slotted_counts(sliced, bins, scheme=cfg.slot_scheme),
             )
         references = counts.busiest_slots(cfg.n_reference_slots)
         skip_references = (
@@ -739,10 +684,7 @@ class AutoSens:
         wave_size = n_tasks
         if governor is not None and n_tasks:
             per_task = max(
-                estimate_counts_bytes(
-                    len(lg), cfg.bins().count,
-                    oversample=cfg.unbiased_oversample,
-                )
+                estimate_counts_bytes(len(lg), cfg.bins().count)
                 for lg, _ in tasks
             )
             wave_size = governor.max_concurrent(per_task, n_tasks)
@@ -922,13 +864,7 @@ class AutoSens:
         reference slot 0 = the 8am-2pm period)."""
         sliced, _ = self._slice(logs, action, user_class)
         cfg = self.config
-        n_unbiased = int(np.ceil(cfg.unbiased_oversample * len(sliced)))
-        counts = slotted_counts(
-            sliced, cfg.bins(), scheme=scheme,
-            n_unbiased_samples=n_unbiased, rng=self._rng.child("alpha-profile"),
-            estimator=cfg.unbiased_estimator,
-            n_shards=cfg.unbiased_shards, executor=self.executor,
-        )
+        counts = slotted_counts(sliced, cfg.bins(), scheme=scheme)
         if reference_slot is None and scheme == "period":
             reference_slot = 0  # 8am-2pm, as in the paper's Figure 8
         return alpha_from_counts(

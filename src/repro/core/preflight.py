@@ -99,10 +99,6 @@ def preflight(
         recommendations.append(
             "the window spans multiple weeks; prefer "
             "slot_scheme='hour-of-week' to absorb weekly seasonality")
-    if len(logs) >= 50_000:
-        recommendations.append(
-            "large slice: unbiased_estimator='voronoi' gives identical "
-            "results deterministically and faster")
     if not recommendations:
         recommendations.append("no concerns; defaults are appropriate")
 

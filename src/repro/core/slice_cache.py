@@ -4,12 +4,13 @@ The analysis layer repeatedly evaluates the same telemetry slice: the
 figure drivers share slices across figures, bootstrap bands resample around
 one slice, and sweeps revisit the full store once per segment. The
 expensive intermediates — the sliced :class:`~repro.telemetry.log_store.LogStore`
-and the :class:`~repro.core.alpha.SlottedCounts` tensor with its Monte
-Carlo unbiased draw — are pure functions of ``(log store, slice predicate,
-config fingerprint)`` now that the pipeline derives its randomness from
-pure named streams (:meth:`repro.stats.rng.RngFactory.stream`). That
-purity is what makes memoization *exact*: a cache hit returns bit-identical
-arrays to a recompute.
+and the :class:`~repro.core.alpha.SlottedCounts` tensor with its exact
+unbiased time fractions — are pure functions of ``(log store, slice
+predicate, config fingerprint)``; the pipeline's remaining randomness
+(subsampling) comes from pure named streams
+(:meth:`repro.stats.rng.RngFactory.stream`). That purity is what makes
+memoization *exact*: a cache hit returns bit-identical arrays to a
+recompute.
 
 Keys are plain tuples: a ``kind`` tag, an identity token for the log store
 (strong-pinned so ``id()`` stays valid), the normalized slice predicate,

@@ -2,20 +2,22 @@
 
 The paper runs on *several billion* actions — far beyond what fits in one
 in-memory :class:`LogStore`. The sufficient statistics of the pipeline,
-however, are tiny: per-(slot, latency-bin) biased counts and unbiased-draw
-counts (:class:`~repro.core.alpha.SlottedCounts`). This module makes those
-statistics **mergeable**, so telemetry can be processed chunk by chunk (or
-shard by shard on different machines) and combined:
+however, are tiny: per-(slot, latency-bin) biased counts and exact
+unbiased time fractions (:class:`~repro.core.alpha.SlottedCounts`). This
+module makes those statistics **mergeable**, so telemetry can be processed
+chunk by chunk (or shard by shard on different machines) and combined:
 
     accumulator = StreamingAutoSens(config)
     for chunk in read_jsonl_chunks("huge.jsonl.gz", rows_per_chunk=1_000_000):
         accumulator.consume(chunk.where(action="SelectMail"))
     curve = accumulator.preference_curve()
 
-Caveat: the unbiased draw inside each chunk only sees that chunk's time
-span, so chunks should be split on *time* boundaries (the natural layout
-of server logs) — each chunk then contributes its own span's availability,
-and merging is exact up to edge effects at chunk boundaries.
+Caveat: each chunk's Voronoi cells only see that chunk's samples, so
+chunks should be split on *time* boundaries (the natural layout of server
+logs) — each chunk then contributes its own span's availability, and
+merging is exact up to edge effects at chunk boundaries: the cells of a
+chunk's first and last samples stop at the chunk's edge samples instead
+of reaching the midpoint to the neighbouring chunk.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.errors import ConfigError, EmptyDataError, InsufficientDataError
 from repro.core.alpha import SlottedCounts, slotted_counts
 from repro.core.pipeline import AutoSensConfig
 from repro.core.result import PreferenceResult
-from repro.stats.rng import RngFactory
 from repro.telemetry.log_store import LogStore
 
 
@@ -37,8 +38,7 @@ def merge_slotted_counts(parts: List[SlottedCounts]) -> SlottedCounts:
     """Merge chunk-level sufficient statistics into one table.
 
     Biased counts add; unbiased time fractions combine weighted by each
-    chunk's share of the slot's observed draws (equivalently, pooled raw
-    draw counts are renormalized per slot).
+    chunk's observed seconds in the slot.
     """
     if not parts:
         raise EmptyDataError("nothing to merge")
@@ -96,7 +96,6 @@ class StreamingAutoSens:
 
     def __init__(self, config: Optional[AutoSensConfig] = None) -> None:
         self.config = config or AutoSensConfig()
-        self._rng = RngFactory(self.config.seed)
         self._chunks: List[_ChunkStats] = []
         self._slice_description = ""
 
@@ -110,11 +109,7 @@ class StreamingAutoSens:
         if logs.is_empty:
             return
         cfg = self.config
-        n_unbiased = int(np.ceil(cfg.unbiased_oversample * len(logs)))
-        counts = slotted_counts(
-            logs, cfg.bins(), scheme=cfg.slot_scheme,
-            n_unbiased_samples=n_unbiased, rng=self._rng.child("chunk"),
-        )
+        counts = slotted_counts(logs, cfg.bins(), scheme=cfg.slot_scheme)
         self._chunks.append(_ChunkStats(counts=counts, n_rows=len(logs)))
         if description:
             self._slice_description = description

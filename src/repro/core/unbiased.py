@@ -10,11 +10,13 @@ so the paper approximates ``U`` by repeatedly:
 
 Because step 2 reuses *observed* samples, ``U`` is an approximation; it is
 good wherever actions are dense relative to the latency level's correlation
-time. The estimator here is batched: a caller decides how many query times
-it needs, draws them in one inflated vectorized batch sized by the expected
-acceptance rate (see ``slotted_counts`` in :mod:`repro.core.alpha`), and
-resolves every query against the sorted sample times in a single fused
-nearest-neighbour pass — there is no per-draw loop anywhere on the path.
+time. The draw's expectation has a closed form: each sample is selected
+with probability equal to its Voronoi cell length (:func:`voronoi_weights`)
+over the window. The engine computes that limit exactly
+(:func:`unbiased_histogram` here, and the slot-clipped per-slot version in
+:func:`repro.core.alpha.slotted_counts`); :func:`draw_unbiased_samples` is
+the paper's draw itself, kept as the plain reference for Figure 3(a) and
+the convergence tests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError, EmptyDataError
+from repro.errors import EmptyDataError
 from repro.stats.histogram import Histogram1D, HistogramBins
 from repro.stats.rng import SeedLike, spawn_rng
 from repro.stats.sampling import nearest_time_sample, random_times
@@ -32,6 +34,10 @@ from repro.telemetry.log_store import LogStore
 
 #: Default number of random time draws, as a multiple of the sample count.
 DEFAULT_OVERSAMPLE = 2.0
+
+#: Total mass of :func:`unbiased_histogram`, per action. Three draws per
+#: action is the sample size ``min_unbiased_count`` is calibrated against.
+UNBIASED_MASS_PER_ACTION = 3.0
 
 
 @dataclass(frozen=True)
@@ -52,51 +58,6 @@ class UnbiasedDraw:
         return self.sample_latencies[self.selected_indices]
 
 
-def draw_from_sorted(
-    sorted_times: np.ndarray,
-    sorted_latencies: np.ndarray,
-    n_samples: Optional[int] = None,
-    rng: SeedLike = None,
-    time_range: Optional[Tuple[float, float]] = None,
-    midpoints: Optional[np.ndarray] = None,
-    has_duplicates: Optional[bool] = None,
-) -> UnbiasedDraw:
-    """The draw procedure over an already time-sorted sample view.
-
-    Callers that draw repeatedly from one log slice (the waste-compensated
-    top-up path in :func:`repro.core.alpha.slotted_counts`) sort once and
-    come here per batch instead of re-sorting inside
-    :func:`draw_unbiased_samples` every time. The sortedness invariant is
-    the caller's responsibility, so the O(n) re-check is skipped; pass
-    ``midpoints`` (:func:`repro.stats.sampling.midpoints_of`) and
-    ``has_duplicates`` to also amortize the nearest-neighbour setup across
-    batches.
-    """
-    times = np.asarray(sorted_times, dtype=float)
-    if times.size == 0:
-        raise EmptyDataError("cannot estimate the unbiased distribution from empty logs")
-    generator = spawn_rng(rng)
-    if time_range is None:
-        lo, hi = float(times[0]), float(times[-1])
-        if hi <= lo:  # all samples at one instant
-            hi = lo + 1.0
-    else:
-        lo, hi = time_range
-    if n_samples is None:
-        n_samples = int(np.ceil(DEFAULT_OVERSAMPLE * times.size))
-    queries = random_times(lo, hi, n_samples, rng=generator)
-    selected = nearest_time_sample(
-        times, queries, rng=generator,
-        assume_sorted=True, midpoints=midpoints, has_duplicates=has_duplicates,
-    )
-    return UnbiasedDraw(
-        query_times=queries,
-        selected_indices=selected,
-        sample_times=times,
-        sample_latencies=np.asarray(sorted_latencies),
-    )
-
-
 def draw_unbiased_samples(
     logs: LogStore,
     n_samples: Optional[int] = None,
@@ -107,51 +68,48 @@ def draw_unbiased_samples(
     if logs.is_empty:
         raise EmptyDataError("cannot estimate the unbiased distribution from empty logs")
     order = np.argsort(logs.times, kind="mergesort")
-    return draw_from_sorted(
-        logs.times[order],
-        logs.latencies_ms[order],
-        n_samples=n_samples,
-        rng=rng,
-        time_range=time_range,
+    times = logs.times[order]
+    generator = spawn_rng(rng)
+    if time_range is None:
+        lo, hi = float(times[0]), float(times[-1])
+        if hi <= lo:  # all samples at one instant
+            hi = lo + 1.0
+    else:
+        lo, hi = time_range
+    if n_samples is None:
+        n_samples = int(np.ceil(DEFAULT_OVERSAMPLE * times.size))
+    queries = random_times(lo, hi, n_samples, rng=generator)
+    return UnbiasedDraw(
+        query_times=queries,
+        selected_indices=nearest_time_sample(times, queries, rng=generator),
+        sample_times=times,
+        sample_latencies=logs.latencies_ms[order],
     )
 
 
 def unbiased_histogram(
     logs: LogStore,
     bins: HistogramBins,
-    n_samples: Optional[int] = None,
-    rng: SeedLike = None,
     time_range: Optional[Tuple[float, float]] = None,
-    estimator: str = "sampling",
 ) -> Histogram1D:
     """Estimate ``U`` as a histogram over the shared latency bin grid.
 
-    ``estimator="sampling"`` is the paper's Monte Carlo procedure;
-    ``"voronoi"`` is its deterministic infinite-draw limit (see
-    :func:`voronoi_weights`) — same expectation, zero sampling noise.
+    Each sample is weighted by its Voronoi cell length — the paper's draw
+    in the limit of infinitely many queries, with no sampling noise. The
+    weights are rescaled to a total mass of ``UNBIASED_MASS_PER_ACTION``
+    per action, so the stability threshold (``min_unbiased_count``) means
+    what it means for a draw of that size.
     """
-    if estimator == "voronoi":
-        order = np.argsort(logs.times, kind="mergesort")
-        times = logs.times[order]
-        latencies = logs.latencies_ms[order]
-        weights = voronoi_weights(times, time_range=time_range)
-        # Rescale so total weight equals the sample count: one weight unit
-        # then means "one action's worth of time", keeping the stability
-        # threshold (min unbiased count) comparable across estimators.
-        total = weights.sum()
-        if total > 0:
-            weights = weights * (times.size / total)
-        hist = Histogram1D(bins)
-        hist.add(latencies, weights=weights)
-        return hist
-    if estimator != "sampling":
-        raise ConfigError(
-            f"unknown unbiased estimator {estimator!r}; "
-            "use 'sampling' or 'voronoi'"
-        )
-    draw = draw_unbiased_samples(logs, n_samples=n_samples, rng=rng, time_range=time_range)
+    if logs.is_empty:
+        raise EmptyDataError("cannot estimate the unbiased distribution from empty logs")
+    order = np.argsort(logs.times, kind="mergesort")
+    times = logs.times[order]
+    weights = voronoi_weights(times, time_range=time_range)
+    total = weights.sum()
+    if total > 0:
+        weights = weights * (UNBIASED_MASS_PER_ACTION * times.size / total)
     hist = Histogram1D(bins)
-    hist.add(draw.selected_latencies)
+    hist.add(logs.latencies_ms[order], weights=weights)
     return hist
 
 
@@ -184,9 +142,11 @@ def voronoi_weights(
     else:
         lo, hi = time_range
 
+    # Each cell runs from the midpoint to the previous sample to the
+    # midpoint to the next one, clipped to the window.
     midpoints = 0.5 * (times[1:] + times[:-1])
-    left_edges = np.concatenate([[lo], midpoints])
-    right_edges = np.concatenate([midpoints, [hi]])
+    left_edges = np.maximum(np.concatenate([[lo], midpoints]), lo)
+    right_edges = np.minimum(np.concatenate([midpoints, [hi]]), hi)
     weights = np.clip(right_edges - left_edges, 0.0, None)
 
     # Equal split across duplicate timestamps: a run of k identical times

@@ -38,7 +38,6 @@ __all__ = [
     "emit",
     "probe_bin_occupancy",
     "probe_u_coverage",
-    "probe_unbiased_acceptance",
     "probe_alpha_dispersion",
     "probe_slot_support",
     "probe_latency_regime",
@@ -137,13 +136,13 @@ def probe_bin_occupancy(
     min_stable_share: float = 0.02,
     min_unbiased_total: float = 400.0,
 ) -> List[HealthFinding]:
-    """B/U bin occupancy and the unbiased draw's effective sample size.
+    """B/U bin occupancy and the total mass of U.
 
     A preference curve is only defined on bins where U has at least
     ``min_unbiased_count`` mass; this probe reports how much of the grid
-    that is, and how large the unbiased draw actually was. An all-empty U
-    is a ``fail`` (no curve can exist); a sliver of stable bins or a tiny
-    draw is a ``warn``.
+    that is, and how much mass U carries in total. An all-empty U is a
+    ``fail`` (no curve can exist); a sliver of stable bins or a tiny U is
+    a ``warn``.
     """
     b = np.nan_to_num(np.asarray(biased_counts, dtype=float), nan=0.0)
     u = np.nan_to_num(np.asarray(unbiased_counts, dtype=float), nan=0.0)
@@ -194,64 +193,6 @@ def probe_bin_occupancy(
         context={"slice": slice_description},
     ))
     return findings
-
-
-def probe_unbiased_acceptance(
-    accepted: int,
-    target: int,
-    drawn: int,
-    n_batches: int,
-    warn_rate: float = 0.50,
-) -> List[HealthFinding]:
-    """Acceptance economics of the waste-compensated unbiased draw.
-
-    The sampling estimator inflates its query batch by the expected
-    acceptance rate; a realized rate below ``warn_rate`` means more than
-    half the drawn queries were rejected (sparse slice or off-grid
-    latencies) — invisible waste unless surfaced here. A draw that never
-    reached its target (all top-up batches exhausted, or nothing on the
-    bin grid at all) degrades the U estimate and is flagged accordingly.
-    """
-    def _count(x: Any) -> float:
-        v = _finite(x, 0.0)
-        return v if np.isfinite(v) else 0.0
-
-    accepted_f = _count(accepted)
-    target_f = _count(target)
-    drawn_f = _count(drawn)
-    rate = accepted_f / drawn_f if drawn_f > 0 else 0.0
-    context: Dict[str, Any] = {
-        "accepted": int(accepted_f), "target": int(target_f),
-        "drawn": int(drawn_f), "n_batches": int(_count(n_batches)),
-    }
-    if target_f <= 0:
-        return [HealthFinding(
-            probe="unbiased_acceptance", stage="slotted_counts", severity="ok",
-            message="unbiased draw requested no queries for this slice",
-            value=rate, threshold=warn_rate, context=context,
-        )]
-    if accepted_f <= 0:
-        return [HealthFinding(
-            probe="unbiased_acceptance", stage="slotted_counts", severity="fail",
-            message="unbiased draw accepted no queries; U is empty for this slice",
-            value=rate, threshold=warn_rate, context=context,
-        )]
-    if accepted_f < target_f:
-        return [HealthFinding(
-            probe="unbiased_acceptance", stage="slotted_counts", severity="warn",
-            message=(
-                f"unbiased draw fell short: {accepted_f:.0f}/{target_f:.0f} "
-                "accepted after all top-up batches"),
-            value=rate, threshold=warn_rate, context=context,
-        )]
-    severity = "warn" if rate < warn_rate else "ok"
-    return [HealthFinding(
-        probe="unbiased_acceptance", stage="slotted_counts", severity=severity,
-        message=(
-            f"unbiased draw accepted {rate:.1%} of {drawn_f:.0f} queries "
-            f"({'sparse-slice waste' if severity == 'warn' else 'within budget'})"),
-        value=rate, threshold=warn_rate, context=context,
-    )]
 
 
 def probe_u_coverage(

@@ -1,10 +1,9 @@
 """Memory governor: admission control and disk spill for sweeps.
 
 A production sweep over millions of users can exhaust memory in two ways:
-one slice's ``slotted_counts`` tensor (plus its Monte Carlo unbiased draw)
-is simply too large, or many completed slices accumulate while the sweep
-fans out. The :class:`MemoryGovernor` handles both without distorting any
-result:
+one slice's ``slotted_counts`` working set is simply too large, or many
+completed slices accumulate while the sweep fans out. The
+:class:`MemoryGovernor` handles both without distorting any result:
 
 - **Estimation** — :func:`estimate_nbytes` walks an object for NumPy array
   payloads; :func:`estimate_counts_bytes` predicts a slice's working set
@@ -87,18 +86,15 @@ def estimate_counts_bytes(
     n_actions: int,
     n_bins: int,
     n_slots: int = 24,
-    oversample: float = 3.0,
 ) -> int:
     """Predict one slice's ``slotted_counts`` working set in bytes.
 
     Two float64 ``(n_slots, n_bins)`` tensors (biased counts and time
-    fractions), the per-action column arrays consumed while counting, and
-    the ``oversample × n_actions`` unbiased Monte Carlo draw.
+    fractions) and the per-action column arrays consumed while counting.
     """
     tensors = 2 * n_slots * n_bins * 8
     per_action = 5 * n_actions * 8
-    unbiased = int(oversample * n_actions) * 8
-    return tensors + per_action + unbiased
+    return tensors + per_action
 
 
 class MemoryGovernor:

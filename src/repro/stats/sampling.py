@@ -4,12 +4,13 @@ Section 2.2 of the paper approximates the unbiased latency distribution by
 repeatedly (1) drawing a point in time uniformly at random over the
 observation window and (2) selecting the latency sample *closest in time* to
 that point, breaking ties uniformly at random. These two primitives live
-here; :mod:`repro.core.unbiased` assembles them into the estimator.
+here; :func:`repro.core.unbiased.draw_unbiased_samples` assembles them into
+the paper's reference draw.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -32,70 +33,17 @@ def random_times(
     return generator.uniform(start, end, size=n)
 
 
-def midpoints_of(sorted_times: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive sorted sample times.
-
-    The Voronoi boundaries of a 1-D point set: queries below ``midpoints[i]``
-    are nearer to ``sorted_times[i]`` than to ``sorted_times[i + 1]``. Callers
-    that issue many query batches against the same samples precompute this
-    once and pass it to :func:`nearest_time_sample`.
-    """
-    times = np.asarray(sorted_times, dtype=float)
-    if times.size < 2:
-        return np.empty(0, dtype=float)
-    return 0.5 * (times[1:] + times[:-1])
-
-
-def _nearest_by_midpoint(
-    times: np.ndarray,
-    queries: np.ndarray,
-    rng: SeedLike,
-    midpoints: Optional[np.ndarray],
-) -> np.ndarray:
-    """Nearest-sample kernel for strictly increasing ``times``.
-
-    One ``searchsorted`` against the midpoints resolves every query; ties
-    (a query exactly on a midpoint) keep the paper's uniform coin flip. The
-    random stream is consumed exactly as in the general kernel: one draw per
-    tied query, ``< 0.5`` meaning the left neighbour.
-    """
-    if times.size == 1:
-        return np.zeros(queries.shape, dtype=np.intp)
-    mid = midpoints if midpoints is not None else midpoints_of(times)
-    nearest = np.searchsorted(mid, queries, side="left")
-    # side="left" can only land *on* a midpoint index when the query equals
-    # that midpoint; nearest == mid.size implies queries > mid[-1] (no tie).
-    tied = mid[np.minimum(nearest, mid.size - 1)] == queries
-    if np.any(tied):
-        generator = spawn_rng(rng)
-        nearest = nearest.copy()
-        nearest[tied] += generator.random(int(tied.sum())) >= 0.5
-    return nearest
-
-
 def nearest_time_sample(
     sample_times: np.ndarray,
     query_times: np.ndarray,
     rng: SeedLike = None,
     tie_tolerance: float = 0.0,
-    assume_sorted: bool = False,
-    midpoints: Optional[np.ndarray] = None,
-    has_duplicates: Optional[bool] = None,
 ) -> np.ndarray:
     """Indices of the sample nearest in time to each query time.
 
     ``sample_times`` must be sorted ascending. Ties — several samples at the
     same distance within ``tie_tolerance`` — are broken uniformly at random,
     as the paper prescribes for multiple samples at the chosen time.
-
-    Batch callers can amortize the per-call invariant work: pass
-    ``assume_sorted=True`` to skip the O(n) sortedness check,
-    ``midpoints`` (from :func:`midpoints_of`) to reuse the Voronoi
-    boundaries across batches, and ``has_duplicates`` when the caller
-    already knows whether any timestamps repeat. When the timestamps are
-    strictly increasing and ``tie_tolerance`` is zero the duplicate-run
-    machinery is skipped entirely in favour of a single fused
-    midpoint-``searchsorted`` pass.
 
     Returns an integer index array into ``sample_times`` with one entry per
     query.
@@ -104,12 +52,8 @@ def nearest_time_sample(
     queries = np.asarray(query_times, dtype=float)
     if times.size == 0:
         raise EmptyDataError("no samples to draw from")
-    if not assume_sorted and times.size > 1 and np.any(np.diff(times) < 0):
+    if times.size > 1 and np.any(np.diff(times) < 0):
         raise EmptyDataError("sample_times must be sorted ascending")
-    if has_duplicates is None:
-        has_duplicates = times.size > 1 and bool(np.any(times[1:] == times[:-1]))
-    if tie_tolerance == 0.0 and not has_duplicates:
-        return _nearest_by_midpoint(times, queries, rng, midpoints)
 
     # For each query, the insertion point splits candidates into the sample
     # just before and just after; pick whichever is closer.

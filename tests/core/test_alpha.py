@@ -104,7 +104,7 @@ class TestEstimateAlpha:
     def test_night_alpha_low(self):
         logs = _two_regime_logs()
         bins = latency_bins(1000.0, 10.0)
-        alpha = estimate_alpha(logs, bins, scheme="hour-of-day", rng=1)
+        alpha = estimate_alpha(logs, bins, scheme="hour-of-day")
         est = dict(zip(alpha.slot_ids.tolist(), alpha.alpha_by_slot.tolist()))
         assert est[12] == pytest.approx(1.0, abs=0.35)
         assert est[2] < 0.35  # night activity ~10x lower
@@ -112,24 +112,24 @@ class TestEstimateAlpha:
     def test_reference_slot_is_one(self):
         logs = _two_regime_logs()
         alpha = estimate_alpha(logs, latency_bins(1000.0, 10.0),
-                               reference_slot=12, rng=2)
+                               reference_slot=12)
         assert alpha.alpha_of(12) == 1.0
 
     def test_unknown_reference_rejected(self):
         logs = _two_regime_logs()
-        counts = slotted_counts(logs, latency_bins(1000.0, 10.0), rng=3)
+        counts = slotted_counts(logs, latency_bins(1000.0, 10.0))
         with pytest.raises(ConfigError):
             alpha_from_counts(counts, reference_slot=999)
 
     def test_busiest_slots_order(self):
         logs = _two_regime_logs()
-        counts = slotted_counts(logs, latency_bins(1000.0, 10.0), rng=4)
+        counts = slotted_counts(logs, latency_bins(1000.0, 10.0))
         busiest = counts.busiest_slots(3)
         assert all(8 <= slot < 20 for slot in busiest)
 
     def test_weighted_vs_simple_agree_roughly(self):
         logs = _two_regime_logs()
-        counts = slotted_counts(logs, latency_bins(1000.0, 10.0), rng=5)
+        counts = slotted_counts(logs, latency_bins(1000.0, 10.0))
         simple = alpha_from_counts(counts, reference_slot=12, bin_average="simple")
         weighted = alpha_from_counts(counts, reference_slot=12, bin_average="weighted")
         mask = ~np.isnan(simple.alpha_by_slot)
@@ -138,7 +138,7 @@ class TestEstimateAlpha:
 
     def test_bad_bin_average(self):
         logs = _two_regime_logs()
-        counts = slotted_counts(logs, latency_bins(1000.0, 10.0), rng=6)
+        counts = slotted_counts(logs, latency_bins(1000.0, 10.0))
         with pytest.raises(ConfigError):
             alpha_from_counts(counts, bin_average="median")
 
@@ -154,7 +154,7 @@ class TestEstimateAlpha:
         """
         logs = _two_regime_logs()
         bins = latency_bins(1000.0, 10.0)
-        counts = slotted_counts(logs, bins, rng=7)
+        counts = slotted_counts(logs, bins)
         alpha_1 = alpha_from_counts(counts, reference_slot=12, min_bin_count=0.0)
         counts.biased_counts *= 3.0
         alpha_2 = alpha_from_counts(counts, reference_slot=12, min_bin_count=0.0)
@@ -165,15 +165,16 @@ class TestEstimateAlpha:
 
 class TestCorrectedHistograms:
     def test_corrects_inversion(self):
-        """The full-pipeline version of Table 1: corrected B must put the
-        activity peak back at low latency."""
+        """The full-pipeline version of Table 1: corrected B must undo the
+        inversion. Activity here depends on the hour only, so both latency
+        regimes come out equally preferred."""
         logs = _two_regime_logs()
         bins = HistogramBins(0.0, 1000.0, 100.0)
-        alpha = estimate_alpha(logs, bins, scheme="hour-of-day", rng=8)
+        alpha = estimate_alpha(logs, bins, scheme="hour-of-day")
         biased, unbiased = corrected_histograms(logs, bins, alpha)
         ratio = biased.ratio_to(unbiased)
         # bin 1 = 100 ms regime, bin 5 = 500 ms regime
-        assert ratio[1] > ratio[5]
+        assert ratio[1] == pytest.approx(ratio[5], rel=0.05)
 
     def test_naive_is_inverted(self):
         """Sanity: without correction the same data looks inverted."""
@@ -183,14 +184,14 @@ class TestCorrectedHistograms:
         logs = _two_regime_logs()
         bins = HistogramBins(0.0, 1000.0, 100.0)
         biased = biased_histogram(logs, bins)
-        unbiased = unbiased_histogram(logs, bins, n_samples=30_000, rng=9)
+        unbiased = unbiased_histogram(logs, bins)
         ratio = biased.ratio_to(unbiased)
         assert ratio[5] > ratio[1]
 
     def test_total_mass_positive(self):
         logs = _two_regime_logs()
         bins = HistogramBins(0.0, 1000.0, 100.0)
-        alpha = estimate_alpha(logs, bins, rng=10)
+        alpha = estimate_alpha(logs, bins)
         biased, unbiased = corrected_histograms(logs, bins, alpha)
         assert biased.total > 0
         assert unbiased.total > 0
@@ -198,6 +199,6 @@ class TestCorrectedHistograms:
     def test_empty_rejected(self):
         logs = _two_regime_logs()
         bins = HistogramBins(0.0, 1000.0, 100.0)
-        alpha = estimate_alpha(logs, bins, rng=11)
+        alpha = estimate_alpha(logs, bins)
         with pytest.raises(EmptyDataError):
             corrected_histograms(LogStore.from_records([]), bins, alpha)

@@ -87,7 +87,7 @@ class TestUnbiasedReweighting:
             actions=["a"] * 1000,
         )
         bins = HistogramBins(0.0, 1000.0, 100.0)
-        unbiased = unbiased_histogram(logs, bins, n_samples=40_000, rng=6)
+        unbiased = unbiased_histogram(logs, bins)
         share_fast = unbiased.counts[1] / unbiased.total  # 100 ms bin
         share_slow = unbiased.counts[5] / unbiased.total  # 500 ms bin
         assert abs(share_fast - 0.5) < 0.05
@@ -105,13 +105,22 @@ class TestUnbiasedReweighting:
         )
         bins = HistogramBins(0.0, 1000.0, 100.0)
         biased = biased_histogram(logs, bins)
-        unbiased = unbiased_histogram(logs, bins, n_samples=20_000, rng=8)
+        unbiased = unbiased_histogram(logs, bins)
         ratio = biased.ratio_to(unbiased)
         assert ratio[1] > 1.5  # fast bin over-represented in B
         assert ratio[5] < 0.5  # slow bin under-represented in B
 
     def test_time_range_override(self):
-        logs = _uniform_logs(200, span=1000.0)
-        hist = unbiased_histogram(logs, latency_bins(), n_samples=500,
-                                  rng=9, time_range=(0.0, 500.0))
-        assert hist.total == 500
+        """Only samples whose cells meet the window carry U mass."""
+        rng = np.random.default_rng(9)
+        logs = LogStore.from_arrays(
+            times=np.sort(rng.uniform(0, 1000.0, 200)),
+            latencies_ms=np.repeat([100.0, 500.0], 100),
+            actions=["a"] * 200,
+        )
+        bins = HistogramBins(0.0, 1000.0, 100.0)
+        full = unbiased_histogram(logs, bins)
+        early = unbiased_histogram(logs, bins, time_range=(0.0, 250.0))
+        assert full.total == pytest.approx(600.0)  # 3 units per action
+        assert early.total == pytest.approx(600.0)
+        assert early.counts[5] == 0.0 < full.counts[5]

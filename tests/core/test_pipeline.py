@@ -24,8 +24,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             AutoSensConfig(n_reference_slots=0)
-        with pytest.raises(ConfigError):
-            AutoSensConfig(unbiased_oversample=0.0)
 
 
 class TestPreferenceCurve:

@@ -14,7 +14,6 @@ class TestPreflight:
         assert report.ready
         assert report.locality_strength > 0.3
         assert report.dynamic_range > 1.5
-        assert any("voronoi" in r for r in report.recommendations)
 
     def test_random_latency_not_applicable(self):
         """i.i.d. latency = no natural experiment; must say NOT READY."""

@@ -65,19 +65,19 @@ class TestSlotTimeCoverage:
 
 class TestMerge:
     def test_merge_identity(self, sliced_logs, config):
-        counts = slotted_counts(sliced_logs, config.bins(), rng=1)
+        counts = slotted_counts(sliced_logs, config.bins())
         merged = merge_slotted_counts([counts])
         assert np.allclose(merged.biased_counts, counts.biased_counts)
         assert np.allclose(merged.time_fractions, counts.time_fractions)
 
     def test_merge_adds_biased_counts(self, sliced_logs, config):
-        counts = slotted_counts(sliced_logs, config.bins(), rng=1)
+        counts = slotted_counts(sliced_logs, config.bins())
         merged = merge_slotted_counts([counts, counts])
         assert np.allclose(merged.biased_counts, 2 * counts.biased_counts)
 
     def test_merge_rejects_mixed_schemes(self, sliced_logs, config):
-        a = slotted_counts(sliced_logs, config.bins(), scheme="hour-of-day", rng=1)
-        b = slotted_counts(sliced_logs, config.bins(), scheme="period", rng=2)
+        a = slotted_counts(sliced_logs, config.bins(), scheme="hour-of-day")
+        b = slotted_counts(sliced_logs, config.bins(), scheme="period")
         with pytest.raises(ConfigError):
             merge_slotted_counts([a, b])
 
@@ -130,7 +130,7 @@ class TestStreamingAutoSens:
 
 class TestAggregateExchange:
     def test_round_trip(self, sliced_logs, config, tmp_path):
-        counts = slotted_counts(sliced_logs, config.bins(), rng=1)
+        counts = slotted_counts(sliced_logs, config.bins())
         path = tmp_path / "counts.json"
         save_counts(counts, path)
         clone = load_counts(path)
@@ -141,9 +141,7 @@ class TestAggregateExchange:
         assert np.allclose(clone.slot_seconds, counts.slot_seconds)
 
     def test_curve_from_counts_matches(self, sliced_logs, config, tmp_path):
-        counts = slotted_counts(
-            sliced_logs, config.bins(),
-            n_unbiased_samples=3 * len(sliced_logs), rng=1)
+        counts = slotted_counts(sliced_logs, config.bins())
         path = tmp_path / "counts.json"
         save_counts(counts, path)
         a = curve_from_counts(counts, config)
@@ -153,7 +151,7 @@ class TestAggregateExchange:
 
     def test_no_user_data_in_file(self, sliced_logs, config, tmp_path):
         """The exported file must contain no GUIDs or raw timestamps."""
-        counts = slotted_counts(sliced_logs, config.bins(), rng=1)
+        counts = slotted_counts(sliced_logs, config.bins())
         path = tmp_path / "counts.json"
         save_counts(counts, path)
         text = path.read_text()
@@ -162,7 +160,7 @@ class TestAggregateExchange:
                 assert guid not in text
 
     def test_bin_grid_mismatch(self, sliced_logs, config):
-        counts = slotted_counts(sliced_logs, latency_bins(2000.0, 10.0), rng=1)
+        counts = slotted_counts(sliced_logs, latency_bins(2000.0, 10.0))
         with pytest.raises(ConfigError):
             curve_from_counts(counts, config)
 

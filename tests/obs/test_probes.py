@@ -21,7 +21,6 @@ from repro.obs.probes import (
     probe_slot_support,
     probe_smoothing_edges,
     probe_u_coverage,
-    probe_unbiased_acceptance,
 )
 
 
@@ -213,36 +212,6 @@ class TestLocality:
         findings = probe_locality(actual=0.55, shuffled=1.0, sorted_ratio=0.3)
         assert _severities(findings) == ["ok"]
         assert findings[0].value == pytest.approx(0.642857, abs=1e-5)
-
-
-class TestUnbiasedAcceptance:
-    def test_healthy_draw_is_ok(self):
-        findings = probe_unbiased_acceptance(1000, 1000, 1200, 1)
-        assert _severities(findings) == ["ok"]
-        assert findings[0].context["drawn"] == 1200
-
-    def test_wasteful_draw_warns(self):
-        findings = probe_unbiased_acceptance(1000, 1000, 4000, 2)
-        assert _severities(findings) == ["warn"]
-        assert findings[0].value == 0.25
-
-    def test_shortfall_warns(self):
-        findings = probe_unbiased_acceptance(700, 1000, 1200, 9)
-        assert _severities(findings) == ["warn"]
-        assert "fell short" in findings[0].message
-
-    def test_empty_draw_is_fail(self):
-        findings = probe_unbiased_acceptance(0, 1000, 5000, 9)
-        assert _severities(findings) == ["fail"]
-        assert "accepted no queries" in findings[0].message
-
-    def test_zero_target_is_ok_not_crash(self):
-        findings = probe_unbiased_acceptance(0, 0, 0, 0)
-        assert _severities(findings) == ["ok"]
-
-    def test_nan_inputs_do_not_raise(self):
-        findings = probe_unbiased_acceptance(float("nan"), 100, float("nan"), 1)
-        assert all(f.severity in ("warn", "fail") for f in findings)
 
 
 class TestDensityCorrelation:

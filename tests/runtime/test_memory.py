@@ -33,11 +33,9 @@ class TestEstimateNbytes:
 
 class TestEstimateCountsBytes:
     def test_matches_the_tensor_geometry(self):
-        # 2 float64 (slots, bins) tensors + 5 per-action columns + the draw.
-        got = estimate_counts_bytes(
-            n_actions=1000, n_bins=32, n_slots=24, oversample=3.0
-        )
-        assert got == 2 * 24 * 32 * 8 + 5 * 1000 * 8 + 3000 * 8
+        # 2 float64 (slots, bins) tensors + 5 per-action columns.
+        got = estimate_counts_bytes(n_actions=1000, n_bins=32, n_slots=24)
+        assert got == 2 * 24 * 32 * 8 + 5 * 1000 * 8
 
     def test_scales_with_actions(self):
         small = estimate_counts_bytes(100, 32)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import EmptyDataError
 from repro.stats.sampling import (
-    midpoints_of,
     nearest_time_sample,
     random_times,
     sorted_by_time,
@@ -92,47 +91,6 @@ class TestNearestTimeSample:
     def test_single_sample(self):
         idx = nearest_time_sample(np.array([42.0]), np.array([0.0, 100.0]), rng=9)
         assert idx.tolist() == [0, 0]
-
-    def test_assume_sorted_matches_checked_path(self):
-        """The fast path must agree with the checking path draw-for-draw —
-        same RNG consumption, same indices — not just in distribution."""
-        rng = np.random.default_rng(11)
-        times = np.unique(np.sort(rng.uniform(0, 100, 60)))
-        queries = rng.uniform(-10, 110, 500)
-        mids = midpoints_of(times)
-        checked = nearest_time_sample(times, queries, rng=13)
-        fast = nearest_time_sample(
-            times, queries, rng=13,
-            assume_sorted=True, midpoints=mids, has_duplicates=False,
-        )
-        assert np.array_equal(checked, fast)
-
-    def test_assume_sorted_skips_order_check(self):
-        """assume_sorted is a caller-owned invariant: unsorted input is not
-        detected (garbage in, garbage out) instead of raising."""
-        nearest_time_sample(
-            np.array([3.0, 1.0]), np.array([2.0]), rng=1,
-            assume_sorted=True, has_duplicates=False,
-        )
-
-    def test_precomputed_midpoints_tie_break_still_random(self):
-        times = np.array([0.0, 10.0])
-        idx = nearest_time_sample(
-            times, np.full(2000, 5.0), rng=7,
-            assume_sorted=True, midpoints=midpoints_of(times),
-            has_duplicates=False,
-        )
-        assert 0.4 < idx.mean() < 0.6
-
-
-class TestMidpointsOf:
-    def test_values(self):
-        mids = midpoints_of(np.array([0.0, 10.0, 30.0]))
-        assert mids.tolist() == [5.0, 20.0]
-
-    @pytest.mark.parametrize("times", [np.array([]), np.array([42.0])])
-    def test_degenerate_sizes_are_empty(self, times):
-        assert midpoints_of(times).size == 0
 
 
 class TestSortedByTime:
