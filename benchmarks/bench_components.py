@@ -55,9 +55,12 @@ def test_savgol_speed(benchmark):
 
 
 def test_savgol_speed_with_nans(benchmark):
+    """A real curve's NaN share: an unstable tail plus scattered gaps."""
     rng = np.random.default_rng(4)
     values = rng.normal(size=300)
-    values[250:] = np.nan  # typical sparse tail
+    values[rng.random(300) < 0.2] = np.nan
+    values[150:] = np.nan
+    assert 0.55 <= np.isnan(values).mean() <= 0.65
     out = benchmark(lambda: savgol_smooth(values, window=101, degree=3))
     assert out.shape == values.shape
 

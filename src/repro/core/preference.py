@@ -94,9 +94,9 @@ class PreferenceComputer:
             raw[stable] = b_pdf[stable] / u_pdf[stable]
 
             smoother = SavitzkyGolay(self.smoothing_window, self.smoothing_degree)
-            smoothed = smoother(raw, handle_nan=True)
-            # Smoothing can extrapolate a little into unstable bins; keep the
-            # curve only where the ratio itself was defined.
+            smoothed = smoother(raw)
+            # Smoothing fills NaN gaps between stable bins; keep the curve
+            # only where the ratio itself was defined.
             smoothed[~stable] = np.nan
 
             ref_value = smoothed[ref_idx]

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+import repro.core.preference as preference
+from repro.core import AutoSens, AutoSensConfig
 from repro.errors import ConfigError, InsufficientDataError
 from repro.core.preference import PreferenceComputer, average_results
 from repro.stats.histogram import Histogram1D, HistogramBins
+from repro.workload import owa_scenario
+from tests.stats.test_savgol import reference_smooth
 
 
 def _histogram(bins, counts):
@@ -133,3 +137,27 @@ class TestAverageResults:
         b = computer.compute(unbiased, unbiased)
         with pytest.raises(ConfigError):
             average_results([a, b])
+
+
+class _ReferenceSmoother:
+    """Stands in for SavitzkyGolay with the former per-bin lstsq filter."""
+
+    def __init__(self, window, degree):
+        self.window, self.degree = window, degree
+
+    def __call__(self, values):
+        return reference_smooth(values, self.window, self.degree)
+
+
+def test_curve_matches_reference_smoother(monkeypatch):
+    """End to end, the masked-moment kernel leaves a real curve unchanged:
+    every bin it could extrapolate differently is unstable and dropped."""
+    logs = owa_scenario(seed=7, duration_days=3.0, n_users=120,
+                        candidates_per_user_day=100.0).generate().logs
+    ours = AutoSens(AutoSensConfig()).preference_curve(logs, action="SelectMail")
+    monkeypatch.setattr(preference, "SavitzkyGolay", _ReferenceSmoother)
+    theirs = AutoSens(AutoSensConfig()).preference_curve(logs, action="SelectMail")
+    nan = np.isnan(theirs.nlp)
+    assert nan.any() and not nan.all()
+    assert np.array_equal(np.isnan(ours.nlp), nan)
+    np.testing.assert_allclose(ours.nlp[~nan], theirs.nlp[~nan], rtol=1e-9, atol=1e-9)
