@@ -1,48 +1,37 @@
 """Ground-truth recovery gates for the incident scenario library.
 
-The contract this module enforces (ROADMAP open item 2, the queue
-backend's whole point): for every incident scenario, running the full
-pipeline over incident-contaminated telemetry must either
+For every incident scenario, the pipeline over incident-contaminated
+telemetry must either **recover** the incident-free curve of the same seed
+within tolerance, or **degrade loudly** — health warnings, degradations or
+the paired ``probe_latency_regime`` comparison against the clean twin flag
+the run, so ``autosens doctor`` flags it. Drifting beyond tolerance with a
+clean bill of health is **silent bias**, and fails the chaos CI gate.
 
-1. **recover** — the NLP curve stays within tolerance of the incident-free
-   run on the same seed (the natural experiment absorbed the regime), or
-2. **degrade loudly** — the run records explicit health warnings or
-   degradations (``probe_latency_regime``, starved references, ...) so
-   ``autosens doctor`` flags it.
-
-A run that drifts beyond tolerance while reporting a clean bill of health
-is a **silent-bias** failure — the one outcome the estimator must never
-produce — and fails the chaos CI gate.
-
-Every fixture run is deterministic and *backend bit-identical*: telemetry
-generation goes through the explicit-executor path (pure per-chunk
-streams) and the engine's randomness is stream-keyed, so
-``executor="serial"`` and ``executor="process"`` yield byte-identical
-outcomes. Artifacts are written as ``obs diff``-compatible curve JSONs so
-CI can gate on drift against committed baselines.
+This module is the fixture table and the ``.recovery.json`` format. The
+harness is :mod:`repro.analysis.paired`: each fixture is one ``incident``
+perturbation of ONE clean twin per suite. Outcomes are byte-identical
+across serial and process executors, and curves are written as
+``obs diff``-compatible JSONs so CI can gate on drift against baselines.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.core import AutoSens, AutoSensConfig, DegradePolicy
-from repro.core.result import PreferenceResult
-from repro.errors import ConfigError
-from repro.obs import _runtime
-from repro.obs._runtime import ObsContext
-from repro.obs.health import build_health_report
-from repro.obs.probes import (
-    DEFAULT_PAIRED_MARGINS,
-    PairedRegimeMargins,
-    probe_latency_regime,
+from repro.analysis.paired import (
+    PAIRED_SCALES,
+    VERDICT_SILENT_BIAS,
+    Perturbation,
+    resolve_fixture,
+    resolve_scenario,
+    run_paired,
+    suite_summary,
+    write_artifacts,
 )
-from repro.parallel import resolve_executor
+from repro.core.result import PreferenceResult
+from repro.errors import InsufficientDataError
 from repro.workload.incidents import (
     AutoscaleStep,
     IncidentPlan,
@@ -52,14 +41,13 @@ from repro.workload.incidents import (
     RetryStorm,
     SlowDependency,
 )
-from repro.workload.scenarios import Scenario, queue_scenario
+from repro.workload.scenarios import Scenario
 
 __all__ = [
     "RecoveryFixture",
     "RecoveryOutcome",
     "RECOVERY_FIXTURES",
     "RECOVERY_SCALES",
-    "paired_regime_findings",
     "run_recovery",
     "run_recovery_suite",
 ]
@@ -68,26 +56,10 @@ RECOVERY_SCHEMA = "autosens.recovery/v1"
 
 #: Workload sizes per scale: (duration_days, n_users, candidates_per_user_day).
 RECOVERY_SCALES: Dict[str, Tuple[float, int, float]] = {
-    "small": (2.0, 140, 80.0),
-    "full": (5.0, 300, 100.0),
+    scale: PAIRED_SCALES[scale] for scale in ("small", "full")
 }
 
 VERDICT_RECOVERED = "recovered"
-VERDICT_EXPLAINED = "degraded-explained"
-VERDICT_SILENT_BIAS = "silent-bias"
-
-#: Paired-detection margins: the incident run's raw-telemetry regime
-#: metrics must stay within these factors of the clean run's own values
-#: (same seed, same latency stream — only the incident windows differ),
-#: or the run is flagged as regime-contaminated. Much tighter than the
-#: scenario-agnostic defaults in :func:`probe_latency_regime`, because the
-#: clean twin *is* the null hypothesis here. The canonical definition now
-#: lives in :class:`repro.obs.probes.PairedRegimeMargins`; these aliases
-#: keep the historical names (and identical values).
-PAIRED_TAIL_MARGIN = DEFAULT_PAIRED_MARGINS.tail
-PAIRED_SPREAD_MARGIN = DEFAULT_PAIRED_MARGINS.spread
-_REGIME_EDGES = np.geomspace(20.0, 20000.0, 61)
-_REGIME_CENTERS = np.sqrt(_REGIME_EDGES[:-1] * _REGIME_EDGES[1:])
 
 
 @dataclass(frozen=True)
@@ -105,19 +77,14 @@ class RecoveryFixture:
     def scenario(
         self, seed: Optional[int], scale: str, with_incidents: bool
     ) -> Scenario:
-        if scale not in RECOVERY_SCALES:
-            raise ConfigError(
-                f"unknown recovery scale {scale!r}; "
-                f"expected one of {sorted(RECOVERY_SCALES)}"
-            )
-        duration_days, n_users, cpd = RECOVERY_SCALES[scale]
-        base = queue_scenario(
-            seed=seed, duration_days=duration_days, n_users=n_users,
-            candidates_per_user_day=cpd,
-        )
-        if not with_incidents:
-            return base
-        return base.with_incidents(IncidentPlan(specs=self.specs, seed=0))
+        """The clean or incident-contaminated workload at ``scale``."""
+        base = resolve_scenario("owa-queue", scale, RECOVERY_SCALES,
+                                "recovery", seed)
+        return base.with_incidents(self.plan()) if with_incidents else base
+
+    def plan(self) -> IncidentPlan:
+        """The fixture's incidents, on the plan's fixed seed."""
+        return IncidentPlan(specs=self.specs, seed=0)
 
 
 #: The scenario matrix the chaos CI job sweeps: every incident class alone,
@@ -202,155 +169,12 @@ class RecoveryOutcome:
         return self.verdict != VERDICT_SILENT_BIAS
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": RECOVERY_SCHEMA,
-            "fixture": self.fixture,
-            "verdict": self.verdict,
-            "gate_passed": self.gate_passed,
-            "max_abs_nlp_diff": round(float(self.max_abs_nlp_diff), 6),
-            "tolerance": float(self.tolerance),
-            "n_compared_bins": int(self.n_compared_bins),
-            "seed": int(self.seed),
-            "scale": self.scale,
-            "executor": self.executor,
-            "incident_windows": list(self.incident_windows),
-            "health": self.health,
-            "regime": list(self.regime),
-            "clean_n_actions": int(self.clean_n_actions),
-            "incident_n_actions": int(self.incident_n_actions),
-        }
-
-
-def _run_pipeline(
-    scenario: Scenario,
-    seed: int,
-    executor_spec: str,
-    run_id: str,
-) -> Tuple[PreferenceResult, "Any", Dict[str, Any]]:
-    """One generate + estimate pass under a scoped observability context.
-
-    The context is scoped (installed and restored) so recovery runs never
-    leak findings into a surrounding instrumented run, and vice versa.
-    Returns the curve, the telemetry and the folded health summary.
-    """
-    ctx = ObsContext(enabled=True, deterministic=True, run_id=run_id)
-    previous = _runtime.install(ctx)
-    try:
-        executor = resolve_executor(executor_spec)
-        telemetry = scenario.generate(seed=seed, executor=executor)
-        engine = AutoSens(
-            AutoSensConfig(seed=seed),
-            executor=executor,
-            degrade=DegradePolicy(),
-        )
-        curve = engine.preference_curve(telemetry.logs)
-        report = build_health_report(
-            findings=list(ctx.findings), degradations=list(ctx.degradations)
-        )
-        health = {
-            "verdict": report.verdict,
-            "counts": report.counts(),
-            "worst": [
-                {k: f.get(k) for k in ("probe", "stage", "severity", "message")}
-                for f in report.worst_findings(limit=5)
-                if f.get("severity") != "ok"
-            ],
-        }
-        return curve, telemetry, health
-    finally:
-        _runtime.install(previous)
-
-
-def _regime_matrix(logs: Any) -> np.ndarray:
-    """Hour-of-day x latency-bin counts straight off the raw telemetry.
-
-    Raw latencies keep the incident's full upper tail (the estimator's
-    slot/bin tensor clips and reweights it), so the paired comparison sees
-    a 10-20x tail-ratio signal where the curve-level one sees 1.1-3x.
-    """
-    slots = ((np.asarray(logs.times) // 3600.0) % 24).astype(int)
-    bins = np.clip(
-        np.digitize(np.asarray(logs.latencies_ms), _REGIME_EDGES) - 1,
-        0, _REGIME_CENTERS.size - 1,
-    )
-    matrix = np.zeros((24, _REGIME_CENTERS.size))
-    np.add.at(matrix, (slots, bins), 1.0)
-    return matrix
-
-
-def paired_regime_findings(
-    clean_logs: Any,
-    other_logs: Any,
-    margins: Optional[PairedRegimeMargins] = None,
-) -> List[dict]:
-    """Regime probe on a run, thresholded by its clean same-seed twin.
-
-    Runs :func:`probe_latency_regime` twice: once on the clean run with
-    unreachable thresholds (to read off the baseline tail ratio and median
-    spread), then on the other run with warn thresholds at
-    ``baseline * margin`` and fail thresholds at the margins' fail
-    factors. Inherits the probe's never-raise contract. Shared by the
-    recovery gates and the sensitivity suite.
-    """
-    margins = margins or DEFAULT_PAIRED_MARGINS
-    baseline = {
-        f.probe: f.value
-        for f in probe_latency_regime(
-            _regime_matrix(clean_logs), _REGIME_CENTERS,
-            slice_description="clean twin",
-            warn_tail_ratio=np.inf, fail_tail_ratio=np.inf,
-            warn_median_spread=np.inf, fail_median_spread=np.inf,
-        )
-        if f.value is not None
-    }
-    clean_tail = baseline.get("latency_tail_inflation")
-    clean_spread = baseline.get("latency_regime_shift")
-    if clean_tail is None or clean_spread is None:
-        # Clean twin itself not assessable — nothing to pair against.
-        return [f.to_dict() for f in probe_latency_regime(
-            _regime_matrix(other_logs), _REGIME_CENTERS,
-            slice_description="paired vs clean (unpaired fallback)",
-        )]
-    findings = probe_latency_regime(
-        _regime_matrix(other_logs), _REGIME_CENTERS,
-        slice_description="paired vs clean",
-        warn_tail_ratio=clean_tail * margins.tail,
-        fail_tail_ratio=clean_tail * margins.tail * margins.tail_fail_factor,
-        warn_median_spread=clean_spread * margins.spread,
-        fail_median_spread=(
-            clean_spread * margins.spread * margins.spread_fail_factor
-        ),
-    )
-    out = []
-    for f in findings:
-        d = f.to_dict()
-        d["context"]["clean_baseline"] = {
-            "latency_tail_inflation": round(float(clean_tail), 6),
-            "latency_regime_shift": round(float(clean_spread), 6),
-        }
-        out.append(d)
-    return out
-
-
-#: Backward-compatible alias (pre-sensitivity-suite private name).
-_paired_regime_findings = paired_regime_findings
-
-
-def _curve_distance(
-    incident: PreferenceResult,
-    clean: PreferenceResult,
-    compare_max_ms: float,
-) -> Tuple[float, int]:
-    """Max |ΔNLP| over the bins both curves support, up to compare_max_ms."""
-    mask = (
-        incident.valid & clean.valid
-        & (incident.latencies <= compare_max_ms)
-    )
-    n = int(mask.sum())
-    if n == 0:
-        return float("inf"), 0
-    diff = np.abs(incident.nlp[mask] - clean.nlp[mask])
-    return float(diff.max()), n
+        """The ``.recovery.json`` artifact: every field but the curves."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if not f.name.endswith("curve")}
+        out.update(schema=RECOVERY_SCHEMA, gate_passed=self.gate_passed,
+                   max_abs_nlp_diff=round(float(self.max_abs_nlp_diff), 6))
+        return out
 
 
 def run_recovery(
@@ -366,65 +190,12 @@ def run_recovery(
     randomness — the only difference is the latency regime), estimates
     both NLP curves, and compares them on their common support.
     """
-    if isinstance(fixture, str):
-        if fixture not in RECOVERY_FIXTURES:
-            raise ConfigError(
-                f"unknown recovery fixture {fixture!r}; "
-                f"expected one of {sorted(RECOVERY_FIXTURES)}"
-            )
-        fixture = RECOVERY_FIXTURES[fixture]
-
-    clean_scenario = fixture.scenario(seed, scale, with_incidents=False)
-    incident_scenario = fixture.scenario(seed, scale, with_incidents=True)
-
-    clean_curve, clean_telemetry, _ = _run_pipeline(
-        clean_scenario, seed, executor, run_id=f"recover:{fixture.name}:clean"
-    )
-    incident_curve, incident_telemetry, health = _run_pipeline(
-        incident_scenario, seed, executor,
-        run_id=f"recover:{fixture.name}:incident",
-    )
-    incident_windows = [w.to_dict() for w in incident_telemetry.incident_windows]
-    regime = paired_regime_findings(
-        clean_telemetry.logs, incident_telemetry.logs
-    )
-    regime_flagged = any(f.get("severity") in ("warn", "fail") for f in regime)
-
-    max_abs, n_compared = _curve_distance(
-        incident_curve, clean_curve, fixture.compare_max_ms
-    )
-    if n_compared > 0 and max_abs <= fixture.tolerance:
-        verdict = VERDICT_RECOVERED
-    elif (
-        regime_flagged
-        or health["verdict"] != "ok"
-        or health["counts"]["warn"] > 0
-    ):
-        verdict = VERDICT_EXPLAINED
-    else:
-        verdict = VERDICT_SILENT_BIAS
-
-    return RecoveryOutcome(
-        fixture=fixture.name,
-        verdict=verdict,
-        max_abs_nlp_diff=max_abs,
-        tolerance=fixture.tolerance,
-        n_compared_bins=n_compared,
-        seed=seed,
-        scale=scale,
-        executor=executor,
-        incident_windows=incident_windows,
-        health=health,
-        regime=regime,
-        clean_n_actions=len(clean_telemetry.logs),
-        incident_n_actions=len(incident_telemetry.logs),
-        curve=incident_curve,
-        clean_curve=clean_curve,
-    )
+    (outcome,) = run_recovery_suite([fixture], seed, scale, executor).values()
+    return outcome
 
 
 def run_recovery_suite(
-    names: Optional[List[str]] = None,
+    names: Optional[Sequence[Union[str, RecoveryFixture]]] = None,
     seed: int = 7,
     scale: str = "small",
     executor: str = "serial",
@@ -437,36 +208,39 @@ def run_recovery_suite(
     and the recovery verdict (``<name>.recovery.json``), plus a
     ``summary.json`` for the whole matrix.
     """
-    selected = names or sorted(RECOVERY_FIXTURES)
+    fixtures = [resolve_fixture(RECOVERY_FIXTURES, name, "recovery")
+                for name in (names or sorted(RECOVERY_FIXTURES))]
+    clean, cells = run_paired(
+        [Perturbation(key=f.name, kind="incident", plan=f.plan(),
+                      tolerance=f.tolerance, compare_max_ms=f.compare_max_ms)
+         for f in fixtures],
+        scenario="owa-queue", scale=scale, scales=RECOVERY_SCALES, seed=seed,
+        executor=executor, suite="recovery", within_label=VERDICT_RECOVERED,
+    )
     outcomes: Dict[str, RecoveryOutcome] = {}
-    for name in selected:
-        outcomes[name] = run_recovery(
-            name, seed=seed, scale=scale, executor=executor
+    for fixture, cell in zip(fixtures, cells):
+        if cell.curve is None:
+            raise InsufficientDataError(
+                f"incident twin for fixture {fixture.name!r} produced no "
+                f"curve: {cell.error}")
+        outcomes[fixture.name] = RecoveryOutcome(
+            fixture=fixture.name, verdict=cell.verdict,
+            max_abs_nlp_diff=cell.distance, tolerance=fixture.tolerance,
+            n_compared_bins=cell.n_compared, seed=seed, scale=scale,
+            executor=executor, incident_windows=cell.incident_windows,
+            health=cell.health, regime=cell.probes,
+            clean_n_actions=clean.n_actions, incident_n_actions=cell.n_actions,
+            curve=cell.curve, clean_curve=clean.curve,
         )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, outcome in outcomes.items():
-            outcome.curve.save_json(out / f"{name}.curve.json")
-            (out / f"{name}.recovery.json").write_text(
-                json.dumps(outcome.to_dict(), indent=1, sort_keys=True)
-            )
-        summary = {
-            "schema": RECOVERY_SCHEMA,
-            "seed": seed,
-            "scale": scale,
-            "executor": executor,
-            "fixtures": {
-                name: {
-                    "verdict": o.verdict,
-                    "gate_passed": o.gate_passed,
-                    "max_abs_nlp_diff": round(float(o.max_abs_nlp_diff), 6),
-                }
-                for name, o in outcomes.items()
-            },
-            "gate_passed": all(o.gate_passed for o in outcomes.values()),
-        }
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=1, sort_keys=True)
-        )
+        artifacts: Dict[str, Any] = {}
+        for name, o in outcomes.items():
+            artifacts[f"{name}.curve.json"] = o.curve
+            artifacts[f"{name}.recovery.json"] = o.to_dict()
+        artifacts["summary.json"] = suite_summary(
+            outcomes, lambda o: {
+                "verdict": o.verdict, "gate_passed": o.gate_passed,
+                "max_abs_nlp_diff": round(float(o.max_abs_nlp_diff), 6)},
+            schema=RECOVERY_SCHEMA, seed=seed, scale=scale, executor=executor)
+        write_artifacts(out_dir, artifacts)
     return outcomes

@@ -7,60 +7,38 @@ irregular diurnal-tied sampling, informative (MNAR) missingness, heavy-user
 skew, and reduced probing (event/user/time subsampling) — and is every
 drift **loud**?
 
-For each fixture the harness generates one clean workload, then runs each
-degraded variant against its clean same-seed twin. Degradation is applied
-*post hoc* to the same realized telemetry (unlike recovery, which
-re-simulates with incidents), so one generation serves the whole ladder
-and every latency/candidate draw is shared between twin and cell. The
-output is a **frontier artifact** per fixture: per-level NLP bias (L∞ and
-signed area), a CI-band-inflation proxy, paired health-probe verdicts, and
-deterministic compute cost (span counts; wall seconds go to an ungated
-``timings.json`` sidecar so the frontier stays byte-identical across
-backends and reruns).
-
-Verdict taxonomy per cell:
-
-- ``robust`` — bias within tolerance on the common support;
-- ``degraded-explained`` — bias beyond tolerance (or no comparable
-  support) *but* a paired probe, a health warning, or a typed
-  :class:`~repro.errors.InsufficientDataError` refusal flagged the cell;
-- ``silent-bias`` — biased beyond tolerance with a clean bill of health.
-  The one outcome the estimator must never produce; any such cell fails
-  the CI gate.
-
-Every run is deterministic and backend bit-identical: generation uses the
-explicit-executor path, engine randomness is stream-keyed, degradations
-draw from per-spec named streams, and cells fan out over
-``executor.map_ordered`` with pure payloads.
+This module is the fixture table and the frontier format; the harness,
+and the verdict rule (``robust`` / ``degraded-explained`` /
+``silent-bias``), is :mod:`repro.analysis.paired`. Each fixture is a
+ladder of ``degrade`` or ``subsample`` perturbations, one cell per level,
+all against ONE clean twin per suite. A fixture's **frontier artifact**
+holds per-level NLP bias (L∞ and signed area), a CI-band-inflation proxy,
+paired probe verdicts and span counts; wall seconds go to an ungated
+``timings.json`` sidecar, so frontiers are byte-identical across backends.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.analysis.recovery import _curve_distance, paired_regime_findings
-from repro.core import AutoSens, AutoSensConfig, DegradePolicy, SubsamplePolicy
-from repro.core.result import PreferenceResult
-from repro.errors import ConfigError, EmptyDataError, InsufficientDataError
-from repro.obs import _runtime
-from repro.obs._runtime import ObsContext
-from repro.obs.health import build_health_report
-from repro.obs.probes import (
-    DEFAULT_PAIRED_MARGINS,
-    PairedRegimeMargins,
-    probe_missingness,
+from repro.analysis.paired import (
+    PAIRED_SCALES,
+    VERDICT_SILENT_BIAS,
+    Perturbation,
+    bias_metrics,
+    resolve_fixture,
+    run_paired,
+    suite_summary,
+    write_artifacts,
 )
-from repro.obs.trace import aggregate_span_timings
-from repro.parallel import resolve_executor, task_seeds
-from repro.telemetry.log_store import LogStore
+from repro.core import SubsamplePolicy
+from repro.core.result import PreferenceResult
+from repro.errors import ConfigError
+from repro.obs.probes import PAIRED_MARGINS
+from repro.parallel import task_seeds
 from repro.workload.degradations import DEGRADATION_BUILDERS, DegradationPlan
-from repro.workload.scenarios import SCENARIOS, Scenario
 
 __all__ = [
     "SensitivityFixture",
@@ -75,18 +53,17 @@ __all__ = [
 SENSITIVITY_SCHEMA = "autosens.sensitivity/v1"
 
 #: Workload sizes per scale: (duration_days, n_users, candidates_per_user_day).
-#: ``smoke`` matches the recovery suite's ``small`` scale — proven to yield
-#: healthy curves while keeping a 1/8 subsample above ``min_actions``.
 SENSITIVITY_SCALES: Dict[str, Tuple[float, int, float]] = {
-    "smoke": (2.0, 140, 80.0),
-    "full": (5.0, 300, 100.0),
+    scale: PAIRED_SCALES[scale] for scale in ("smoke", "full")
 }
 
 VERDICT_ROBUST = "robust"
-VERDICT_EXPLAINED = "degraded-explained"
-VERDICT_SILENT_BIAS = "silent-bias"
 
 _SUBSAMPLE_AXES = ("event", "user", "time")
+
+#: Outcome fields kept out of the gated frontier: the curves, and runtime
+#: provenance that cannot be byte-stable across backends.
+_UNGATED = ("executor", "clean_curve", "cell_curves", "wall_seconds")
 
 
 @dataclass(frozen=True)
@@ -214,7 +191,6 @@ class SensitivityOutcome:
     cells: List[Dict[str, Any]]
     clean_curve: PreferenceResult
     cell_curves: Dict[float, Optional[PreferenceResult]]
-    margins: Dict[str, float]
     #: Wall seconds per cell (and the clean twin) — *not* part of the
     #: frontier artifact; written to the ungated timings sidecar only.
     wall_seconds: Dict[str, float] = field(default_factory=dict)
@@ -225,316 +201,34 @@ class SensitivityOutcome:
         return all(c["verdict"] != VERDICT_SILENT_BIAS for c in self.cells)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": SENSITIVITY_SCHEMA,
-            "fixture": self.fixture,
-            "description": self.description,
-            "kind": self.kind,
-            "operator": self.operator,
-            "tolerance": float(self.tolerance),
-            "compare_max_ms": float(self.compare_max_ms),
-            "seed": int(self.seed),
-            "scale": self.scale,
-            "scenario": self.scenario,
-            # The executor label is deliberately NOT serialized: the gated
-            # frontier must be byte-identical across backends, so runtime
-            # provenance lives in the ungated timings sidecar instead.
-            "margins": dict(self.margins),
-            "clean": self.clean,
-            "cells": list(self.cells),
-            "gate_passed": self.gate_passed,
-        }
+        """The frontier artifact: every gated field, plus the margins."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in _UNGATED}
+        out.update(schema=SENSITIVITY_SCHEMA, margins=dict(PAIRED_MARGINS),
+                   gate_passed=self.gate_passed)
+        return out
 
 
-def _cell_task(payload: Tuple) -> Tuple:
-    """Top-level (picklable) cell task: one engine pass on one variant.
-
-    Installs a fresh deterministic observability context so each cell's
-    findings, degradations, and span counts are its own — independent of
-    which worker runs it and in what order. A typed
-    :class:`InsufficientDataError` (a starved subsample, say) comes back
-    as an ``error`` string, never an exception: a refusal is a loud,
-    classifiable outcome, not a crash.
-    """
-    logs, seed, subsample, run_id = payload
-    ctx = ObsContext(enabled=True, deterministic=True, run_id=run_id)
-    previous = _runtime.install(ctx)
-    start = time.perf_counter()
-    try:
-        engine = AutoSens(
-            AutoSensConfig(seed=seed),
-            degrade=DegradePolicy(),
-            subsample=subsample,
-        )
-        curve: Optional[PreferenceResult] = None
-        error: Optional[str] = None
-        try:
-            curve = engine.preference_curve(logs)
-        except (InsufficientDataError, EmptyDataError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        report = build_health_report(
-            findings=list(ctx.findings), degradations=list(ctx.degradations)
-        )
-        health = {
-            "verdict": report.verdict,
-            "counts": report.counts(),
-            "worst": [
-                {k: f.get(k) for k in ("probe", "stage", "severity", "message")}
-                for f in report.worst_findings(limit=5)
-                if f.get("severity") != "ok"
-            ],
-        }
-        spans = aggregate_span_timings(ctx.tracer.finished())
-        span_counts = {name: info["count"] for name, info in spans.items()}
-    finally:
-        _runtime.install(previous)
-    wall = time.perf_counter() - start
-    return curve, health, span_counts, error, wall
-
-
-def _band_halfwidths(curve: PreferenceResult) -> np.ndarray:
-    """Delta-method CI-halfwidth proxy per bin: |nlp| * sqrt(1/B + 1/U).
-
-    Not a bootstrap band (that would re-run the pipeline dozens of times
-    per cell); a deterministic count-based proxy whose *ratio* between a
-    degraded cell and its clean twin measures variance inflation. Exactly
-    1.0 for an identity cell, since twin and cell share every count.
-    """
-    eps = 1e-9
-    b = np.maximum(np.nan_to_num(curve.biased_counts, nan=0.0), eps)
-    u = np.maximum(np.nan_to_num(curve.unbiased_counts, nan=0.0), eps)
-    return np.abs(np.nan_to_num(curve.nlp, nan=0.0)) * np.sqrt(1.0 / b + 1.0 / u)
-
-
-def _bias_metrics(
-    cell: PreferenceResult,
-    clean: PreferenceResult,
-    compare_max_ms: float,
-) -> Dict[str, Optional[float]]:
-    """L∞ / signed-area / band-inflation of a cell vs its clean twin.
-
-    All values are ``None`` (never ``inf`` — the artifact is JSON) when
-    the curves share no comparable support.
-    """
-    linf, n_compared = _curve_distance(cell, clean, compare_max_ms)
-    if n_compared == 0:
-        return {
-            "bias_linf": None,
-            "bias_signed_area": None,
-            "ci_band_inflation": None,
-            "n_compared_bins": 0,
-        }
-    mask = cell.valid & clean.valid & (cell.latencies <= compare_max_ms)
-    signed_area = float(
-        (cell.nlp[mask] - clean.nlp[mask]).sum() * clean.bins.width
-    )
-    cell_hw = float(_band_halfwidths(cell)[mask].mean())
-    clean_hw = float(_band_halfwidths(clean)[mask].mean())
-    inflation = cell_hw / clean_hw if clean_hw > 0 else None
-    return {
-        "bias_linf": round(float(linf), 6),
-        "bias_signed_area": round(signed_area, 6),
-        "ci_band_inflation": (
-            round(inflation, 6) if inflation is not None else None
-        ),
-        "n_compared_bins": int(n_compared),
-    }
-
-
-def _paired_missingness_findings(
-    clean_logs: LogStore, cell_logs: LogStore
-) -> List[dict]:
-    return [
-        f.to_dict()
-        for f in probe_missingness(
-            cell_logs.times, cell_logs.latencies_ms,
-            reference_times=clean_logs.times,
-            reference_latencies_ms=clean_logs.latencies_ms,
-            slice_description="paired vs clean",
-        )
-    ]
-
-
-def _resolve_scenario(scenario: str, scale: str) -> Scenario:
-    if scenario not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; "
-            f"expected one of {sorted(SCENARIOS)}"
-        )
-    if scale not in SENSITIVITY_SCALES:
-        raise ConfigError(
-            f"unknown sensitivity scale {scale!r}; "
-            f"expected one of {sorted(SENSITIVITY_SCALES)}"
-        )
-    duration_days, n_users, cpd = SENSITIVITY_SCALES[scale]
-    return SCENARIOS[scenario]().scaled(
-        duration_days=duration_days, n_users=n_users,
-        candidates_per_user_day=cpd,
-    )
-
-
-def _generate_clean(
-    scenario: Scenario, seed: int, executor: Any, run_id: str
-) -> LogStore:
-    """One scoped, deterministic generation — the suite's single dataset."""
-    ctx = ObsContext(enabled=True, deterministic=True, run_id=run_id)
-    previous = _runtime.install(ctx)
-    try:
-        telemetry = scenario.generate(seed=seed, executor=executor)
-    finally:
-        _runtime.install(previous)
-    return telemetry.logs
-
-
-def _resolve_fixture(
-    fixture: Union[str, SensitivityFixture]
-) -> SensitivityFixture:
-    if isinstance(fixture, str):
-        if fixture not in SENSITIVITY_FIXTURES:
-            raise ConfigError(
-                f"unknown sensitivity fixture {fixture!r}; "
-                f"expected one of {sorted(SENSITIVITY_FIXTURES)}"
-            )
-        return SENSITIVITY_FIXTURES[fixture]
-    return fixture
-
-
-def _run_fixture(
-    fixture: SensitivityFixture,
-    clean_logs: LogStore,
-    seed: int,
-    scale: str,
-    scenario_name: str,
-    executor_spec: str,
-    margins: PairedRegimeMargins,
-) -> SensitivityOutcome:
-    """Sweep one fixture's ladder against an already-generated dataset."""
-    executor = resolve_executor(executor_spec)
+def _perturbations(fixture: SensitivityFixture, seed: int) -> List[Perturbation]:
+    """One perturbation per level of the fixture's ladder."""
     # One degradation-plan seed per fixture, derived purely from the suite
     # seed and the fixture name: every level of the ladder shares the same
     # per-row draws (monotone nesting), adding a fixture never moves
     # another's draws, and the engine seed stays the suite seed so each
     # cell is the clean run's true twin.
     plan_seed = task_seeds(seed, f"sensitivity/{fixture.name}", 1)[0]
-
-    cell_logs: List[Optional[LogStore]] = []
-    payloads: List[Tuple] = [
-        (clean_logs, seed, None, f"sensitivity:{fixture.name}:clean")
+    return [
+        Perturbation(
+            key=f"{fixture.name}:{i}", kind=fixture.kind,
+            plan=(DegradationPlan(
+                specs=(DEGRADATION_BUILDERS[fixture.operator](level),),
+                seed=plan_seed)
+                if fixture.kind == "degrade"
+                else fixture.subsample_policy(level)),
+            tolerance=fixture.tolerance, compare_max_ms=fixture.compare_max_ms,
+        )
+        for i, level in enumerate(fixture.levels)
     ]
-    for i, level in enumerate(fixture.levels):
-        if fixture.kind == "degrade":
-            spec = DEGRADATION_BUILDERS[fixture.operator](level)
-            degraded = DegradationPlan(specs=(spec,), seed=plan_seed).apply(
-                clean_logs
-            )
-            cell_logs.append(degraded)
-            subsample = None
-        else:
-            degraded = clean_logs
-            cell_logs.append(None)  # thinning happens inside the engine
-            subsample = fixture.subsample_policy(level)
-        payloads.append(
-            (degraded, seed, subsample,
-             f"sensitivity:{fixture.name}:{i}")
-        )
-
-    results = executor.map_ordered(_cell_task, payloads)
-    clean_curve, clean_health, clean_spans, clean_error, clean_wall = results[0]
-    if clean_curve is None:
-        raise InsufficientDataError(
-            f"clean twin for fixture {fixture.name!r} produced no curve: "
-            f"{clean_error}"
-        )
-
-    wall_seconds = {"clean": round(clean_wall, 6)}
-    clean_summary = {
-        "n_actions": int(len(clean_logs)),
-        "health": clean_health,
-        "span_counts": clean_spans,
-    }
-
-    cells: List[Dict[str, Any]] = []
-    cell_curves: Dict[float, Optional[PreferenceResult]] = {}
-    for i, level in enumerate(fixture.levels):
-        curve, health, span_counts, error, wall = results[i + 1]
-        wall_seconds[f"level_{level:g}"] = round(wall, 6)
-        cell_curves[level] = curve
-
-        if fixture.kind == "degrade":
-            variant = cell_logs[i]
-            regime = paired_regime_findings(clean_logs, variant, margins)
-            missingness = _paired_missingness_findings(clean_logs, variant)
-            n_cell_actions = int(len(variant))
-        else:
-            # Subsampling happens inside the engine; the in-engine
-            # degradation record (a health warning) is the loud channel,
-            # and the paired probes have nothing post-hoc to inspect.
-            regime = []
-            missingness = []
-            n_cell_actions = int(len(clean_logs))
-        probes = regime + missingness
-        probe_flagged = any(
-            f.get("severity") in ("warn", "fail") for f in probes
-        )
-
-        if curve is not None:
-            metrics = _bias_metrics(curve, clean_curve, fixture.compare_max_ms)
-        else:
-            metrics = {
-                "bias_linf": None,
-                "bias_signed_area": None,
-                "ci_band_inflation": None,
-                "n_compared_bins": 0,
-            }
-
-        within = (
-            metrics["n_compared_bins"] > 0
-            and metrics["bias_linf"] is not None
-            and metrics["bias_linf"] <= fixture.tolerance
-        )
-        loud = (
-            probe_flagged
-            or error is not None
-            or health["verdict"] != "ok"
-            or health["counts"]["warn"] > 0
-        )
-        if within:
-            verdict = VERDICT_ROBUST
-        elif loud:
-            verdict = VERDICT_EXPLAINED
-        else:
-            verdict = VERDICT_SILENT_BIAS
-
-        cells.append({
-            "level": float(level),
-            "verdict": verdict,
-            "gate_passed": verdict != VERDICT_SILENT_BIAS,
-            "n_actions": n_cell_actions,
-            "error": error,
-            "health": health,
-            "probes": probes,
-            "span_counts": span_counts,
-            **metrics,
-        })
-
-    return SensitivityOutcome(
-        fixture=fixture.name,
-        description=fixture.description,
-        kind=fixture.kind,
-        operator=fixture.operator,
-        tolerance=fixture.tolerance,
-        compare_max_ms=fixture.compare_max_ms,
-        seed=seed,
-        scale=scale,
-        scenario=scenario_name,
-        executor=executor_spec,
-        clean=clean_summary,
-        cells=cells,
-        clean_curve=clean_curve,
-        cell_curves=cell_curves,
-        margins=margins.to_dict(),
-        wall_seconds=wall_seconds,
-    )
 
 
 def run_sensitivity(
@@ -543,37 +237,27 @@ def run_sensitivity(
     seed: int = 7,
     scale: str = "smoke",
     executor: str = "serial",
-    margins: Optional[PairedRegimeMargins] = None,
 ) -> SensitivityOutcome:
     """Run one fixture's full level ladder end to end.
 
     Generates the clean workload once, then estimates the clean twin and
     every degraded cell from the same realized telemetry and the same
-    engine seed. ``margins`` overrides the paired-probe margins (the
-    satellite sweep knob); the defaults are the recovery gates' values.
+    engine seed.
     """
-    fixture = _resolve_fixture(fixture)
-    base = _resolve_scenario(scenario, scale)
-    clean_logs = _generate_clean(
-        base, seed, resolve_executor(executor),
-        run_id=f"sensitivity:{fixture.name}:generate",
-    )
-    return _run_fixture(
-        fixture, clean_logs, seed, scale, scenario, executor,
-        margins or DEFAULT_PAIRED_MARGINS,
-    )
+    (outcome,) = run_sensitivity_suite(
+        [fixture], scenario, seed, scale, executor).values()
+    return outcome
 
 
 def run_sensitivity_suite(
-    names: Optional[List[str]] = None,
+    names: Optional[Sequence[Union[str, SensitivityFixture]]] = None,
     scenario: str = "owa-queue",
     seed: int = 7,
     scale: str = "smoke",
     executor: str = "serial",
     out_dir: Optional[Union[str, Path]] = None,
-    margins: Optional[PairedRegimeMargins] = None,
 ) -> Dict[str, SensitivityOutcome]:
-    """Run a fixture matrix over ONE shared generation; write artifacts.
+    """Run a fixture matrix over ONE shared clean twin; write artifacts.
 
     ``out_dir`` receives, per fixture, the frontier
     (``<name>.frontier.json`` — ``obs diff`` sniffs it as a sensitivity
@@ -581,50 +265,57 @@ def run_sensitivity_suite(
     sidecar holding wall seconds (the only non-deterministic quantity,
     kept out of every gated artifact).
     """
-    selected = list(names) if names else list(DEFAULT_SENSITIVITY_NAMES)
-    fixtures = [_resolve_fixture(name) for name in selected]
-    base = _resolve_scenario(scenario, scale)
-    clean_logs = _generate_clean(
-        base, seed, resolve_executor(executor),
-        run_id="sensitivity:generate",
+    fixtures = [resolve_fixture(SENSITIVITY_FIXTURES, name, "sensitivity")
+                for name in (names or DEFAULT_SENSITIVITY_NAMES)]
+    clean, cells = run_paired(
+        [p for f in fixtures for p in _perturbations(f, seed)],
+        scenario=scenario, scale=scale, scales=SENSITIVITY_SCALES, seed=seed,
+        executor=executor, suite="sensitivity", within_label=VERDICT_ROBUST,
     )
-    effective = margins or DEFAULT_PAIRED_MARGINS
     outcomes: Dict[str, SensitivityOutcome] = {}
+    remaining = iter(cells)
     for fixture in fixtures:
-        outcomes[fixture.name] = _run_fixture(
-            fixture, clean_logs, seed, scale, scenario, executor, effective,
+        ladder = [next(remaining) for _ in fixture.levels]
+        outcomes[fixture.name] = SensitivityOutcome(
+            fixture=fixture.name, description=fixture.description,
+            kind=fixture.kind, operator=fixture.operator,
+            tolerance=fixture.tolerance, compare_max_ms=fixture.compare_max_ms,
+            seed=seed, scale=scale, scenario=scenario, executor=executor,
+            clean={"n_actions": clean.n_actions, "health": clean.health,
+                   "span_counts": clean.span_counts},
+            cells=[{
+                "level": float(level),
+                "verdict": cell.verdict,
+                "gate_passed": cell.verdict != VERDICT_SILENT_BIAS,
+                "n_actions": cell.n_actions,
+                "error": cell.error,
+                "health": cell.health,
+                "probes": cell.probes,
+                "span_counts": cell.span_counts,
+                **bias_metrics(cell.curve, clean.curve, fixture.compare_max_ms),
+            } for level, cell in zip(fixture.levels, ladder)],
+            clean_curve=clean.curve,
+            cell_curves={level: cell.curve
+                         for level, cell in zip(fixture.levels, ladder)},
+            wall_seconds={
+                "clean": round(clean.wall_seconds, 6),
+                **{f"level_{level:g}": round(cell.wall_seconds, 6)
+                   for level, cell in zip(fixture.levels, ladder)},
+            },
         )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, outcome in outcomes.items():
-            (out / f"{name}.frontier.json").write_text(
-                json.dumps(outcome.to_dict(), indent=1, sort_keys=True)
-            )
-        summary = {
-            "schema": SENSITIVITY_SCHEMA,
-            "scenario": scenario,
-            "seed": seed,
-            "scale": scale,
-            "fixtures": {
-                name: {
-                    "gate_passed": o.gate_passed,
-                    "cells": {
-                        f"{c['level']:g}": c["verdict"] for c in o.cells
-                    },
-                }
-                for name, o in outcomes.items()
-            },
-            "gate_passed": all(o.gate_passed for o in outcomes.values()),
+        artifacts: Dict[str, Any] = {
+            f"{name}.frontier.json": o.to_dict() for name, o in outcomes.items()
         }
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=1, sort_keys=True)
-        )
-        timings = {
+        artifacts["summary.json"] = suite_summary(
+            outcomes, lambda o: {
+                "gate_passed": o.gate_passed,
+                "cells": {f"{c['level']:g}": c["verdict"] for c in o.cells}},
+            schema=SENSITIVITY_SCHEMA, scenario=scenario, seed=seed,
+            scale=scale)
+        artifacts["timings.json"] = {
             "executor": executor,
             **{name: dict(o.wall_seconds) for name, o in outcomes.items()},
         }
-        (out / "timings.json").write_text(
-            json.dumps(timings, indent=1, sort_keys=True)
-        )
+        write_artifacts(out_dir, artifacts)
     return outcomes

@@ -506,57 +506,47 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="how many findings to list, worst first "
                              "(default: 15)")
 
-    rec = sub.add_parser(
-        "recover",
-        help="run incident recovery fixtures: each must recover the "
-             "incident-free NLP curve or degrade loudly",
-        parents=[observability])
-    rec.add_argument("fixtures", nargs="*", default=[],
-                     help="fixture names (default: the whole matrix)")
-    rec.add_argument("--seed", type=int, default=7)
-    rec.add_argument("--scale", choices=["small", "full"], default="small")
-    rec.add_argument("--executor", default="serial",
-                     help="execution backend (serial or process; outcomes "
-                          "are bit-identical across backends)")
-    rec.add_argument("--out-dir", default=None,
-                     help="write per-fixture curve + verdict artifacts and "
-                          "a summary.json here")
-    rec.add_argument("--baseline-dir", default=None,
-                     help="obs-diff each fixture's curve against "
-                          "<dir>/<name>.curve.json and fail on drift "
-                          "(requires --out-dir)")
-    rec.add_argument("--curve-tol", type=float, default=None,
-                     help="absolute NLP tolerance for the baseline diff "
-                          "(default: 0.02)")
+    def paired_parser(name: str, help: str, scales: List[str],
+                      artifact: str, suffix: str) -> argparse.ArgumentParser:
+        parser = sub.add_parser(name, help=help, parents=[observability])
+        parser.add_argument("fixtures", nargs="*", default=[],
+                            help="fixture names (default: the default matrix)")
+        parser.add_argument("--seed", type=int, default=7)
+        parser.add_argument("--scale", choices=scales, default=scales[0])
+        parser.add_argument(
+            "--executor", default="serial",
+            help=f"execution backend (serial or process; {artifact}s are "
+                 "bit-identical across backends)")
+        parser.add_argument(
+            "--out-dir", default=None,
+            help=f"write per-fixture {artifact} artifacts and a summary.json "
+                 "here")
+        parser.add_argument(
+            "--baseline-dir", default=None,
+            help=f"obs-diff each fixture's {artifact} against "
+                 f"<dir>/<name>{suffix} and fail on drift (requires --out-dir)")
+        parser.add_argument(
+            "--curve-tol", type=float, default=None,
+            help="absolute NLP tolerance for the baseline diff "
+                 "(default: 0.02)")
+        return parser
 
-    sens = sub.add_parser(
+    paired_parser(
+        "recover",
+        "run incident recovery fixtures: each must recover the "
+        "incident-free NLP curve or degrade loudly",
+        ["small", "full"], "curve", ".curve.json")
+    sens = paired_parser(
         "sensitivity",
-        help="sweep the estimator across degradation fixtures: each cell "
-             "must stay within tolerance of its clean twin or degrade "
-             "loudly (silent bias gates red)",
-        parents=[observability])
-    sens.add_argument("fixtures", nargs="*", default=[],
-                      help="fixture names (default: the default matrix)")
+        "sweep the estimator across degradation fixtures: each cell must "
+        "stay within tolerance of its clean twin or degrade loudly "
+        "(silent bias gates red)",
+        ["smoke", "full"], "frontier", ".frontier.json")
     sens.add_argument("--scenario", default="owa-queue",
                       help="workload scenario to degrade (default: "
                            "owa-queue)")
-    sens.add_argument("--seed", type=int, default=7)
-    sens.add_argument("--scale", choices=["smoke", "full"], default="smoke")
     sens.add_argument("--smoke", action="store_true",
                       help="alias for --scale smoke (the CI invocation)")
-    sens.add_argument("--executor", default="serial",
-                      help="execution backend (serial or process; frontiers "
-                           "are bit-identical across backends)")
-    sens.add_argument("--out-dir", default=None,
-                      help="write per-fixture frontier artifacts, "
-                           "summary.json, and a timings sidecar here")
-    sens.add_argument("--baseline-dir", default=None,
-                      help="obs-diff each fixture's frontier against "
-                           "<dir>/<name>.frontier.json and fail on drift "
-                           "(requires --out-dir)")
-    sens.add_argument("--curve-tol", type=float, default=None,
-                      help="absolute bias tolerance for the baseline diff "
-                           "(default: 0.02)")
 
     top = sub.add_parser(
         "top",
@@ -917,37 +907,32 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _cmd_recover(args: argparse.Namespace) -> int:
-    from repro.analysis.recovery import RECOVERY_FIXTURES, run_recovery_suite
+def _paired_gate(args: argparse.Namespace, gate: str, names: List[str],
+                 known, run, headers: List[str], rows,
+                 suffix: str) -> int:
+    """Shared body of ``recover`` and ``sensitivity``.
+
+    Checks fixture names, runs the suite (``run(names)``), prints the
+    table (``rows(outcome)`` per fixture), obs-diffs each fixture's
+    ``<name><suffix>`` artifact against ``--baseline-dir``, and prints the
+    PASS/FAIL line. Silent bias or baseline drift exits 1; usage errors 2.
+    """
     from repro.viz.table import format_table
 
-    names = args.fixtures or sorted(RECOVERY_FIXTURES)
-    unknown = [n for n in names if n not in RECOVERY_FIXTURES]
+    unknown = [n for n in names if n not in known]
     if unknown:
         print(f"unknown fixture(s) {', '.join(unknown)}; "
-              f"known: {', '.join(sorted(RECOVERY_FIXTURES))}", file=sys.stderr)
+              f"known: {', '.join(sorted(known))}", file=sys.stderr)
         return 2
+    artifact = suffix.split(".")[1]
     if args.baseline_dir and not args.out_dir:
         print("--baseline-dir requires --out-dir (the diff needs the "
-              "candidate curve artifacts on disk)", file=sys.stderr)
+              f"candidate {artifact} artifacts on disk)", file=sys.stderr)
         return 2
 
-    outcomes = run_recovery_suite(
-        names, seed=args.seed, scale=args.scale, executor=args.executor,
-        out_dir=args.out_dir,
-    )
-    rows = []
-    for name in names:
-        outcome = outcomes[name]
-        flagged = sorted({f["probe"] for f in outcome.regime
-                          if f.get("severity") != "ok"})
-        rows.append([
-            name, outcome.verdict,
-            f"{outcome.max_abs_nlp_diff:.4f}", f"{outcome.tolerance:g}",
-            ", ".join(flagged) or "-",
-        ])
-    print(format_table(
-        ["fixture", "verdict", "max |dNLP|", "tol", "regime flags"], rows))
+    outcomes = run(names)
+    print(format_table(headers, [row for name in names
+                                 for row in rows(outcomes[name])]))
 
     biased = [n for n in names if not outcomes[n].gate_passed]
     drifted: List[str] = []
@@ -958,34 +943,55 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         baseline_dir = Path(args.baseline_dir)
         out_dir = Path(args.out_dir)
         for name in names:
-            baseline = baseline_dir / f"{name}.curve.json"
+            baseline = baseline_dir / f"{name}{suffix}"
             if not baseline.exists():
                 print(f"{name}: no committed baseline at {baseline}",
                       file=sys.stderr)
                 drifted.append(name)
                 continue
             report = obs.diff_paths(
-                baseline, out_dir / f"{name}.curve.json",
+                baseline, out_dir / f"{name}{suffix}",
                 curve_tol=(args.curve_tol if args.curve_tol is not None
                            else DEFAULT_CURVE_TOL),
             )
             if obs.diff_exit_code(report) != 0:
                 summary = report["summary"]
-                print(f"{name}: curve drifted from baseline "
+                print(f"{name}: {artifact} drifted from baseline "
                       f"({summary['regressed']} regressed, "
                       f"{summary['added'] + summary['removed']} "
                       f"added/removed)", file=sys.stderr)
                 drifted.append(name)
 
     if biased:
-        print(f"recovery gate: FAIL — silent bias in {', '.join(biased)}")
+        print(f"{gate} gate: FAIL — silent bias in {', '.join(biased)}")
         return 1
     if drifted:
-        print(f"recovery gate: FAIL — baseline drift in {', '.join(drifted)}")
+        print(f"{gate} gate: FAIL — baseline drift in {', '.join(drifted)}")
         return 1
-    print(f"recovery gate: PASS ({len(names)} fixture(s); no silent bias"
+    print(f"{gate} gate: PASS ({len(names)} fixture(s); no silent bias"
           + (", no baseline drift)" if args.baseline_dir else ")"))
     return 0
+
+
+def _cmd_recover(args: argparse.Namespace) -> int:
+    from repro.analysis.recovery import RECOVERY_FIXTURES, run_recovery_suite
+
+    def rows(outcome):
+        flagged = sorted({f["probe"] for f in outcome.regime
+                          if f.get("severity") != "ok"})
+        return [[outcome.fixture, outcome.verdict,
+                 f"{outcome.max_abs_nlp_diff:.4f}", f"{outcome.tolerance:g}",
+                 ", ".join(flagged) or "-"]]
+
+    return _paired_gate(
+        args, "recovery", args.fixtures or sorted(RECOVERY_FIXTURES),
+        RECOVERY_FIXTURES,
+        lambda names: run_recovery_suite(
+            names, seed=args.seed, scale=args.scale, executor=args.executor,
+            out_dir=args.out_dir),
+        ["fixture", "verdict", "max |dNLP|", "tol", "regime flags"], rows,
+        ".curve.json",
+    )
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
@@ -994,82 +1000,23 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         SENSITIVITY_FIXTURES,
         run_sensitivity_suite,
     )
-    from repro.viz.table import format_table
-    from repro.workload.scenarios import SCENARIOS
 
-    names = args.fixtures or list(DEFAULT_SENSITIVITY_NAMES)
-    unknown = [n for n in names if n not in SENSITIVITY_FIXTURES]
-    if unknown:
-        print(f"unknown fixture(s) {', '.join(unknown)}; "
-              f"known: {', '.join(sorted(SENSITIVITY_FIXTURES))}",
-              file=sys.stderr)
-        return 2
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario {args.scenario!r}; "
-              f"known: {', '.join(sorted(SCENARIOS))}", file=sys.stderr)
-        return 2
-    if args.baseline_dir and not args.out_dir:
-        print("--baseline-dir requires --out-dir (the diff needs the "
-              "candidate frontier artifacts on disk)", file=sys.stderr)
-        return 2
+    def rows(outcome):
+        return [[outcome.fixture, f"{c['level']:g}", c["verdict"],
+                 "-" if c["bias_linf"] is None else f"{c['bias_linf']:.4f}",
+                 f"{outcome.tolerance:g}", c["error"] or "-"]
+                for c in outcome.cells]
 
-    scale = "smoke" if args.smoke else args.scale
-    outcomes = run_sensitivity_suite(
-        names, scenario=args.scenario, seed=args.seed, scale=scale,
-        executor=args.executor, out_dir=args.out_dir,
+    return _paired_gate(
+        args, "sensitivity", args.fixtures or list(DEFAULT_SENSITIVITY_NAMES),
+        SENSITIVITY_FIXTURES,
+        lambda names: run_sensitivity_suite(
+            names, scenario=args.scenario, seed=args.seed,
+            scale="smoke" if args.smoke else args.scale,
+            executor=args.executor, out_dir=args.out_dir),
+        ["fixture", "level", "verdict", "|bias|inf", "tol", "error"], rows,
+        ".frontier.json",
     )
-    rows = []
-    for name in names:
-        outcome = outcomes[name]
-        for cell in outcome.cells:
-            linf = cell.get("bias_linf")
-            rows.append([
-                name, f"{cell['level']:g}", cell["verdict"],
-                "-" if linf is None else f"{linf:.4f}",
-                f"{outcome.tolerance:g}",
-                cell["error"] or "-",
-            ])
-    print(format_table(
-        ["fixture", "level", "verdict", "|bias|inf", "tol", "error"], rows))
-
-    biased = [n for n in names if not outcomes[n].gate_passed]
-    drifted: List[str] = []
-    if args.baseline_dir:
-        import repro.obs as obs
-        from repro.obs.diff import DEFAULT_CURVE_TOL
-
-        baseline_dir = Path(args.baseline_dir)
-        out_dir = Path(args.out_dir)
-        for name in names:
-            baseline = baseline_dir / f"{name}.frontier.json"
-            if not baseline.exists():
-                print(f"{name}: no committed baseline at {baseline}",
-                      file=sys.stderr)
-                drifted.append(name)
-                continue
-            report = obs.diff_paths(
-                baseline, out_dir / f"{name}.frontier.json",
-                curve_tol=(args.curve_tol if args.curve_tol is not None
-                           else DEFAULT_CURVE_TOL),
-            )
-            if obs.diff_exit_code(report) != 0:
-                summary = report["summary"]
-                print(f"{name}: frontier drifted from baseline "
-                      f"({summary['regressed']} regressed, "
-                      f"{summary['added'] + summary['removed']} "
-                      f"added/removed)", file=sys.stderr)
-                drifted.append(name)
-
-    if biased:
-        print(f"sensitivity gate: FAIL — silent bias in {', '.join(biased)}")
-        return 1
-    if drifted:
-        print("sensitivity gate: FAIL — baseline drift in "
-              f"{', '.join(drifted)}")
-        return 1
-    print(f"sensitivity gate: PASS ({len(names)} fixture(s); no silent bias"
-          + (", no baseline drift)" if args.baseline_dir else ")"))
-    return 0
 
 
 def _fetch_progress(target: str) -> dict:

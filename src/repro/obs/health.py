@@ -51,16 +51,8 @@ class HealthReport:
     advisory, the run's answer still exists).
     """
 
-    def __init__(
-        self,
-        findings: List[Dict[str, Any]],
-        margins: Optional[Dict[str, float]] = None,
-    ) -> None:
+    def __init__(self, findings: List[Dict[str, Any]]) -> None:
         self.findings = findings
-        #: Paired-probe margins the findings were judged against (see
-        #: :class:`~repro.obs.probes.PairedRegimeMargins`); ``None`` for
-        #: reports built from unpaired probes.
-        self.margins = dict(margins) if margins else None
         self.stages: Dict[str, str] = {}
         for finding in findings:
             stage = str(finding.get("stage", "unknown"))
@@ -89,32 +81,24 @@ class HealthReport:
         return ranked[:limit]
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "schema": HEALTH_SCHEMA,
             "verdict": self.verdict,
             "stages": {k: self.stages[k] for k in sorted(self.stages)},
             "counts": self.counts(),
             "findings": self.findings,
         }
-        # Optional key: only paired harnesses carry margins, so existing
-        # schema-1 artifacts (and their committed goldens) are unchanged.
-        if self.margins is not None:
-            out["margins"] = self.margins
-        return out
 
 
 def build_health_report(
     findings: Optional[Iterable[Dict[str, Any]]] = None,
     degradations: Optional[Iterable[Dict[str, Any]]] = None,
-    margins: Optional[Dict[str, float]] = None,
 ) -> HealthReport:
     """Compose the report from probe findings and runtime degradations.
 
     When both arguments are omitted, the active observability context's
     accumulated findings and degradations are used — the shape
-    ``run_experiment`` and the CLI rely on. ``margins`` (a
-    :meth:`~repro.obs.probes.PairedRegimeMargins.to_dict` mapping) is
-    recorded on the report when the findings came from paired probes.
+    ``run_experiment`` and the CLI rely on.
     """
     if findings is None and degradations is None:
         from repro.obs import _runtime
@@ -133,7 +117,7 @@ def build_health_report(
             "message": f"runtime degradation recorded: {kind}",
             "context": {"kind": kind, **{k: _scalar(v) for k, v in detail.items()}},
         })
-    return HealthReport(merged, margins=margins)
+    return HealthReport(merged)
 
 
 def _scalar(value: Any) -> Any:

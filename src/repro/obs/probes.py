@@ -42,8 +42,7 @@ __all__ = [
     "probe_slot_support",
     "probe_latency_regime",
     "probe_missingness",
-    "PairedRegimeMargins",
-    "DEFAULT_PAIRED_MARGINS",
+    "PAIRED_MARGINS",
     "probe_smoothing_edges",
     "probe_locality",
     "probe_density_correlation",
@@ -486,44 +485,18 @@ def probe_latency_regime(
     return findings
 
 
-@dataclass(frozen=True)
-class PairedRegimeMargins:
-    """Multipliers applied to a clean twin's regime metrics.
-
-    The paired harnesses (:mod:`repro.analysis.recovery`,
-    :mod:`repro.analysis.sensitivity`) probe a degraded run against its
-    clean same-seed twin: the twin's own per-slot tail ratio and median
-    spread, inflated by these margins, become the warn thresholds, and the
-    ``*_fail_factor`` multiples of the warn thresholds become the fail
-    thresholds. One definition here, surfaced in
-    :class:`~repro.obs.health.HealthReport`, so the sensitivity suite can
-    sweep the margins instead of re-hardcoding them per harness.
-    """
-
-    tail: float = 1.35
-    spread: float = 1.2
-    tail_fail_factor: float = 6.0
-    spread_fail_factor: float = 3.0
-
-    def __post_init__(self) -> None:
-        for name in ("tail", "spread", "tail_fail_factor",
-                     "spread_fail_factor"):
-            value = getattr(self, name)
-            if not value >= 1.0:
-                raise ValueError(f"{name} must be >= 1.0, got {value}")
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "tail": self.tail,
-            "spread": self.spread,
-            "tail_fail_factor": self.tail_fail_factor,
-            "spread_fail_factor": self.spread_fail_factor,
-        }
-
-
-#: The margins the recovery gates have always used (tail x1.35, spread
-#: x1.2, fail at 6x / 3x the warn thresholds), now in one place.
-DEFAULT_PAIRED_MARGINS = PairedRegimeMargins()
+#: Paired-detection margins (:mod:`repro.analysis.paired`): a perturbed
+#: run's raw-telemetry regime metrics warn past its clean same-seed twin's
+#: own tail ratio x ``tail`` and median spread x ``spread``, and fail at
+#: ``*_fail_factor`` times those warn thresholds. Much tighter than the
+#: scenario-agnostic defaults of :func:`probe_latency_regime`, because the
+#: clean twin *is* the null hypothesis. Frontier artifacts record them.
+PAIRED_MARGINS: Dict[str, float] = {
+    "tail": 1.35,
+    "spread": 1.2,
+    "tail_fail_factor": 6.0,
+    "spread_fail_factor": 3.0,
+}
 
 
 # ---------------------------------------------------------------------------

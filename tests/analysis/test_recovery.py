@@ -7,22 +7,35 @@ health on a drifted curve — silent bias — fails the gate.
 """
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.analysis.paired import (
+    VERDICT_EXPLAINED,
+    VERDICT_SILENT_BIAS,
+    paired_regime_findings,
+)
 from repro.analysis.recovery import (
     RECOVERY_FIXTURES,
     RECOVERY_SCALES,
-    VERDICT_EXPLAINED,
     VERDICT_RECOVERED,
-    VERDICT_SILENT_BIAS,
-    _paired_regime_findings,
     run_recovery,
     run_recovery_suite,
 )
 from repro.errors import ConfigError
+
+GOLDEN_DIR = Path(__file__).parents[1] / "workload" / "golden" / "recovery"
+
+
+@pytest.fixture(scope="module")
+def default_suite(tmp_path_factory):
+    """The whole fixture matrix, run once for the whole module."""
+    out_dir = tmp_path_factory.mktemp("recovery")
+    outcomes = run_recovery_suite(out_dir=out_dir)
+    return outcomes, out_dir
 
 
 def _fake_logs(latencies, times=None):
@@ -73,7 +86,7 @@ class TestPairedRegimeDetection:
         rng = np.random.default_rng(0)
         latencies = rng.lognormal(np.log(200.0), 0.4, size=20_000)
         logs = _fake_logs(latencies)
-        findings = _paired_regime_findings(logs, logs)
+        findings = paired_regime_findings(logs, logs)
         assert all(f["severity"] == "ok" for f in findings)
         assert all("clean_baseline" in f["context"] for f in findings)
 
@@ -86,12 +99,12 @@ class TestPairedRegimeDetection:
         hours = (clean.times // 3600) % 24
         window = (hours >= 10) & (hours < 12)
         contaminated[window] *= 8.0
-        findings = _paired_regime_findings(clean, _fake_logs(contaminated))
+        findings = paired_regime_findings(clean, _fake_logs(contaminated))
         assert any(f["severity"] != "ok" for f in findings)
 
     def test_tiny_logs_fall_back_without_raising(self):
         tiny = _fake_logs([100.0, 200.0, 300.0])
-        findings = _paired_regime_findings(tiny, tiny)
+        findings = paired_regime_findings(tiny, tiny)
         assert findings  # unpaired fallback still reports something
         assert all("severity" in f for f in findings)
 
@@ -161,6 +174,30 @@ class TestRecoverySuite:
         report = diff_paths(curve_path, curve_path)
         assert report["kind"] == "curve"
         assert diff_exit_code(report) == 0
+
+
+class TestGoldens:
+    def test_verdicts_and_summary_match_goldens_byte_for_byte(
+            self, default_suite):
+        # The same check CI's `cmp` step performs, pinned locally.
+        _, out_dir = default_suite
+        verdicts = [f"{name}.recovery.json" for name in sorted(RECOVERY_FIXTURES)]
+        assert sorted(p.name for p in GOLDEN_DIR.glob("*.recovery.json")) \
+            == verdicts
+        for file in verdicts + ["summary.json"]:
+            assert ((out_dir / file).read_text()
+                    == (GOLDEN_DIR / file).read_text()), \
+                f"{file} drifted from golden"
+
+    def test_curves_obs_diff_clean_against_goldens(self, default_suite):
+        from repro.obs import diff_exit_code, diff_paths
+
+        _, out_dir = default_suite
+        for name in sorted(RECOVERY_FIXTURES):
+            file = f"{name}.curve.json"
+            report = diff_paths(GOLDEN_DIR / file, out_dir / file)
+            assert report["kind"] == "curve"
+            assert diff_exit_code(report) == 0, f"{file} drifted from golden"
 
 
 class TestRecoverCLI:

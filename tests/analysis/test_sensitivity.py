@@ -15,13 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.paired import VERDICT_EXPLAINED, VERDICT_SILENT_BIAS
 from repro.analysis.sensitivity import (
     DEFAULT_SENSITIVITY_NAMES,
     SENSITIVITY_FIXTURES,
     SENSITIVITY_SCHEMA,
-    VERDICT_EXPLAINED,
     VERDICT_ROBUST,
-    VERDICT_SILENT_BIAS,
     SensitivityFixture,
     run_sensitivity,
     run_sensitivity_suite,

@@ -6,6 +6,8 @@ each produces ``warn``/``fail`` findings, not exceptions. A diagnostics
 layer that crashes the run it is diagnosing is worse than none.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -390,22 +392,15 @@ class TestProbeMissingness:
 
 class TestPairedRegimeMargins:
     def test_defaults_match_recovery_constants(self):
-        from repro.analysis.recovery import (
-            PAIRED_SPREAD_MARGIN,
-            PAIRED_TAIL_MARGIN,
-        )
-
-        margins = probes.DEFAULT_PAIRED_MARGINS
-        assert margins.tail == PAIRED_TAIL_MARGIN == 1.35
-        assert margins.spread == PAIRED_SPREAD_MARGIN == 1.2
-
-    def test_sub_unity_margins_rejected(self):
-        with pytest.raises(Exception):
-            probes.PairedRegimeMargins(tail=0.9)
+        margins = probes.PAIRED_MARGINS
+        assert margins["tail"] == 1.35
+        assert margins["spread"] == 1.2
+        assert margins["tail_fail_factor"] == 6.0
+        assert margins["spread_fail_factor"] == 3.0
 
     def test_to_dict_is_json_plain(self):
-        payload = probes.DEFAULT_PAIRED_MARGINS.to_dict()
-        assert payload["tail"] == 1.35
+        payload = json.loads(json.dumps(probes.PAIRED_MARGINS))
+        assert payload == probes.PAIRED_MARGINS
         assert all(isinstance(v, float) for v in payload.values())
 
 
