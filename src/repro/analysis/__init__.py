@@ -7,7 +7,6 @@ from repro.analysis.fig_locality import run_fig1, run_fig2
 from repro.analysis.fig_methodology import run_fig3, run_table1
 from repro.analysis.fig_preferences import run_fig4, run_fig5, run_fig6
 from repro.analysis.fig_time import run_fig7, run_fig8, run_fig9
-from repro.analysis.perf import SMOKE, PerfReport, run_perf_suite
 from repro.analysis.recovery import (
     RECOVERY_FIXTURES,
     RECOVERY_SCALES,
@@ -51,9 +50,6 @@ __all__ = [
     "run_bottleneck",
     "run_sessions",
     "run_regions",
-    "SMOKE",
-    "PerfReport",
-    "run_perf_suite",
     "RECOVERY_FIXTURES",
     "RECOVERY_SCALES",
     "RecoveryFixture",

@@ -478,8 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="output format: a text table or a JSON array "
                               "of [field, value] pairs (default: table)")
     diff = obs_sub.add_parser(
-        "diff", help="compare two run artifacts (manifest/bench/metrics/"
-                     "curve/health) with tolerance classification")
+        "diff", help="compare two run artifacts (manifest/metrics/curve/"
+                     "health) with tolerance classification")
     diff.add_argument("a", help="baseline artifact (JSON file or run dir)")
     diff.add_argument("b", help="candidate artifact (JSON file or run dir)")
     diff.add_argument("--rel-tol", type=float, default=None,

@@ -5,9 +5,6 @@ classifies every comparable quantity as ``improved`` / ``regressed`` /
 ``unchanged`` under a relative tolerance. Supported artifact kinds are
 sniffed from JSON shape, not file name:
 
-- **bench** — ``BENCH_pipeline.json`` perf baselines (``schema`` +
-  ``scales``): stage *speedups* (machine-robust ratios, higher is better)
-  and span-timing *shares of total* (lower is better) per scale;
 - **manifest** — run manifests (``run_id``): degradation counts, health
   verdicts, metric totals (cache hits up, misses/evictions/errors down),
   and embedded span timings;
@@ -49,7 +46,7 @@ __all__ = [
 #: Bump when the diff artifact field set changes.
 DIFF_SCHEMA = 1
 
-#: Default relative tolerance for ratio-ish quantities (speedups, totals).
+#: Default relative tolerance for ratio-ish quantities (shares, totals).
 DEFAULT_REL_TOL = 0.10
 
 #: Default absolute tolerance for NLP curve values (the curve is ~O(1)).
@@ -58,7 +55,7 @@ DEFAULT_CURVE_TOL = 0.02
 _VERDICT_RANK = {"ok": 0, "warn": 1, "fail": 2}
 
 #: Metric-name fragments with a known good direction.
-_HIGHER_BETTER = ("hit", "speedup")
+_HIGHER_BETTER = ("hit",)
 _LOWER_BETTER = (
     "miss", "evict", "degrad", "bad", "skip", "reject", "error", "crash",
     "retr", "trip", "kill", "spill",
@@ -145,8 +142,6 @@ def sniff_kind(payload: Dict[str, Any]) -> str:
 
     if payload.get("kind") in ("watch-baseline", "watch-trend"):
         return str(payload["kind"])
-    if "scales" in payload and "schema" in payload:
-        return "bench"
     if "fixture" in payload and "cells" in payload:
         return "sensitivity"
     if "run_id" in payload:
@@ -161,8 +156,8 @@ def sniff_kind(payload: Dict[str, Any]) -> str:
     ):
         return "metrics"
     raise SchemaError(
-        "unrecognized artifact shape (expected bench/manifest/metrics/"
-        "curve/health/sensitivity/watch JSON)")
+        "unrecognized artifact shape (expected manifest/metrics/curve/"
+        "health/sensitivity/watch JSON)")
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +165,7 @@ def sniff_kind(payload: Dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _span_share_entries(prefix: str,
-                        a_spans: Dict[str, Any], b_spans: Dict[str, Any],
+def _span_share_entries(a_spans: Dict[str, Any], b_spans: Dict[str, Any],
                         rel_tol: float) -> List[Dict[str, Any]]:
     """Span timings compared as shares of each run's total span seconds.
 
@@ -195,46 +189,15 @@ def _span_share_entries(prefix: str,
             # but float division can wobble — force the fast path.
             a_share = b_share
         entries.append(_entry(
-            f"{prefix}span_share[{name}]",
+            f"span_share[{name}]",
             round(a_share, 6) if a_share is not None else None,
             round(b_share, 6) if b_share is not None else None,
             rel_tol, better="lower", absolute=True))
         a_count = float(a_entry.get("count", 0)) if a_entry is not None else None
         b_count = float(b_entry.get("count", 0)) if b_entry is not None else None
         entries.append(_entry(
-            f"{prefix}span_count[{name}]", a_count, b_count,
+            f"span_count[{name}]", a_count, b_count,
             0.0, better=None))
-    return entries
-
-
-def _diff_bench(a: Dict[str, Any], b: Dict[str, Any],
-                rel_tol: float) -> List[Dict[str, Any]]:
-    entries: List[Dict[str, Any]] = []
-    a_scales = a.get("scales", {})
-    b_scales = b.get("scales", {})
-    for scale in sorted(set(a_scales) & set(b_scales)):
-        a_stages = a_scales[scale].get("stages", {})
-        b_stages = b_scales[scale].get("stages", {})
-        for stage in sorted(set(a_stages) | set(b_stages)):
-            a_stage = a_stages.get(stage)
-            b_stage = b_stages.get(stage)
-            a_speedup = a_stage.get("speedup") if a_stage else None
-            b_speedup = b_stage.get("speedup") if b_stage else None
-            if a_speedup is not None or b_speedup is not None:
-                entries.append(_entry(
-                    f"{scale}.speedup[{stage}]", a_speedup, b_speedup,
-                    rel_tol, better="higher"))
-            else:
-                entries.append(_entry(
-                    f"{scale}.seconds[{stage}]",
-                    a_stage.get("seconds") if a_stage else None,
-                    b_stage.get("seconds") if b_stage else None,
-                    rel_tol, better="lower"))
-        entries.extend(_span_share_entries(
-            f"{scale}.",
-            a_scales[scale].get("span_timings", {}),
-            b_scales[scale].get("span_timings", {}),
-            rel_tol))
     return entries
 
 
@@ -303,7 +266,7 @@ def _diff_manifest(a: Dict[str, Any], b: Dict[str, Any],
     a_spans = a.get("span_timings")
     b_spans = b.get("span_timings")
     if isinstance(a_spans, dict) and isinstance(b_spans, dict):
-        entries.extend(_span_share_entries("", a_spans, b_spans, rel_tol))
+        entries.extend(_span_share_entries(a_spans, b_spans, rel_tol))
     return entries
 
 
@@ -491,9 +454,7 @@ def diff_artifacts(a: Dict[str, Any], b: Dict[str, Any],
     if kind_a != kind_b:
         raise SchemaError(
             f"cannot diff a {kind_a} artifact against a {kind_b} artifact")
-    if kind_a == "bench":
-        entries = _diff_bench(a, b, rel_tol)
-    elif kind_a == "manifest":
+    if kind_a == "manifest":
         entries = _diff_manifest(a, b, rel_tol)
     elif kind_a == "metrics":
         entries = _diff_metrics(a, b, rel_tol)

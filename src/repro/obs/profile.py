@@ -8,8 +8,8 @@ Two complementary views of where a run spends its resources:
   attributes *self* CPU time (total minus time spent in child spans) to
   the span's name. The hook **never touches the span record itself** —
   trace/metrics/manifest artifacts are byte-identical whether profiling is
-  on or off (the ``obs_overhead``-style identity guarantee, enforced by
-  ``tests/obs/test_profile.py`` and the CLI byte-identity tests).
+  on or off (enforced by ``tests/obs/test_profile.py`` and the CLI
+  byte-identity tests).
 - :class:`StackSampler` is a background thread that samples the main
   thread's Python stack at a fixed interval and accumulates folded stacks
   (``outer;inner;leaf count``) — the flamegraph input format consumed by
@@ -73,7 +73,7 @@ class SpanProfiler:
     The tracer calls :meth:`on_enter` / :meth:`on_exit` around each span's
     lifetime. A parallel frame stack mirrors the tracer's span stack and
     carries a child-CPU accumulator so self time is exact, not estimated.
-    Aggregation is by span *name* (like the perf suite's ``span_timings``),
+    Aggregation is by span *name* (like the manifest's ``span_timings``),
     which keeps the artifact small and diffable across runs with different
     span counts.
     """

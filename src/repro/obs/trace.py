@@ -291,9 +291,9 @@ def aggregate_span_timings(records: Iterable[Dict[str, Any]]
                            ) -> Dict[str, Dict[str, Any]]:
     """Per-span-name totals (``{name: {count, seconds}}``) from records.
 
-    The shape the perf suite persists in ``BENCH_pipeline.json`` and run
-    manifests carry under ``span_timings`` — and that ``obs diff`` compares
-    as shares of the total.
+    The shape run manifests carry under ``span_timings``: ``obs diff``
+    compares it as shares of the total, and ``watch`` derives the
+    ``span_seconds[*]`` and ``span_share[*]`` series from it.
     """
     timings: Dict[str, Dict[str, Any]] = {}
     for record in records:

@@ -1,0 +1,225 @@
+"""Verbatim ports of the pre-tensor ``repro.core.alpha`` loops.
+
+The count tensor, the period lookup and the corrected-histogram
+contraction replaced these per-slot / per-sample Python loops. They stay
+here, in the test tree, as the reference the shipped fast paths are
+checked against (``test_tensor_equivalence.py``) and as the Monte Carlo
+reversion the perf gate must catch (``tests/obs/test_perf_gate.py``).
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Union
+
+import numpy as np
+
+from repro.core.alpha import SlottedCounts, slot_of_times
+from repro.errors import EmptyDataError
+from repro.stats.histogram import Histogram1D, HistogramBins
+from repro.stats.rng import SeedLike, spawn_rng
+from repro.telemetry import timeutil
+from repro.telemetry.log_store import LogStore
+from repro.types import ALL_DAY_PERIODS, DayPeriod
+
+
+def _legacy_nearest_time_sample(
+    sample_times: np.ndarray,
+    query_times: np.ndarray,
+    rng: SeedLike = None,
+    tie_tolerance: float = 0.0,
+) -> np.ndarray:
+    """The old nearest-sample kernel: two extra per-query searchsorted calls.
+
+    Duplicate-timestamp runs were located by bisecting every query's winning
+    time back into the sample array; the shipped version finds the runs with
+    one linear pass over the samples instead.
+    """
+    times = np.asarray(sample_times, dtype=float)
+    queries = np.asarray(query_times, dtype=float)
+    if times.size == 0:
+        raise EmptyDataError("no samples to draw from")
+
+    right = np.searchsorted(times, queries, side="left")
+    left = np.clip(right - 1, 0, times.size - 1)
+    right = np.clip(right, 0, times.size - 1)
+    dist_left = np.abs(queries - times[left])
+    dist_right = np.abs(times[right] - queries)
+    take_right = dist_right < dist_left
+    nearest = np.where(take_right, right, left)
+
+    generator = spawn_rng(rng)
+
+    tied_lr = np.abs(dist_left - dist_right) <= tie_tolerance
+    tied_lr &= left != right
+    if np.any(tied_lr):
+        flips = generator.random(int(tied_lr.sum())) < 0.5
+        chosen = np.where(flips, left[tied_lr], right[tied_lr])
+        nearest = nearest.copy()
+        nearest[tied_lr] = chosen
+
+    winning_times = times[nearest]
+    run_start = np.searchsorted(times, winning_times, side="left")
+    run_end = np.searchsorted(times, winning_times, side="right")
+    run_len = run_end - run_start
+    multi = run_len > 1
+    if np.any(multi):
+        offsets = (generator.random(int(multi.sum())) * run_len[multi]).astype(np.int64)
+        nearest = nearest.copy()
+        nearest[multi] = run_start[multi] + offsets
+    return nearest
+
+
+def _legacy_draw_unbiased_samples(logs, n_samples=None, rng=None):
+    """The old unbiased draw, wired to the old nearest-sample kernel."""
+    from repro.core.unbiased import UnbiasedDraw
+    from repro.stats.sampling import random_times
+
+    if logs.is_empty:
+        raise EmptyDataError("cannot estimate the unbiased distribution from empty logs")
+    generator = spawn_rng(rng)
+    order = np.argsort(logs.times, kind="mergesort")
+    times = logs.times[order]
+    latencies = logs.latencies_ms[order]
+    lo, hi = float(times[0]), float(times[-1])
+    if hi <= lo:
+        hi = lo + 1.0
+    if n_samples is None:
+        n_samples = int(np.ceil(2.0 * times.size))
+    queries = random_times(lo, hi, n_samples, rng=generator)
+    selected = _legacy_nearest_time_sample(times, queries, rng=generator)
+    return UnbiasedDraw(
+        query_times=queries,
+        selected_indices=selected,
+        sample_times=times,
+        sample_latencies=latencies,
+    )
+
+
+def _legacy_period_slots(
+    times: np.ndarray, tz_offset_hours: Union[np.ndarray, float] = 0.0
+) -> np.ndarray:
+    """The old ``period`` branch of ``slot_of_times``: a Python loop."""
+    hours = timeutil.hour_of_day(times, tz_offset_hours)
+    period_index = {p: i for i, p in enumerate(ALL_DAY_PERIODS)}
+    out = np.empty(hours.shape, dtype=np.int64)
+    flat = out.ravel()
+    for i, h in enumerate(hours.ravel()):
+        flat[i] = period_index[DayPeriod.of_hour(float(h))]
+    return out
+
+
+def _legacy_slot_time_coverage(
+    start: float,
+    end: float,
+    scheme: str,
+    slot_ids: np.ndarray,
+    tz_offset_hours: float = 0.0,
+    resolution_s: float = 60.0,
+) -> np.ndarray:
+    """The old per-slot loop over the minute grid."""
+    if end <= start:
+        return np.zeros(len(slot_ids), dtype=float)
+    grid = np.arange(start, end, resolution_s)
+    grid_slots = slot_of_times(grid, scheme, tz_offset_hours)
+    out = np.zeros(len(slot_ids), dtype=float)
+    for i, slot in enumerate(slot_ids):
+        out[i] = float((grid_slots == slot).sum()) * resolution_s
+    return out
+
+
+def _legacy_slotted_counts(
+    logs: LogStore,
+    bins: HistogramBins,
+    scheme: str = "hour-of-day",
+    n_unbiased_samples: Optional[int] = None,
+    rng: SeedLike = None,
+    estimator: str = "sampling",
+) -> SlottedCounts:
+    """The old ``slotted_counts``: one masked pass over the data per slot.
+
+    Deterministic outputs (biased counts, slot ids, slot seconds) are
+    bit-identical to the shipped version. The unbiased time fractions are
+    not: this reference samples them with the old fixed-size 12-batch
+    redraw loop, while the shipped version computes their exact limit, so
+    the two agree only statistically.
+    """
+    if logs.is_empty:
+        raise EmptyDataError("cannot slot empty logs")
+    generator = spawn_rng(rng)
+
+    action_slots = slot_of_times(logs.times, scheme, logs.tz_offsets)
+    slot_ids = np.unique(action_slots)
+    n_slots = slot_ids.size
+
+    c = np.zeros((n_slots, bins.count), dtype=float)
+    bin_idx = bins.index_of(logs.latencies_ms)
+    in_grid = bin_idx >= 0
+    for row, slot in enumerate(slot_ids):
+        mask = (action_slots == slot) & in_grid
+        np.add.at(c[row], bin_idx[mask], 1.0)
+
+    tz = float(np.median(logs.tz_offsets)) if len(logs) else 0.0
+    u = np.zeros((n_slots, bins.count), dtype=float)
+    if estimator == "voronoi":
+        from repro.core.unbiased import voronoi_weights
+
+        order = np.argsort(logs.times, kind="mergesort")
+        sorted_times = logs.times[order]
+        sorted_latencies = logs.latencies_ms[order]
+        sorted_tz = logs.tz_offsets[order]
+        weights = voronoi_weights(sorted_times)
+        sample_slots = slot_of_times(sorted_times, scheme, sorted_tz)
+        v_bin_idx = bins.index_of(sorted_latencies)
+        v_in_grid = v_bin_idx >= 0
+        for row, slot in enumerate(slot_ids):
+            mask = (sample_slots == slot) & v_in_grid
+            np.add.at(u[row], v_bin_idx[mask], weights[mask])
+    else:
+        target = n_unbiased_samples if n_unbiased_samples is not None else 2 * len(logs)
+        accepted = 0
+        for _ in range(12):
+            draw = _legacy_draw_unbiased_samples(logs, n_samples=target, rng=generator)
+            query_slots = slot_of_times(draw.query_times, scheme, tz)
+            u_bin_idx = bins.index_of(draw.selected_latencies)
+            u_in_grid = u_bin_idx >= 0
+            for row, slot in enumerate(slot_ids):
+                mask = (query_slots == slot) & u_in_grid
+                accepted += int(mask.sum())
+                np.add.at(u[row], u_bin_idx[mask], 1.0)
+            if accepted >= target:
+                break
+    slot_totals = u.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = np.where(slot_totals > 0, u / slot_totals, 0.0)
+
+    t0, t1 = logs.time_range()
+    seconds = _legacy_slot_time_coverage(t0, t1, scheme, slot_ids, tz_offset_hours=tz)
+    return SlottedCounts(
+        scheme=scheme, slot_ids=slot_ids, biased_counts=c, time_fractions=f,
+        bins=bins, slot_seconds=seconds,
+    )
+
+
+def _legacy_corrected_histograms(logs, bins, alpha):
+    """The old ``corrected_histograms``: rescans every raw action.
+
+    This is what the per-reference loop in ``preference_curve`` used to
+    call once *per reference slot* — the rescan the tensor contraction
+    removed.
+    """
+    if logs.is_empty:
+        raise EmptyDataError("cannot build corrected histograms from empty logs")
+    slot_index = {int(s): i for i, s in enumerate(alpha.slot_ids)}
+    action_slots = slot_of_times(logs.times, alpha.scheme, logs.tz_offsets)
+    weights = np.empty(len(logs), dtype=float)
+    for slot, row in slot_index.items():
+        a = alpha.alpha_by_slot[row]
+        weights[action_slots == slot] = 1.0 / a if a > 0 else 0.0
+
+    biased = Histogram1D(bins)
+    biased.add(logs.latencies_ms, weights=weights)
+
+    unbiased = Histogram1D(bins)
+    pooled = alpha.time_fractions.sum(axis=0)
+    unbiased.add_counts(pooled * 10_000.0)
+    return biased, unbiased

@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.perf import (
-    _legacy_corrected_histograms,
-    _legacy_period_slots,
-    _legacy_slotted_counts,
-)
 from repro.core import AutoSens, AutoSensConfig, SubsamplePolicy
 from repro.core.alpha import (
     alpha_from_counts,
@@ -24,9 +19,16 @@ from repro.core.alpha import (
     slot_of_times,
     slotted_counts,
 )
+from repro.core.preference import average_results
+from repro.core.unbiased import UNBIASED_MASS_PER_ACTION
 from repro.errors import ConfigError
 from repro.parallel import ProcessExecutor
 from repro.stats.histogram import latency_bins
+from tests.core.legacy_reference import (
+    _legacy_corrected_histograms,
+    _legacy_period_slots,
+    _legacy_slotted_counts,
+)
 
 BINS = latency_bins(3000.0, 10.0)
 
@@ -113,6 +115,41 @@ class TestCorrectedHistograms:
             b_new, _ = corrected_histograms_from_counts(counts, alpha)
             b_old, _ = _legacy_corrected_histograms(owa_logs, BINS, alpha)
             np.testing.assert_allclose(b_new.counts, b_old.counts, rtol=1e-9, atol=1e-9)
+
+    def test_corrected_curve_matches_legacy_path(self, owa_logs):
+        """The whole multi-reference curve, tensor path vs per-slot loops.
+
+        The legacy path draws U by Monte Carlo, so the curves agree up to
+        draw noise. The largest per-bin gap sits on the last supported bin
+        (up to ~0.18 over 20 draws), so the bound is on the mean gap
+        (0.005-0.012 over the same draws).
+        """
+        config = AutoSensConfig()
+        bins = config.bins()
+
+        def curve(counts, corrected):
+            per_reference = []
+            for reference in counts.busiest_slots(config.n_reference_slots):
+                alpha = alpha_from_counts(counts, reference_slot=reference)
+                biased, unbiased = corrected(alpha)
+                per_reference.append(config.computer().compute(
+                    biased, unbiased, slice_description="equivalence",
+                    n_actions=len(owa_logs)))
+            return average_results(per_reference, slice_description="equivalence")
+
+        new_counts = slotted_counts(owa_logs, bins)
+        new = curve(new_counts,
+                    lambda alpha: corrected_histograms_from_counts(new_counts, alpha))
+        old_counts = _legacy_slotted_counts(
+            owa_logs, bins,
+            n_unbiased_samples=int(np.ceil(UNBIASED_MASS_PER_ACTION * len(owa_logs))),
+            rng=3,
+        )
+        old = curve(old_counts,
+                    lambda alpha: _legacy_corrected_histograms(owa_logs, bins, alpha))
+        common = np.isfinite(new.nlp) & np.isfinite(old.nlp)
+        assert common.sum() > 0.9 * np.isfinite(new.nlp).sum()
+        assert np.mean(np.abs(new.nlp[common] - old.nlp[common])) < 0.03
 
     def test_mismatched_grids_rejected(self, owa_logs):
         counts, alpha = _counts_and_alpha(owa_logs)

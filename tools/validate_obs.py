@@ -351,9 +351,9 @@ def _validate_diff(path: Path) -> list:
     errors = []
     if payload.get("schema") != DIFF_SCHEMA:
         errors.append(f"{path}: schema != {DIFF_SCHEMA}")
-    if payload.get("kind") not in ("bench", "manifest", "metrics", "curve",
-                                   "health", "sensitivity",
-                                   "watch-baseline", "watch-trend"):
+    if payload.get("kind") not in ("manifest", "metrics", "curve", "health",
+                                   "sensitivity", "watch-baseline",
+                                   "watch-trend"):
         errors.append(f"{path}: bad kind {payload.get('kind')!r}")
     entries = payload.get("entries")
     if not isinstance(entries, list):
