@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.paired import (
     PAIRED_SCALES,
+    VERDICT_EXPLAINED,
     VERDICT_SILENT_BIAS,
     Perturbation,
     bias_metrics,
@@ -36,7 +37,8 @@ from repro.analysis.paired import (
 from repro.core import SubsamplePolicy
 from repro.core.result import PreferenceResult
 from repro.errors import ConfigError
-from repro.obs.probes import PAIRED_MARGINS
+from repro.obs import _schema
+from repro.obs.probes import PAIRED_MARGINS, SEVERITIES
 from repro.parallel import task_seeds
 from repro.workload.degradations import DEGRADATION_BUILDERS, DegradationPlan
 
@@ -48,6 +50,7 @@ __all__ = [
     "DEFAULT_SENSITIVITY_NAMES",
     "run_sensitivity",
     "run_sensitivity_suite",
+    "load_frontier",
 ]
 
 SENSITIVITY_SCHEMA = "autosens.sensitivity/v1"
@@ -58,6 +61,14 @@ SENSITIVITY_SCALES: Dict[str, Tuple[float, int, float]] = {
 }
 
 VERDICT_ROBUST = "robust"
+
+#: Every verdict a frontier cell can carry.
+SENSITIVITY_VERDICTS = (VERDICT_ROBUST, VERDICT_EXPLAINED, VERDICT_SILENT_BIAS)
+
+#: Fields every frontier cell carries.
+CELL_FIELDS = ("level", "verdict", "gate_passed", "n_actions", "bias_linf",
+               "bias_signed_area", "ci_band_inflation", "n_compared_bins",
+               "health")
 
 _SUBSAMPLE_AXES = ("event", "user", "time")
 
@@ -319,3 +330,51 @@ def run_sensitivity_suite(
         }
         write_artifacts(out_dir, artifacts)
     return outcomes
+
+
+def _bad_health_summary(health: Any) -> bool:
+    """A twin's health summary needs a known verdict and counts."""
+    if health is None:
+        return False
+    counts = health.get("counts") if isinstance(health, dict) else None
+    return not isinstance(counts, dict) or \
+        health.get("verdict") not in SEVERITIES or \
+        not all(_schema.is_count(counts.get(k)) for k in SEVERITIES)
+
+
+def load_frontier(source: Any) -> Dict[str, Any]:
+    """Read a frontier artifact back (a path or a parsed payload),
+    validating on read: a fixture, a clean twin, cells with every
+    :data:`CELL_FIELDS`, a known verdict, a level in [0, 1] and a
+    ``gate_passed`` that agrees with the verdict, and a frontier
+    ``gate_passed`` that agrees with its cells."""
+    payload, where, errors = _schema.read_object(source, "frontier",
+                                                 SENSITIVITY_SCHEMA)
+    clean, cells = payload.get("clean"), payload.get("cells")
+    if not payload.get("fixture") or not isinstance(clean, dict) or \
+            not _schema.is_count(clean.get("n_actions")) or \
+            _bad_health_summary(clean.get("health")):
+        errors.append(f"{where}: fixture name or clean twin missing")
+    if not isinstance(cells, list) or not cells:
+        _schema.raise_if(errors + [f"{where}: cells missing or empty"])
+    gates = []
+    for i, cell in enumerate(cells):
+        absent = _schema.missing(cell, CELL_FIELDS)
+        if absent or cell["verdict"] not in SENSITIVITY_VERDICTS:
+            errors.append(f"{where}: cell {i} lacks fields {absent} or a "
+                          f"known verdict")
+            continue
+        verdict, gate, level = (cell[k] for k in
+                                ("verdict", "gate_passed", "level"))
+        gates.append(bool(gate))
+        if bool(gate) != (verdict != VERDICT_SILENT_BIAS):
+            errors.append(f"{where}: cell {i} gate_passed {gate!r} "
+                          f"disagrees with its verdict {verdict!r}")
+        if not _schema.is_number(level) or not 0.0 <= level <= 1.0 or \
+                _bad_health_summary(cell["health"]):
+            errors.append(f"{where}: cell {i} has a bad level or health")
+    if gates and bool(payload.get("gate_passed")) != all(gates):
+        errors.append(f"{where}: frontier gate_passed disagrees with its "
+                      f"cells")
+    _schema.raise_if(errors)
+    return payload

@@ -845,9 +845,8 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 def _resolve_doctor_source(run: Path):
     """A health report from a run dir, a manifest file, or a health file."""
-    import json as _json
-
-    from repro.obs import load_health_report, load_manifest
+    from repro.obs import load_health_report
+    from repro.obs.diff import load_artifact, sniff_kind
 
     if run.is_dir():
         candidates = ([run / "manifest.json"]
@@ -860,20 +859,15 @@ def _resolve_doctor_source(run: Path):
         else:
             raise SchemaError(
                 f"{run} holds no manifest.json or health report to diagnose")
-    try:
-        payload = _json.loads(run.read_text(encoding="utf-8"))
-    except (OSError, _json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read {run}: {exc}") from exc
-    if isinstance(payload, dict) and "verdict" in payload and "findings" in payload:
+    payload = load_artifact(run)  # validated by its kind's loader
+    if sniff_kind(payload) == "health":
         return load_health_report(payload), None
-    manifest = load_manifest(run)
-    health = manifest.get("health")
-    if not isinstance(health, dict):
+    if "health" not in payload:
         raise SchemaError(
             f"{run} carries no health report; rerun the experiment with an "
             "observability flag (e.g. --manifest-out) so probes run, or "
             "pass a --health-out artifact")
-    return load_health_report(health), manifest
+    return load_health_report(payload["health"]), payload
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
@@ -1027,26 +1021,18 @@ def _fetch_progress(target: str) -> dict:
 
     path = Path(target)
     if path.is_dir():
-        progress = path / "progress.json"
-        if not progress.is_file():
-            # Runs recorded without --serve-obs persist no progress.json;
-            # degrade to a manifest-only summary instead of erroring.
-            manifest_path = path / "manifest.json"
-            if manifest_path.is_file():
-                from repro.obs.progress import snapshot_from_manifest
-                try:
-                    manifest = _json.loads(
-                        manifest_path.read_text(encoding="utf-8"))
-                except (OSError, _json.JSONDecodeError) as exc:
-                    raise SchemaError(
-                        f"cannot read {manifest_path}: {exc}") from exc
-                return snapshot_from_manifest(manifest)
-            raise SchemaError(f"{path} holds no progress.json or "
-                              "manifest.json (is it a recorded run dir?)")
-        try:
-            return _json.loads(progress.read_text(encoding="utf-8"))
-        except (OSError, _json.JSONDecodeError) as exc:
-            raise SchemaError(f"cannot read {progress}: {exc}") from exc
+        from repro.obs.manifest import load_manifest
+        from repro.obs.progress import load_progress, snapshot_from_manifest
+
+        if (path / "progress.json").is_file():
+            return load_progress(path / "progress.json")
+        # Runs recorded without --serve-obs persist no progress.json;
+        # degrade to a manifest-only summary instead of erroring.
+        manifest = path / "manifest.json"
+        if manifest.is_file():
+            return snapshot_from_manifest(load_manifest(manifest))
+        raise SchemaError(f"{path} holds no progress.json or "
+                          "manifest.json (is it a recorded run dir?)")
     url = target if target.startswith("http") else f"http://{target}"
     try:
         with urllib.request.urlopen(f"{url}/progress", timeout=5) as response:

@@ -43,7 +43,7 @@ maps each class to a distinct exit code) can react differently:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 
 class ReproError(Exception):
@@ -51,7 +51,16 @@ class ReproError(Exception):
 
 
 class SchemaError(ReproError):
-    """A telemetry record or log file violates the expected schema."""
+    """A telemetry record or log file violates the expected schema.
+
+    ``violations`` lists every problem a validating artifact loader found;
+    it is ``[message]`` when only one was raised.
+    """
+
+    def __init__(self, message: str,
+                 violations: Optional[List[str]] = None) -> None:
+        super().__init__(message)
+        self.violations = list(violations) if violations else [message]
 
 
 class IngestError(ReproError):

@@ -14,13 +14,6 @@ in ``tests/faults/``.
 supervision layer in :mod:`repro.runtime`.
 """
 
-from repro.faults.degradations import (
-    DEGRADATION_FAULT_SPECS,
-    HeavyUserFault,
-    MNARDropFault,
-    ThinningFault,
-)
-from repro.faults.incidents import INCIDENT_FAULT_SPECS, IncidentFault
 from repro.faults.inject import corrupt_jsonl, corrupt_records, write_corrupted
 from repro.faults.tasks import MemoryHog, StalledTask
 from repro.faults.specs import (
@@ -52,12 +45,6 @@ __all__ = [
     "DuplicateRows",
     "DropFields",
     "GapWindow",
-    "IncidentFault",
-    "INCIDENT_FAULT_SPECS",
-    "ThinningFault",
-    "MNARDropFault",
-    "HeavyUserFault",
-    "DEGRADATION_FAULT_SPECS",
     "DEFAULT_FAULT_SPECS",
     "StalledTask",
     "MemoryHog",

@@ -23,6 +23,8 @@ sniffed from JSON shape, not file name:
 A self-comparison is 100 % ``unchanged`` by construction (every comparator
 is an exact-equality fast path before any tolerance math) — the property
 the acceptance tests pin.
+Artifacts read from disk are validated by their writer's loader once
+their kind is sniffed; :func:`load_diff` validates a diff report on read.
 """
 
 from __future__ import annotations
@@ -30,12 +32,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+
+from repro.obs import _schema
 
 __all__ = [
     "DIFF_SCHEMA",
     "sniff_kind",
     "load_artifact",
+    "load_diff",
     "diff_artifacts",
     "diff_paths",
     "diff_exit_code",
@@ -45,6 +50,13 @@ __all__ = [
 
 #: Bump when the diff artifact field set changes.
 DIFF_SCHEMA = 1
+
+#: Artifact kinds :func:`sniff_kind` recognizes.
+DIFF_KINDS = ("manifest", "metrics", "curve", "health", "sensitivity",
+              "watch-baseline", "watch-trend")
+
+#: How each compared quantity is classified.
+CLASSIFICATIONS = ("improved", "regressed", "unchanged", "added", "removed")
 
 #: Default relative tolerance for ratio-ish quantities (shares, totals).
 DEFAULT_REL_TOL = 0.10
@@ -112,7 +124,8 @@ def _entry(key: str, a: Optional[float], b: Optional[float],
 
 
 def load_artifact(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse a JSON artifact; :class:`SchemaError` on unreadable files."""
+    """Parse a JSON artifact and validate it with its kind's loader;
+    :class:`SchemaError` on unreadable, unrecognized or invalid files."""
     from repro.errors import SchemaError
 
     path = Path(path)
@@ -127,13 +140,30 @@ def load_artifact(path: Union[str, Path]) -> Dict[str, Any]:
             if not manifests:
                 raise SchemaError(f"{path} holds no manifest to diff")
             path = manifests[0]
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read artifact {path}: {exc}") from exc
+    payload = _schema.read_json(path, "artifact")
     if not isinstance(payload, dict):
         raise SchemaError(f"{path} is not a JSON object")
+    loader = _kind_loader(sniff_kind(payload))
+    if loader is not None:
+        loader(path)
     return payload
+
+
+def _kind_loader(kind: str) -> Optional[Callable[[Any], Any]]:
+    """The writer's validating loader for an artifact kind (curves have
+    none). Imports are lazy: the writers import this module."""
+    from repro.obs.health import load_health_report
+    from repro.obs.manifest import load_manifest
+    from repro.obs.metrics import load_metrics_json
+    from repro.obs.watch import load_watch_artifact
+
+    if kind == "sensitivity":
+        from repro.analysis.sensitivity import load_frontier  # needs numpy
+        return load_frontier
+    if kind.startswith("watch-"):
+        return lambda source: load_watch_artifact(source, kind)
+    return {"manifest": load_manifest, "metrics": load_metrics_json,
+            "health": load_health_report}.get(kind)
 
 
 def sniff_kind(payload: Dict[str, Any]) -> str:
@@ -468,11 +498,9 @@ def diff_artifacts(a: Dict[str, Any], b: Dict[str, Any],
         entries = _diff_watch_trend(a, b)
     else:
         entries = _diff_health(a, b)
-    summary = {"improved": 0, "regressed": 0, "unchanged": 0,
-               "added": 0, "removed": 0}
+    summary = dict.fromkeys(CLASSIFICATIONS, 0)
     for entry in entries:
-        summary[entry["classification"]] = (
-            summary.get(entry["classification"], 0) + 1)
+        summary[entry["classification"]] += 1
     return {
         "schema": DIFF_SCHEMA,
         "kind": kind_a,
@@ -541,3 +569,28 @@ def write_diff(report: Dict[str, Any], path: Union[str, Path]) -> Path:
         fh.write("\n")
     tmp.replace(path)
     return path
+
+
+def load_diff(path: Union[str, Path]) -> Dict[str, Any]:
+    """Read a diff report back, validating on read: a known kind, keyed
+    entries classified from :data:`CLASSIFICATIONS`, and a summary that
+    tallies the entries exactly."""
+    payload, _, errors = _schema.read_object(path, "diff report", DIFF_SCHEMA)
+    entries = payload.get("entries")
+    if payload.get("kind") not in DIFF_KINDS or not isinstance(entries, list):
+        _schema.raise_if(errors + [f"{path}: unknown kind or no entries"])
+    tally = dict.fromkeys(CLASSIFICATIONS, 0)
+    for i, entry in enumerate(entries):
+        if _schema.missing(entry, ("key", "classification")) or \
+                entry["classification"] not in CLASSIFICATIONS:
+            errors.append(f"{path}: entry {i} lacks a key or a known "
+                          f"classification")
+        else:
+            tally[entry["classification"]] += 1
+    summary = payload.get("summary")
+    if not isinstance(summary, dict) or \
+            {k: summary.get(k, 0) for k in CLASSIFICATIONS} != tally:
+        errors.append(
+            f"{path}: summary {summary} disagrees with the entries ({tally})")
+    _schema.raise_if(errors)
+    return payload

@@ -33,12 +33,15 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional
 
+from repro.obs import _schema
+
 __all__ = [
     "EVENT_TYPES",
     "EVENTS_SCHEMA",
     "EventBus",
     "EventSink",
     "event_lines",
+    "load_events",
 ]
 
 #: Bump when the event field set changes incompatibly.
@@ -199,3 +202,26 @@ def event_lines(events: Iterable[Dict[str, Any]]) -> Iterable[str]:
         payload = {str(k): _jsonable(v) for k, v in event.items()}
         payload.setdefault("schema", EVENTS_SCHEMA)
         yield json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def load_events(path: Any) -> List[Dict[str, Any]]:
+    """Read an NDJSON event tail back, validating on read: stamped events
+    with a type from :data:`EVENT_TYPES`, a positive ``ts`` and strictly
+    increasing ``seq``."""
+    rows, errors = _schema.read_json_lines(path, "events")
+    last_seq = 0
+    for lineno, event in rows:
+        event = event if isinstance(event, dict) else {}
+        seq, ts = event.get("seq"), event.get("ts")
+        if event.get("schema") != EVENTS_SCHEMA or \
+                event.get("type") not in EVENT_TYPES or \
+                not _schema.is_number(ts) or ts <= 0:
+            errors.append(f"{path}:{lineno}: not a schema-{EVENTS_SCHEMA} "
+                          f"event with a known type and a positive ts")
+        if not _schema.is_count(seq) or seq <= last_seq:
+            errors.append(f"{path}:{lineno}: seq {seq!r} not strictly "
+                          f"increasing (after {last_seq})")
+        else:
+            last_seq = seq
+    _schema.raise_if(errors or ([] if rows else [f"{path}: no events"]))
+    return [event for _, event in rows]

@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from repro.obs import _schema
 from repro.obs.probes import SEVERITIES
 
 __all__ = [
@@ -138,27 +139,39 @@ def write_health_report(report: HealthReport, path: Union[str, Path]) -> Path:
     return path
 
 
-def load_health_report(source: Union[str, Path, Dict[str, Any]]) -> HealthReport:
-    """Rebuild a report from a file path or an already-parsed dict.
+FINDING_FIELDS = ("probe", "stage", "severity", "message")
 
-    Raises :class:`repro.errors.SchemaError` on a wrong or missing schema —
-    ``autosens doctor`` turns that into exit code 3.
-    """
-    from repro.errors import SchemaError
 
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"cannot read health report {source}: {exc}") from exc
-    else:
-        payload = source
-    if not isinstance(payload, dict) or payload.get("schema") != HEALTH_SCHEMA:
-        raise SchemaError(
-            f"not a schema-{HEALTH_SCHEMA} health report: "
-            f"{source if isinstance(source, (str, Path)) else type(payload)}")
-    findings = payload.get("findings")
+def health_violations(payload: Any, where: str) -> List[str]:
+    """Every way ``payload`` fails to be a serialized health report: its
+    shape, and folded ``verdict``/``stages``/``counts`` that disagree
+    with its findings."""
+    findings = payload.get("findings") if isinstance(payload, dict) else None
     if not isinstance(findings, list):
-        raise SchemaError("health report is missing its findings list")
-    return HealthReport([dict(f) for f in findings])
+        return [f"{where}: not a health report (no findings list)"]
+    errors = [] if payload.get("schema") == HEALTH_SCHEMA else [
+        f"{where}: health schema != {HEALTH_SCHEMA}"]
+    if payload.get("verdict") not in SEVERITIES:
+        errors.append(f"{where}: bad verdict {payload.get('verdict')!r}")
+    errors += [f"{where}: finding {i} lacks {FINDING_FIELDS} or a known "
+               f"severity" for i, f in enumerate(findings)
+               if _schema.missing(f, FINDING_FIELDS)
+               or f["severity"] not in SEVERITIES]
+    if errors:
+        return errors
+    # The verdict is only folded from findings when there are any.
+    folded = HealthReport(findings).to_dict()
+    return [f"{where}: {key} {payload[key]!r} disagrees with the findings "
+            f"({folded[key]!r})" for key in ("verdict", "stages", "counts")
+            if key in payload and payload[key] != folded[key]
+            and (findings or key != "verdict")]
+
+
+def load_health_report(source: Union[str, Path, Dict[str, Any]]) -> HealthReport:
+    """Rebuild a report from a file path or an already-parsed dict,
+    validating on read (:func:`health_violations`); ``autosens doctor``
+    turns the :class:`repro.errors.SchemaError` into exit code 3."""
+    payload = _schema.read_json(source, "health report")
+    _schema.raise_if(health_violations(
+        payload, _schema.owner(source, "health report")))
+    return HealthReport([dict(f) for f in payload["findings"]])

@@ -24,18 +24,28 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SchemaError
+from repro.obs import _schema
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
     "write_manifest",
     "load_manifest",
+    "load_summary",
     "manifest_rows",
     "file_digest",
 ]
 
 #: Bump when the manifest field set changes incompatibly.
 MANIFEST_SCHEMA = 1
+
+#: Fields every manifest carries (``created_at`` only when not deterministic).
+MANIFEST_FIELDS = ("schema", "run_id", "experiment_id", "seed",
+                   "config_fingerprint", "deterministic", "python",
+                   "packages", "inputs", "degradations", "ingest", "metrics")
+
+_FIELD_TYPES = {"packages": dict, "inputs": dict, "degradations": list,
+                "ingest": dict, "metrics": dict, "span_timings": dict}
 
 
 def file_digest(path: Union[str, Path], chunk_size: int = 1 << 20) -> str:
@@ -130,15 +140,37 @@ def write_manifest(manifest: Dict[str, Any],
     return path
 
 
-def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a manifest back; raises :class:`SchemaError` on malformed files."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read manifest {path}: {exc}") from exc
+def load_manifest(source: Any) -> Dict[str, Any]:
+    """Read a manifest back (a path or a parsed payload), validating on
+    read: every field :func:`build_manifest` writes with its JSON type, no
+    ``created_at`` on a deterministic manifest, span timings with a count
+    and non-negative seconds, and a valid embedded health report."""
+    from repro.obs.health import health_violations
+
+    data = _schema.read_json(source, "manifest")
+    where = _schema.owner(source, "manifest")
     if not isinstance(data, dict) or "run_id" not in data:
-        raise SchemaError(f"{path} is not a run manifest (no run_id)")
+        raise SchemaError(f"{where} is not a run manifest (no run_id)")
+    absent = _schema.missing(data, MANIFEST_FIELDS)
+    errors = [f"{where}: missing fields {absent}"] if absent else []
+    if data.get("schema") != MANIFEST_SCHEMA:
+        errors.append(f"{where}: schema != {MANIFEST_SCHEMA}")
+    if data.get("deterministic") and "created_at" in data:
+        errors.append(f"{where}: deterministic manifest carries created_at")
+    errors += [f"{where}: {key} is not a {kind.__name__}"
+               for key, kind in _FIELD_TYPES.items()
+               if key in data and not isinstance(data[key], kind)]
+    timings = data.get("span_timings")
+    errors += [f"{where}: span_timings[{name!r}] lacks a count and seconds"
+               for name, cell in (timings if isinstance(timings, dict)
+                                  else {}).items()
+               if _schema.missing(cell, ("count", "seconds"))
+               or not _schema.is_count(cell["count"])
+               or not _schema.is_number(cell["seconds"])
+               or cell["seconds"] < 0]
+    if "health" in data:
+        errors += health_violations(data["health"], f"{where} (embedded)")
+    _schema.raise_if(errors)
     return data
 
 
@@ -200,4 +232,31 @@ def manifest_rows(manifest: Dict[str, Any]) -> List[Tuple[str, Any]]:
                 rows.append((
                     f"{name}{labels}",
                     " ".join(f"{k}={quantiles[k]}" for k in sorted(quantiles))))
+    return rows
+
+
+#: Rows every ``autosens obs summary --format json`` payload carries,
+#: with the JSON type of their values.
+SUMMARY_FIELDS = {"run id": str, "experiment": str, "seed": int,
+                  "deterministic": bool}
+
+
+def load_summary(path: Union[str, Path]) -> List[List[Any]]:
+    """Read an ``autosens obs summary --format json`` payload back,
+    validating on read: ``[field, scalar]`` rows covering
+    :data:`SUMMARY_FIELDS`, each with a value of its type."""
+    rows = _schema.read_json(path, "summary")
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError(f"{path}: not a list of [field, value] rows")
+    pairs = {i: row for i, row in enumerate(rows)
+             if isinstance(row, list) and len(row) == 2
+             and isinstance(row[0], str)
+             and isinstance(row[1], (str, int, float, bool, type(None)))}
+    errors = [f"{path}: row {i} is not a [field, scalar] pair"
+              for i in range(len(rows)) if i not in pairs]
+    values = dict(pairs.values())
+    errors += [f"{path}: {name!r} row missing or not of type {kind.__name__}"
+               for name, kind in SUMMARY_FIELDS.items()
+               if type(values.get(name)) is not kind]
+    _schema.raise_if(errors)
     return rows

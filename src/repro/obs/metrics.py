@@ -11,16 +11,20 @@ Labels are passed as keyword arguments and stored as sorted tuples, so
 ``inc("x", a="1", b="2")`` and ``inc("x", b="2", a="1")`` hit the same
 series. Histograms use *fixed* bucket bounds chosen at creation; this keeps
 the exporter deterministic and the memory bounded.
+:func:`load_metrics_prometheus` and :func:`load_metrics_json` read either
+export back and validate it on read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchemaError
+from repro.obs import _schema
 
 __all__ = [
     "Counter",
@@ -30,6 +34,8 @@ __all__ = [
     "DEFAULT_DURATION_BUCKETS_S",
     "SUMMARY_QUANTILES",
     "bucket_quantile",
+    "load_metrics_json",
+    "load_metrics_prometheus",
     "write_metrics_json",
     "write_metrics_prometheus",
 ]
@@ -222,7 +228,7 @@ class Histogram:
 
     def render_quantile_comments(self) -> Iterable[str]:
         """``# QUANTILE`` comment lines — scrapers ignore ``#``, humans and
-        ``validate_obs.py`` read the p50/p90/p99 summaries."""
+        :func:`load_metrics_prometheus` read the p50/p90/p99 summaries."""
         for key in sorted(self.series):
             parts = " ".join(
                 f"{name}={_fmt(value)}"
@@ -321,3 +327,107 @@ def write_metrics_json(registry: MetricsRegistry,
         json.dump(registry.snapshot(), fh, sort_keys=True,
                   separators=(",", ":"))
         fh.write("\n")
+
+
+_KINDS = ("counter", "gauge", "histogram")
+
+_PROM_SAMPLE = re.compile(
+    r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?P<labels>\{[^}]*\})?'
+    r' (?P<value>[0-9eE+.\-]+|\+Inf|-Inf|NaN)$')
+
+_PROM_QUANTILE = re.compile(
+    r'^# QUANTILE (?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{[^}]*\})?'
+    r'(?: p\d+=(?:[0-9eE+.\-]+|NaN))+$')
+
+
+def _floats(texts: Sequence[str]) -> Optional[List[float]]:
+    try:
+        return [float(text) for text in texts]
+    except ValueError:
+        return None
+
+
+def load_metrics_prometheus(path: Union[str, Path]) -> Dict[str, float]:
+    """Read Prometheus text back as ``{series: value}``, validating on
+    read: known ``# TYPE`` kinds, parseable samples of declared metrics,
+    and a monotone ``# QUANTILE`` summary for every histogram."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise SchemaError(f"cannot read metrics {path}: {exc}") from exc
+    errors: List[str] = []
+    declared: Dict[str, str] = {}
+    summarized = set()
+    samples: Dict[str, float] = {}
+    for lineno, line in enumerate(lines, start=1):
+        where = f"{path}:{lineno}"
+        parts = line.split()
+        if line.startswith("# TYPE "):
+            if len(parts) != 4 or parts[3] not in _KINDS:
+                errors.append(f"{where}: malformed TYPE line")
+            else:
+                declared[parts[2]] = parts[3]
+        elif line.startswith("# QUANTILE "):
+            match = _PROM_QUANTILE.match(line)
+            values = _floats(re.findall(r" p\d+=(\S+)", line))
+            if match is None or values is None or values != sorted(values):
+                errors.append(f"{where}: QUANTILE line malformed or "
+                              f"quantiles not monotone")
+            else:
+                summarized.add(match.group("name"))
+        elif line.strip() and not line.startswith("#"):
+            match = _PROM_SAMPLE.match(line)
+            value = _floats([match.group("value")]) if match else None
+            name = match.group("name") if match else ""
+            if value is None or (name not in declared and re.sub(
+                    r"_(bucket|sum|count)$", "", name) not in declared):
+                errors.append(f"{where}: unparseable or undeclared sample "
+                              f"{line!r}")
+            else:
+                samples[name + (match.group("labels") or "")] = value[0]
+    errors += [f"{path}: histogram {name} has no # QUANTILE summary"
+               for name, kind in sorted(declared.items())
+               if kind == "histogram" and name not in summarized]
+    _schema.raise_if(errors or (
+        [] if samples else [f"{path}: no metric samples"]))
+    return samples
+
+
+def load_metrics_json(source: Any) -> Dict[str, Any]:
+    """Read a registry snapshot back (a path or a parsed payload),
+    validating on read: known kinds, series maps, and histogram series
+    with monotone p50/p90/p99 quantiles and a count equal to their
+    buckets."""
+    payload = _schema.read_json(source, "metrics snapshot")
+    where = _schema.owner(source, "metrics snapshot")
+    if not isinstance(payload, dict) or not payload:
+        raise SchemaError(f"{where}: snapshot missing or empty")
+    errors = []
+    for name, entry in payload.items():
+        if _schema.missing(entry, ("kind", "series")) or \
+                entry["kind"] not in _KINDS or \
+                not isinstance(entry["series"], dict):
+            errors.append(f"{where}: {name} lacks a known kind or series")
+            continue
+        for labels, series in entry["series"].items():
+            if entry["kind"] != "histogram":
+                continue
+            series = series if isinstance(series, dict) else {}
+            q = series.get("quantiles")
+            values = [q.get(k) for k in ("p50", "p90", "p99")] \
+                if isinstance(q, dict) else [None]
+            buckets = series.get("buckets")
+            counts = [*buckets.values(), series.get("inf")] \
+                if isinstance(buckets, dict) else [None]
+            if not all(map(_schema.is_number, values)) or \
+                    not all(map(_schema.is_count, counts)):
+                errors.append(f"{where}: {name}{labels}: quantiles or "
+                              f"bucket counts missing")
+            elif values != sorted(values):
+                errors.append(f"{where}: {name}{labels}: quantiles not "
+                              f"monotone {values}")
+            elif sum(counts) != series.get("count"):
+                errors.append(f"{where}: {name}{labels}: count disagrees "
+                              f"with its buckets")
+    _schema.raise_if(errors)
+    return payload

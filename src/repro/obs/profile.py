@@ -22,10 +22,13 @@ Both views export into one schema-1 profile artifact via
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from repro.obs import _schema
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -294,15 +297,39 @@ def write_profile(payload: Dict[str, Any], path: Union[str, Path]) -> Path:
     return path
 
 
-def load_profile(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse and schema-check a profile artifact."""
-    from repro.errors import SchemaError
+PROFILE_SPAN_FIELDS = ("count", "cpu_self_s", "cpu_total_s", "wall_s",
+                       "rss_peak_kb")
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read profile {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != PROFILE_SCHEMA:
-        raise SchemaError(f"not a schema-{PROFILE_SCHEMA} profile: {path}")
+_FOLDED_STACK = re.compile(r"^\S.* \d+$")
+
+
+def load_profile(path: Union[str, Path]) -> Dict[str, Any]:
+    """Read a profile artifact back, validating on read: numeric span
+    fields with self CPU within total CPU, a top table sorted by self
+    CPU, and ``stack count`` folded lines."""
+    payload, _, errors = _schema.read_object(path, "profile", PROFILE_SCHEMA)
+    spans = payload.get("spans")
+    if not isinstance(spans, dict):
+        _schema.raise_if(errors + [f"{path}: spans missing"])
+    for name, entry in spans.items():
+        if _schema.missing(entry, PROFILE_SPAN_FIELDS) or not all(
+                _schema.is_number(entry[f]) for f in PROFILE_SPAN_FIELDS):
+            errors.append(f"{path}: span {name!r} lacks numeric "
+                          f"{PROFILE_SPAN_FIELDS}")
+        elif entry["cpu_self_s"] > entry["cpu_total_s"] + 1e-6:
+            errors.append(f"{path}: span {name!r} self CPU exceeds total CPU")
+    top = payload.get("top", [])
+    self_times = [row.get("cpu_self_s") if isinstance(row, dict) else None
+                  for row in top] if isinstance(top, list) else [None]
+    if not all(map(_schema.is_number, self_times)):
+        errors.append(f"{path}: top is not a list of span rows")
+    elif self_times != sorted(self_times, reverse=True):
+        errors.append(f"{path}: top table is not sorted by self CPU")
+    for key in ("folded_spans", "folded_stacks"):
+        lines = payload.get(key, [])
+        if not isinstance(lines, list) or not all(
+                isinstance(line, str) and _FOLDED_STACK.match(line)
+                for line in lines):
+            errors.append(f"{path}: {key} is not a list of 'stack count'")
+    _schema.raise_if(errors)
     return payload

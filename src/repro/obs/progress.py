@@ -14,6 +14,7 @@ completions (half-life :data:`DEFAULT_HALFLIFE_S`), so the ETA tracks the
 caches reports the faster steady-state rate. All clocks here are wall
 clocks: progress is a live view, never a deterministic artifact, and the
 tracker touches no tracer or RNG state.
+:func:`load_progress` reads a snapshot back and validates it on read.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ import math
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.obs import _schema
+
 __all__ = [
     "PROGRESS_SCHEMA",
     "DEFAULT_HALFLIFE_S",
     "ProgressTracker",
     "render_progress",
     "snapshot_from_manifest",
+    "load_progress",
 ]
 
 #: Bump when the progress snapshot field set changes incompatibly.
@@ -200,23 +204,13 @@ def snapshot_from_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
     ``autosens top`` degrades to this manifest-only summary instead of
     erroring: terminal state from ``exit_status``, span counts and a
     wall-clock estimate from ``span_timings``. The frame satisfies the
-    same schema ``tools/validate_obs.py --progress`` checks, and carries
+    same schema :func:`load_progress` checks, and carries
     ``"source": "manifest"`` so renderers can label it honestly.
+    ``manifest`` is one :func:`~repro.obs.manifest.load_manifest` accepts.
     """
-    timings = manifest.get("span_timings")
-    spans: Dict[str, int] = {}
-    elapsed = 0.0
-    if isinstance(timings, dict):
-        for name in sorted(timings):
-            cell = timings[name]
-            if not isinstance(cell, dict):
-                continue
-            count = cell.get("count")
-            if isinstance(count, int) and count >= 0:
-                spans[str(name)] = count
-            seconds = cell.get("seconds")
-            if isinstance(seconds, (int, float)) and seconds >= 0:
-                elapsed += float(seconds)
+    timings = manifest.get("span_timings", {})
+    spans = {name: timings[name]["count"] for name in sorted(timings)}
+    elapsed = sum(float(timings[name]["seconds"]) for name in sorted(timings))
     exit_status = manifest.get("exit_status", 0)
     state = "done" if exit_status in (0, None) else "failed"
     return {
@@ -230,6 +224,41 @@ def snapshot_from_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
         "events": {"seen": 0, "dropped": 0},
         "source": "manifest",
     }
+
+
+def load_progress(source: Any) -> Dict[str, Any]:
+    """Read a progress snapshot back (a path or a parsed payload),
+    validating on read: the state vocabulary, per-stage ``done <= total``,
+    finite non-negative rates and ETAs, and event counters."""
+    payload, where, errors = _schema.read_object(
+        source, "progress snapshot", PROGRESS_SCHEMA)
+    elapsed, counters = payload.get("elapsed_s"), payload.get("events")
+    if payload.get("state") not in STATES:
+        errors.append(f"{where}: bad state {payload.get('state')!r}")
+    if not _schema.is_number(elapsed) or elapsed < 0:
+        errors.append(f"{where}: bad elapsed_s {elapsed!r}")
+    if not isinstance(counters, dict) or not all(
+            _schema.is_count(counters.get(k)) for k in ("seen", "dropped")):
+        errors.append(f"{where}: events counters missing or negative")
+    stages = payload.get("stages")
+    if not isinstance(stages, dict):
+        _schema.raise_if(errors + [f"{where}: stages missing"])
+    for name, stage in stages.items():
+        stage = stage if isinstance(stage, dict) else {}
+        done, total = stage.get("done"), stage.get("total")
+        if not _schema.is_count(done):
+            errors.append(f"{where}: stage {name!r} has bad done {done!r}")
+        elif total is not None and (not _schema.is_count(total)
+                                    or done > total):
+            errors.append(
+                f"{where}: stage {name!r} has done {done} > total {total}")
+        errors += [f"{where}: stage {name!r} has bad {key}"
+                   for key in ("rate_per_s", "eta_s")
+                   if stage.get(key) is not None and not (
+                       _schema.is_number(stage[key])
+                       and 0 <= stage[key] < math.inf)]
+    _schema.raise_if(errors)
+    return payload
 
 
 # ---------------------------------------------------------------------------

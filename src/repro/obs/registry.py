@@ -28,16 +28,20 @@ import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.errors import SchemaError
+from repro.obs import _schema
 from repro.obs.diff import (
     DEFAULT_CURVE_TOL,
     DEFAULT_REL_TOL,
     diff_exit_code,
     diff_paths,
 )
+from repro.obs.manifest import load_manifest
 
 __all__ = [
     "REGISTRY_SCHEMA",
     "RunRegistry",
+    "load_registry",
     "render_runs_table",
     "render_trend",
     "trend_exit_code",
@@ -103,12 +107,9 @@ class RunRegistry:
         directory (or its manifest) has been deleted or corrupted —
         callers degrade to index-line fields rather than failing."""
         try:
-            with open(self.run_path(entry) / "manifest.json", "r",
-                      encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
+            return load_manifest(self.run_path(entry) / "manifest.json")
+        except SchemaError:
             return None
-        return payload if isinstance(payload, dict) else None
 
     # -- writes --------------------------------------------------------------
 
@@ -185,6 +186,35 @@ class RunRegistry:
 # ---------------------------------------------------------------------------
 # CLI rendering.
 # ---------------------------------------------------------------------------
+
+
+def load_registry(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Read a registry (its directory or ``index.jsonl``) back, validating
+    on read — unlike :meth:`RunRegistry.entries`, which skips torn lines:
+    stamped index lines with strictly increasing ``seq``, each pointing at
+    a run directory whose manifest passes :func:`load_manifest`."""
+    path = Path(path)
+    index = path / "index.jsonl" if path.is_dir() else path
+    if not index.is_file():
+        raise SchemaError(f"{index}: registry index missing")
+    rows, errors = _schema.read_json_lines(index, "registry index")
+    last_seq = 0
+    for lineno, entry in rows:
+        entry = entry if isinstance(entry, dict) else {}
+        seq, run_dir = entry.get("seq"), index.parent / str(entry.get("dir"))
+        if entry.get("schema") != REGISTRY_SCHEMA or \
+                not _schema.is_count(seq) or seq <= last_seq:
+            errors.append(f"{index}:{lineno}: not a schema-{REGISTRY_SCHEMA} "
+                          f"entry with seq after {last_seq}")
+        else:
+            last_seq = seq
+        try:
+            load_manifest(run_dir / "manifest.json")
+        except SchemaError as exc:
+            errors += exc.violations
+    _schema.raise_if(errors or (
+        [] if rows else [f"{index}: no registry entries"]))
+    return [entry for _, entry in rows]
 
 
 def render_runs_table(entries: List[Dict[str, Any]]) -> str:

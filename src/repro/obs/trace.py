@@ -29,6 +29,9 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from repro.errors import SchemaError
+from repro.obs import _schema
+
 __all__ = [
     "Span",
     "Tracer",
@@ -39,10 +42,19 @@ __all__ = [
     "chrome_trace_events",
     "write_trace_jsonl",
     "write_chrome_trace",
+    "load_trace_jsonl",
+    "load_chrome_trace",
 ]
 
 #: Bump when the span-record field set changes.
 TRACE_SCHEMA = 1
+
+#: Fields every span JSONL record carries.
+SPAN_FIELDS = ("name", "id", "parent", "path", "tid", "start_us", "dur_us",
+               "attrs")
+
+#: Fields every Chrome trace event carries.
+EVENT_FIELDS = ("ph", "name", "cat", "ts", "dur", "pid", "tid", "args")
 
 #: Hex characters kept from the sha256 digest for a span id.
 _ID_LEN = 16
@@ -384,3 +396,58 @@ def write_chrome_trace(records: Iterable[Dict[str, Any]],
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
     return len(events)
+
+
+def _unresolved(parent: Any, ids: set) -> bool:
+    return parent is not None and (not isinstance(parent, str)
+                                   or parent not in ids)
+
+
+def load_trace_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Read span JSONL back, validating on read: every line a stamped
+    record with every span field, and every parent a span in the file."""
+    rows, errors = _schema.read_json_lines(path, "span trace")
+    records = {}
+    for lineno, record in rows:
+        absent = _schema.missing(record, SPAN_FIELDS)
+        if absent or record.get("schema") != TRACE_SCHEMA \
+                or not isinstance(record["id"], str):
+            errors.append(f"{path}:{lineno}: not a schema-{TRACE_SCHEMA} "
+                          f"span record (missing {absent})")
+        else:
+            records[f"{path}:{lineno}"] = record
+    ids = {record["id"] for record in records.values()}
+    errors += [f"{where}: parent {record['parent']!r} not in file"
+               for where, record in records.items()
+               if _unresolved(record["parent"], ids)]
+    _schema.raise_if(errors or ([] if rows else [f"{path}: no span records"]))
+    return list(records.values())
+
+
+def load_chrome_trace(source: Any) -> Dict[str, Any]:
+    """Read a Chrome trace back (a path or a parsed payload), validating on
+    read: the schema stamp, complete ("X") events with every event field,
+    and parents that resolve."""
+    payload = _schema.read_json(source, "chrome trace")
+    where = _schema.owner(source, "chrome trace")
+    events = payload.get("traceEvents") if isinstance(payload, dict) else None
+    if not isinstance(events, list) or not events:
+        raise SchemaError(f"{where}: traceEvents missing or empty")
+    other = payload.get("otherData")
+    errors = [] if isinstance(other, dict) and other.get(
+        "schema") == TRACE_SCHEMA else [f"{where}: schema != {TRACE_SCHEMA}"]
+    complete = {}
+    for i, event in enumerate(events):
+        absent = _schema.missing(event, EVENT_FIELDS)
+        if absent or event["ph"] != "X" or not isinstance(event["args"], dict):
+            errors.append(f"{where}: event {i} is not a complete event "
+                          f"(missing {absent})")
+        else:
+            complete[i] = event["args"]
+    ids = {a.get("span_id") for a in complete.values()
+           if isinstance(a.get("span_id"), str)}
+    errors += [f"{where}: event {i} parent {args['parent_id']!r} unresolved"
+               for i, args in complete.items()
+               if _unresolved(args.get("parent_id"), ids)]
+    _schema.raise_if(errors)
+    return payload

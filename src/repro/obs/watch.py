@@ -40,6 +40,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.obs import _schema
 from repro.obs.registry import RunRegistry
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "render_watch",
     "watch_exit_code",
     "write_watch_artifact",
+    "load_watch_artifact",
 ]
 
 #: Bump when baseline/trend/slo artifact shapes change incompatibly.
@@ -79,6 +81,10 @@ _ROUND = 9
 
 _OBJECTIVES = ("max", "min", "stable")
 
+_TREND_STATES = ("stable", "stepped", "trending")
+
+_BASELINE_FIELDS = ("n", "last", "ewma", "median", "mad", "lo", "hi")
+
 #: The fleet SLOs evaluated when no ``--slo`` config is given. Patterns
 #: are fnmatch globs over series names; a pattern matching no series is
 #: "no data", which meets the objective (absence is not a breach).
@@ -93,10 +99,6 @@ DEFAULT_SLOS: Tuple[Dict[str, Any], ...] = (
      "objective": "stable", "window": 16, "burn_rate": 0.0},
     {"name": "span-share-stability", "series": "span_share[*]",
      "objective": "stable", "window": 16, "burn_rate": 0.0},
-    {"name": "curve-stability", "series": "curve.*",
-     "objective": "stable", "window": 16, "burn_rate": 0.0},
-    {"name": "frontier-bias", "series": "frontier.max_abs_bias*",
-     "objective": "max", "threshold": 0.10, "window": 8, "burn_rate": 0.0},
 )
 
 
@@ -109,89 +111,40 @@ class WatchConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _read_json(path: Path) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def _entry_series(entry: Dict[str, Any], manifest: Dict[str, Any],
-                  run_dir: Path) -> Dict[str, float]:
-    """Every numeric series observable from one recorded run."""
+def _entry_series(entry: Dict[str, Any],
+                  manifest: Dict[str, Any]) -> Dict[str, float]:
+    """Every numeric series observable from one recorded run; ``manifest``
+    passed :func:`~repro.obs.manifest.load_manifest`, or is empty."""
     values: Dict[str, float] = {}
     wall = entry.get("wall_s")
     if isinstance(wall, (int, float)):
         values["wall_s"] = float(wall)
 
-    timings = manifest.get("span_timings")
-    if isinstance(timings, dict):
-        total = 0.0
-        for name, cell in sorted(timings.items()):
-            if isinstance(cell, dict) and \
-                    isinstance(cell.get("seconds"), (int, float)):
-                seconds = float(cell["seconds"])
-                values[f"span_seconds[{name}]"] = seconds
-                total += seconds
+    timings = manifest.get("span_timings", {})
+    seconds = {name: float(timings[name]["seconds"])
+               for name in sorted(timings)}
+    total = sum(seconds.values())
+    for name, value in seconds.items():
+        values[f"span_seconds[{name}]"] = value
         if total > 0.0:
-            for name, cell in sorted(timings.items()):
-                if isinstance(cell, dict) and \
-                        isinstance(cell.get("seconds"), (int, float)):
-                    values[f"span_share[{name}]"] = \
-                        float(cell["seconds"]) / total
+            values[f"span_share[{name}]"] = value / total
 
     health = manifest.get("health")
-    if isinstance(health, dict):
-        counts = health.get("counts")
-        if isinstance(counts, dict):
-            values["health.warn"] = float(counts.get("warn", 0) or 0)
-            values["health.fail"] = float(counts.get("fail", 0) or 0)
-        verdict = health.get("verdict")
-        if isinstance(verdict, str):
-            values["health.verdict_rank"] = \
-                float({"ok": 0, "warn": 1, "fail": 2}.get(verdict, 2))
+    if health is not None:
+        if "counts" in health:
+            values["health.warn"] = float(health["counts"]["warn"])
+            values["health.fail"] = float(health["counts"]["fail"])
+        values["health.verdict_rank"] = float(
+            ("ok", "warn", "fail").index(health["verdict"]))
 
-    degradations = manifest.get("degradations")
-    if isinstance(degradations, list):
-        values["degradations"] = float(len(degradations))
+    if "degradations" in manifest:
+        values["degradations"] = float(len(manifest["degradations"]))
 
-    ingest = manifest.get("ingest")
-    if isinstance(ingest, dict):
-        n_rows = ingest.get("n_rows")
-        n_bad = ingest.get("n_bad")
-        if isinstance(n_rows, (int, float)) and n_rows and \
-                isinstance(n_bad, (int, float)):
-            values["ingest.reject_rate"] = float(n_bad) / float(n_rows)
-
-    # Optional analysis sidecars written next to the manifest.
-    for sidecar in sorted(run_dir.glob("*.curve.json")):
-        payload = _read_json(sidecar)
-        if not payload:
-            continue
-        curves = payload.get("curves")
-        if isinstance(curves, list):
-            nlps = [c.get("mean_nlp") for c in curves
-                    if isinstance(c, dict)
-                    and isinstance(c.get("mean_nlp"), (int, float))]
-            if nlps:
-                values["curve.mean_nlp"] = float(sum(nlps) / len(nlps))
-        elif isinstance(payload.get("mean_nlp"), (int, float)):
-            values["curve.mean_nlp"] = float(payload["mean_nlp"])
-    for sidecar in sorted(run_dir.glob("*.frontier.json")):
-        payload = _read_json(sidecar)
-        if not payload:
-            continue
-        points = payload.get("points")
-        if isinstance(points, list):
-            biases = [abs(p.get("bias", 0.0)) for p in points
-                      if isinstance(p, dict)
-                      and isinstance(p.get("bias"), (int, float))]
-            if biases:
-                values["frontier.max_abs_bias"] = float(max(biases))
-        elif isinstance(payload.get("max_abs_bias"), (int, float)):
-            values["frontier.max_abs_bias"] = float(payload["max_abs_bias"])
+    ingest = manifest.get("ingest", {})
+    n_rows, n_bad = ingest.get("n_rows"), ingest.get("n_bad")
+    if isinstance(n_rows, (int, float)) and n_rows and \
+            isinstance(n_bad, (int, float)):
+        values["ingest.reject_rate"] = float(n_bad) / float(n_rows)
     return values
 
 
@@ -211,8 +164,7 @@ def collect_series(registry: RunRegistry,
     for entry in entries:
         seq = int(entry.get("seq", 0))
         manifest = registry.read_manifest(entry) or {}
-        for name, value in _entry_series(
-                entry, manifest, registry.run_path(entry)).items():
+        for name, value in _entry_series(entry, manifest).items():
             if math.isfinite(value):
                 series.setdefault(name, []).append((seq, value))
     return {name: series[name] for name in sorted(series)}
@@ -510,7 +462,7 @@ def _eval_stable_slo(slo: Dict[str, Any],
     state = analysis.get("state", "stable")
     direction = analysis.get("direction")
     # Every fleet series is smaller-is-better (times, shares, failures,
-    # rejects, NLP, bias), so only upward movement breaches stability;
+    # rejects), so only upward movement breaches stability;
     # a downward step is an improvement worth seeing, not a page.
     worsened = state in ("stepped", "trending") and direction == "up"
     detail: Dict[str, Any] = {
@@ -690,6 +642,94 @@ def write_watch_artifact(payload: Dict[str, Any],
             pass
         raise
     return path
+
+
+def _baseline_violations(payload: Dict[str, Any], where: str) -> List[str]:
+    """Each series: ``n >= 1``, numeric fields, ``lo <= hi``, ``mad >= 0``."""
+    errors = []
+    for name, cell in payload["series"].items():
+        if _schema.missing(cell, (*_BASELINE_FIELDS, "within_envelope")) \
+                or not all(map(_schema.is_number,
+                               (cell[k] for k in _BASELINE_FIELDS))) \
+                or not _schema.is_count(cell["n"]) or cell["n"] < 1:
+            errors.append(f"{where}: series {name!r} lacks numeric "
+                          f"{_BASELINE_FIELDS}")
+        elif cell["lo"] > cell["hi"] or cell["mad"] < 0:
+            errors.append(f"{where}: series {name!r} has lo > hi or a "
+                          f"negative mad")
+    return errors
+
+
+def _trend_violations(payload: Dict[str, Any], where: str) -> List[str]:
+    """Each series: a known state; a stepped one names its
+    ``change_seq``, a moving one its direction."""
+    errors = []
+    for name, cell in payload["series"].items():
+        cell = cell if isinstance(cell, dict) else {}
+        state = cell.get("state")
+        if state not in _TREND_STATES:
+            errors.append(f"{where}: series {name!r} has bad state {state!r}")
+        elif state == "stepped" and \
+                not _schema.is_count(cell.get("change_seq")):
+            errors.append(f"{where}: stepped series {name!r} has no "
+                          f"change_seq")
+        elif state != "stable" and cell.get("direction") not in ("up", "down"):
+            errors.append(f"{where}: series {name!r} has no direction")
+    return errors
+
+
+def _slo_violations(payload: Dict[str, Any], where: str) -> List[str]:
+    """Each SLO's ``met`` agrees with its series details, and the report's
+    ``met`` with its SLOs and its breach list."""
+    errors = []
+    unmet = 0
+    for i, slo in enumerate(payload["slos"]):
+        details = slo.get("series") if isinstance(slo, dict) else None
+        if not isinstance(details, list) or not slo.get("name") or \
+                slo.get("objective") not in _OBJECTIVES or \
+                not isinstance(slo.get("met"), bool):
+            errors.append(f"{where}: slo {i} lacks a name, a known "
+                          f"objective, a bool met or a series list")
+            continue
+        burns = [slo.get("burn_rate")] + [
+            d.get("observed_burn_rate", 0.0) for d in details
+            if isinstance(d, dict)]
+        if not all(_schema.is_number(b) and 0.0 <= b <= 1.0 for b in burns):
+            errors.append(f"{where}: slo {i} has a burn rate outside [0, 1]")
+        if slo["met"] == any(isinstance(d, dict) and d.get("met") is False
+                             for d in details):
+            errors.append(f"{where}: slo {slo['name']!r} met={slo['met']} "
+                          f"disagrees with its series details")
+        unmet += not slo["met"]
+    met, breaches = payload.get("met"), payload.get("breaches")
+    if met is not (unmet == 0) or not isinstance(breaches, list) \
+            or bool(breaches) == met:
+        errors.append(f"{where}: report met={met!r} disagrees with its slos "
+                      f"or its breaches")
+    return errors
+
+
+#: Per artifact kind: the collection that must be non-empty, its type,
+#: and the kind's consistency checks.
+_WATCH_KINDS = {
+    "watch-baseline": ("series", dict, _baseline_violations),
+    "watch-trend": ("series", dict, _trend_violations),
+    "watch-slo": ("slos", list, _slo_violations),
+}
+
+
+def load_watch_artifact(source: Any, kind: str) -> Dict[str, Any]:
+    """Read one watch artifact back (a path or a parsed payload),
+    validating it on read as ``kind`` (``watch-baseline``, ``-trend`` or
+    ``-slo``)."""
+    payload, where, errors = _schema.read_object(source, kind, WATCH_SCHEMA)
+    key, shape, violations = _WATCH_KINDS[kind]
+    if payload.get("kind") != kind:
+        errors.append(f"{where}: kind != {kind!r}")
+    if not isinstance(payload.get(key), shape) or not payload[key]:
+        errors.append(f"{where}: {key} missing or empty")
+    _schema.raise_if(errors or violations(payload, where))
+    return payload
 
 
 # ---------------------------------------------------------------------------

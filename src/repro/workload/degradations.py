@@ -19,15 +19,15 @@ Design rules, pinned by ``tests/workload/test_degradations.py``:
   comparing a fixed per-row draw against a level-dependent threshold, so
   the rows dropped at level 0.3 are a subset of those dropped at 0.6
   (monotone nesting) and tuning one knob never reshuffles another's
-  selections — the same discipline as :class:`~repro.faults.incidents.IncidentFault`.
+  selections.
 - **Per-spec derived streams.** :class:`DegradationPlan` seeds each spec
   from ``(seed, position, spec name)`` like
   :class:`~repro.faults.FaultPlan`, so adding a spec to a plan never moves
   another spec's draws.
 
-The same operators exist as row-level :class:`~repro.faults.FaultSpec`
-shadows in :mod:`repro.faults.degradations` for ``corrupt_jsonl`` chaos
-runs over serialized telemetry.
+The chaos sweep applies these operators, not row-level copies of them,
+to an ingested and quarantined store of syntactically corrupted
+telemetry (``tests/faults/test_chaos_pipeline.py``).
 """
 
 from __future__ import annotations

@@ -15,6 +15,11 @@ Specs compose through :class:`IncidentPlan`, which derives one independent
 random stream per spec from ``(seed, position, spec name)`` — the same
 pure-stream scheme as :class:`repro.faults.FaultPlan` — so adding, removing
 or reordering incidents never perturbs the draws of the others.
+
+The chaos sweep drives these specs directly: it generates queue-backed
+telemetry under each incident, corrupts it with a syntactic
+:class:`~repro.faults.FaultPlan`, and ingests it
+(``tests/faults/test_chaos_pipeline.py``).
 """
 
 from __future__ import annotations

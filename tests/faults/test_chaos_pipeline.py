@@ -4,6 +4,11 @@ The contract under corruption is: the pipeline either produces a clean
 result whose ingest report flags what was rejected, or raises a typed
 :class:`~repro.errors.ReproError` — it never crashes with an untyped
 exception and never returns a curve poisoned by non-finite values.
+
+The sweep covers the syntactic fault catalogue, every workload incident
+(queue-backed telemetry generated under the incident, then corrupted)
+and every degradation operator (applied to the ingested, quarantined
+store) — the real specs, not row-level copies of them.
 """
 
 import numpy as np
@@ -13,7 +18,14 @@ from repro.core import AutoSens, AutoSensConfig, DegradePolicy
 from repro.errors import ReproError
 from repro.faults import DEFAULT_FAULT_SPECS, FaultPlan, corrupt_jsonl
 from repro.telemetry import IngestPolicy, read_jsonl, write_jsonl
-from repro.workload import owa_scenario
+from repro.workload import (
+    DEFAULT_INCIDENT_SPECS,
+    DEGRADATION_BUILDERS,
+    SCENARIOS,
+    DegradationPlan,
+    IncidentPlan,
+    owa_scenario,
+)
 
 #: Fault classes whose rows can only be rejected at ingest (syntactic or
 #: value-level corruption the readers must catch).
@@ -21,6 +33,17 @@ _REJECTED_AT_INGEST = {
     "malformed-lines", "truncated-lines", "nan-latency",
     "negative-latency", "dropped-fields",
 }
+
+#: Every chaos case: each syntactic fault, each workload incident and each
+#: degradation operator. Incident and degradation cases also carry the
+#: rejected-at-ingest corruption, so ingest must quarantine something.
+_CASES = (sorted(DEFAULT_FAULT_SPECS)
+          + [f"incident-{name}" for name in sorted(DEFAULT_INCIDENT_SPECS)]
+          + [f"degrade-{name}" for name in sorted(DEGRADATION_BUILDERS)])
+
+#: Degradation level for the sweep: moderate, so the estimator keeps
+#: enough rows to answer.
+_DEGRADE_LEVEL = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +63,32 @@ def _curve(logs, seed=5):
     return engine.preference_curve(logs)
 
 
-@pytest.mark.parametrize("fault_name", sorted(DEFAULT_FAULT_SPECS))
+def _incident_file(name, path):
+    """Queue-backed telemetry (the paired suites' small scale) generated
+    under one workload incident, written as JSONL."""
+    plan = IncidentPlan(specs=(DEFAULT_INCIDENT_SPECS[name](),), seed=13)
+    result = SCENARIOS["owa-queue"](
+        seed=77, duration_days=2.0, n_users=140,
+        candidates_per_user_day=80.0, incident_plan=plan,
+    ).generate()
+    assert result.incident_windows, f"incident {name} left no window"
+    write_jsonl(result.logs.iter_records(), path)
+    return path
+
+
+@pytest.mark.parametrize("fault_name", _CASES)
 def test_pipeline_survives_fault(fault_name, clean_file, tmp_path):
-    plan = FaultPlan(specs=(DEFAULT_FAULT_SPECS[fault_name](),), seed=13)
+    source = clean_file
+    faults = [fault_name]
+    if fault_name not in DEFAULT_FAULT_SPECS:
+        faults = sorted(_REJECTED_AT_INGEST)
+    if fault_name.startswith("incident-"):
+        source = _incident_file(fault_name.removeprefix("incident-"),
+                                tmp_path / "incident.jsonl")
+    plan = FaultPlan(specs=tuple(DEFAULT_FAULT_SPECS[f]() for f in faults),
+                     seed=13)
     dirty = tmp_path / f"{fault_name}.jsonl"
-    corrupt_jsonl(clean_file, dirty, plan)
+    corrupt_jsonl(source, dirty, plan)
 
     sink = tmp_path / f"{fault_name}.rejects.jsonl"
     policy = IngestPolicy(
@@ -57,7 +101,7 @@ def test_pipeline_survives_fault(fault_name, clean_file, tmp_path):
     report = logs.ingest_report
     assert report is not None
 
-    if fault_name in _REJECTED_AT_INGEST:
+    if _REJECTED_AT_INGEST.intersection(faults):
         # Corruption of this class must be caught and quarantined, never
         # silently absorbed into the store.
         assert report.n_bad > 0
@@ -65,6 +109,11 @@ def test_pipeline_survives_fault(fault_name, clean_file, tmp_path):
     else:
         # Semantic faults parse fine; the store simply reflects them.
         assert report.n_rows > 0
+
+    if fault_name.startswith("degrade-"):
+        operator = DEGRADATION_BUILDERS[fault_name.removeprefix("degrade-")]
+        logs = DegradationPlan(specs=(operator(_DEGRADE_LEVEL),),
+                               seed=13).apply(logs)
 
     try:
         curve = _curve(logs)
@@ -95,8 +144,9 @@ def test_clean_data_identical_under_every_policy(clean_file, tmp_path):
 
 
 def test_quarantine_plus_degrade_full_sweep(clean_file, tmp_path):
-    """The dirty-data quickstart path: corrupt heavily, quarantine, sweep
-    with a degrade policy — starved slices are skipped and recorded."""
+    """The dirty-data quickstart path: corrupt heavily, quarantine, apply
+    every degradation operator, sweep with a degrade policy — starved
+    slices are skipped and recorded."""
     specs = tuple(DEFAULT_FAULT_SPECS[name]() for name in sorted(DEFAULT_FAULT_SPECS))
     dirty = tmp_path / "everything.jsonl"
     corrupt_jsonl(clean_file, dirty, FaultPlan(specs=specs, seed=99))
@@ -106,6 +156,10 @@ def test_quarantine_plus_degrade_full_sweep(clean_file, tmp_path):
         quarantine_path=tmp_path / "rejects.jsonl",
     ))
     assert logs.ingest_report.n_bad > 0
+    logs = DegradationPlan(
+        specs=tuple(DEGRADATION_BUILDERS[name](_DEGRADE_LEVEL)
+                    for name in sorted(DEGRADATION_BUILDERS)),
+        seed=99).apply(logs)
 
     engine = AutoSens(AutoSensConfig(seed=5), degrade=DegradePolicy())
     curves = engine.curves_by_action(logs)

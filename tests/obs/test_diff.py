@@ -127,10 +127,14 @@ class TestManifestDiff:
         assert diff_exit_code(report) == 1
 
     def test_health_verdict_regression_is_flagged(self, tmp_path):
-        ok = {"verdict": "ok", "counts": {"ok": 5, "warn": 0, "fail": 0},
-              "schema": 1, "findings": [], "stages": {}}
-        warn = {"verdict": "warn", "counts": {"ok": 4, "warn": 1, "fail": 0},
-                "schema": 1, "findings": [], "stages": {}}
+        from repro.obs.health import HealthReport
+
+        def finding(severity):
+            return {"probe": "p", "stage": "preference",
+                    "severity": severity, "message": severity}
+
+        ok = HealthReport([finding("ok")] * 5).to_dict()
+        warn = HealthReport([finding("ok")] * 4 + [finding("warn")]).to_dict()
         a = _manifest(tmp_path, "a.json", health=ok)
         b = _manifest(tmp_path, "b.json", health=warn)
         report = diff_paths(a, b)

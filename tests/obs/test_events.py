@@ -155,7 +155,8 @@ class TestFacade:
             assert all(t in EVENT_TYPES for t in types)
 
     def test_all_published_types_are_in_the_vocabulary(self):
-        # The closed vocabulary is what validate_obs --events checks against.
+        # The closed vocabulary is what load_events (validate_obs --events)
+        # checks against.
         assert set(EVENT_TYPES) == {
             "span_open", "span_close", "metric", "finding", "degradation",
             "supervisor", "stage", "tasks", "run", "slo"}

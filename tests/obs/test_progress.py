@@ -93,8 +93,8 @@ class TestRateAndEta:
 
 class TestClamps:
     """Pathological inputs must never leak impossible frames to /progress
-    (validate_obs --progress enforces done <= total and finite,
-    non-negative rates/ETAs)."""
+    (``load_progress``, which ``validate_obs --progress`` dispatches to,
+    enforces done <= total and finite, non-negative rates/ETAs)."""
 
     def _assert_frame_sane(self, snap):
         for stage in snap["stages"].values():

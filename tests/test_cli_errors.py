@@ -163,3 +163,59 @@ class TestExperimentCheckpointFlag:
         assert ckpt.exists() and list(ckpt.iterdir())
         assert main(args) == 0  # resumed from the journal
         assert capsys.readouterr().out == first
+
+
+def _health(findings):
+    return {"schema": 1, "verdict": "ok", "stages": {},
+            "counts": {"ok": 0, "warn": 0, "fail": 0}, "findings": findings}
+
+
+@pytest.fixture(scope="module")
+def validate_obs():
+    """``tools/validate_obs.py`` imported as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "validate_obs.py"
+    spec = importlib.util.spec_from_file_location("validate_obs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMalformedArtifacts:
+    """Malformed artifacts are typed errors: exit 3 from the CLI, one
+    ``INVALID:`` line per violation and exit 1 from the validator — never
+    an untyped exception."""
+
+    def test_doctor_on_non_object_findings_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "health.json"
+        path.write_text(json.dumps(_health([1])))
+        assert main(["doctor", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_obs_diff_rejects_a_finding_without_fields(self, tmp_path,
+                                                       capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps(_health([])))
+        b.write_text(json.dumps(_health([{"probe": 1}])))
+        assert main(["obs", "diff", str(a), str(b)]) == 3
+        assert "finding 0 lacks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,name,text", [
+        ("trace", "trace.jsonl", "[]\n"),
+        ("metrics", "metrics.json", json.dumps({"c": [1]})),
+        ("diff", "diff.json", json.dumps({
+            "schema": 1, "kind": "manifest", "entries": [1],
+            "summary": {}})),
+    ])
+    def test_validator_reports_instead_of_crashing(
+            self, validate_obs, tmp_path, capsys, flag, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert validate_obs.main([f"--{flag}", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("INVALID: ")
+        assert all(line.startswith("INVALID: ")
+                   for line in err.strip().splitlines())
