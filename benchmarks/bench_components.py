@@ -81,6 +81,22 @@ def test_jsonl_read_speed(benchmark, medium_result, tmp_path):
     assert len(store) == 20_000
 
 
+def test_jsonl_read_speed_dirty(benchmark, medium_result, tmp_path):
+    """1 % bad rows scattered through 20 k: each bad row splits its batch."""
+    path = tmp_path / "dirty.jsonl"
+    write_jsonl(medium_result.logs.to_records()[:20_000], path)
+    lines = path.read_text().splitlines()
+    bad = ["{definitely not json", '{"time":1.0,"action":"Search"}',
+           '{"time":1.0,"action":"Search","latency_ms":NaN}']
+    rng = np.random.default_rng(3)
+    for k, i in enumerate(rng.choice(len(lines), size=200, replace=False)):
+        lines[i] = bad[k % len(bad)]
+    path.write_text("\n".join(lines) + "\n")
+    store = benchmark(lambda: read_jsonl(path, policy="lenient"))
+    assert len(store) == 19_800
+    assert store.n_skipped_rows == 200
+
+
 def test_full_curve_speed(benchmark, medium_result):
     from repro.core import AutoSens, AutoSensConfig
 

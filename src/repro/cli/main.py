@@ -448,6 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     counts = sub.add_parser(
         "export-counts",
         help="export privacy-preserving sufficient statistics from a log file",
+        parents=[ingest],
     )
     counts.add_argument("logs", help="telemetry file (.jsonl, .jsonl.gz or .csv)")
     counts.add_argument("--action", default=None)
@@ -758,10 +759,10 @@ def _cmd_export_counts(args: argparse.Namespace) -> int:
     from repro.core import AutoSensConfig
     from repro.core.aggregate import save_counts
     from repro.core.alpha import slotted_counts
-    from repro.telemetry import read_csv, read_jsonl
 
     path = Path(args.logs)
-    logs = read_csv(path) if path.suffix == ".csv" else read_jsonl(path)
+    logs = _read_logs(path, args)
+    _report_ingest(logs)
     sliced = logs.where(action=args.action, user_class=args.user_class)
     if sliced.is_empty:
         print("the requested slice is empty", file=sys.stderr)

@@ -8,8 +8,8 @@ module makes those statistics **mergeable**, so telemetry can be processed
 chunk by chunk (or shard by shard on different machines) and combined:
 
     accumulator = StreamingAutoSens(config)
-    for chunk in read_jsonl_chunks("huge.jsonl.gz", rows_per_chunk=1_000_000):
-        accumulator.consume(chunk.where(action="SelectMail"))
+    for path in sorted(Path("logs").glob("actions-*.jsonl.gz")):  # rotated
+        accumulator.consume(read_jsonl(path).where(action="SelectMail"))
     curve = accumulator.preference_curve()
 
 Caveat: each chunk's Voronoi cells only see that chunk's samples, so

@@ -6,8 +6,8 @@ tracks one P² quantile estimator (O(1) memory) per user and produces a
 :class:`~repro.core.quartiles.QuartileAssignment`-compatible result.
 
     tracker = StreamingUserMedians()
-    for chunk in read_jsonl_chunks(...):
-        tracker.consume(chunk)
+    for path in sorted(Path("logs").glob("actions-*.jsonl.gz")):  # rotated
+        tracker.consume(read_jsonl(path).successful())
     assignment = tracker.assignment(min_actions_per_user=5)
 """
 

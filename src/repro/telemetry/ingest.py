@@ -25,6 +25,15 @@ per-reason breakdown, a sample of the first offenders — which the readers
 attach to the returned :class:`~repro.telemetry.log_store.LogStore` and the
 CLI ``quality``/``preflight`` commands print. Exceeding the error budget
 raises :class:`~repro.errors.IngestError` carrying the report.
+
+The whole-file readers work in batches of :data:`BATCH_ROWS` rows: each
+parses a batch into :class:`~repro.telemetry.log_store.Columns`,
+:func:`ingest_batch` checks them as whole columns, and a
+:class:`~repro.telemetry.log_store.ColumnBuilder` encodes them into the
+store. A
+row the batch cannot vouch for goes through the reader's per-row path,
+the same code its streaming iterator runs, so the outcome is the per-row
+one exactly.
 """
 
 from __future__ import annotations
@@ -33,10 +42,14 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 import repro.obs as obs
 from repro.errors import ConfigError, IngestError
+from repro.telemetry.log_store import ColumnBuilder, Columns
 
 _log = obs.get_logger(__name__)
 
@@ -49,6 +62,11 @@ __all__ = [
     "read_quarantine",
     "validate_record",
 ]
+
+#: Rows a batch reader parses and validates at once. Bounds the transient
+#: memory of a read to one batch of text and parsed rows on top of the
+#: store's columns.
+BATCH_ROWS = 8192
 
 #: Accepted ``IngestPolicy.mode`` values.
 INGEST_MODES = ("strict", "lenient", "quarantine")
@@ -65,10 +83,9 @@ class IngestPolicy:
     """How a reader treats rows that fail to parse or validate.
 
     ``max_bad_share`` is the error budget: in ``lenient``/``quarantine``
-    mode the read fails with :class:`~repro.errors.IngestError` once more
-    than that share of seen rows is bad (checked at end of file, and
-    eagerly once enough rows have been seen to make the verdict stable).
-    ``quarantine_path`` is required in ``quarantine`` mode.
+    mode the read fails with :class:`~repro.errors.IngestError` when more
+    than that share of the file's rows is bad, checked once the whole file
+    has been read. ``quarantine_path`` is required in ``quarantine`` mode.
     """
 
     mode: str = "strict"
@@ -213,8 +230,8 @@ class IngestCollector:
         )
         self._sink = None
 
-    def good(self) -> None:
-        self.report.n_rows += 1
+    def good(self, n: int = 1) -> None:
+        self.report.n_rows += n
 
     def bad(self, lineno: int, reason: str, raw: str, exc: Exception) -> None:
         """Record one rejected row; raises under the strict policy."""
@@ -323,3 +340,68 @@ def read_quarantine(path: Union[str, Path]) -> List[dict]:
                 "not written by the atomic quarantine sink"
             )
     return records
+
+
+def batches(items: Iterator) -> Iterator[list]:
+    """Lists of up to :data:`BATCH_ROWS` items from ``items``.
+
+    An error raised while reading ``items`` (a decode error, a torn gzip
+    stream) is re-raised only after the items read before it are yielded,
+    so a batch reader meets it where a per-row reader would.
+    """
+    while True:
+        batch: list = []
+        try:
+            batch.extend(islice(items, BATCH_ROWS))
+        except Exception:
+            if batch:
+                yield batch
+            raise
+        if not batch:
+            return
+        yield batch
+
+
+def rejected_rows(columns: Columns) -> np.ndarray:
+    """Rows that :class:`~repro.telemetry.record.ActionRecord` or
+    :func:`validate_record` would reject, as a mask.
+
+    The whole-column form of the per-row checks: finite ``time``,
+    ``latency_ms`` and ``tz_offset_hours``, ``latency_ms >= 0``,
+    ``|tz_offset_hours| <= 24`` and a non-empty ``action``.
+    """
+    tz = columns.tz_offsets
+    bad = ~(np.isfinite(columns.times) & np.isfinite(columns.latencies_ms)
+            & (columns.latencies_ms >= 0) & np.isfinite(tz) & (np.abs(tz) <= 24.0))
+    if "" in columns.actions:
+        bad |= np.array([name == "" for name in columns.actions], dtype=bool)
+    return bad
+
+
+def ingest_batch(
+    columns: Columns,
+    flagged: np.ndarray,
+    per_row: Callable[[int], None],
+    builder: ColumnBuilder,
+    collector: IngestCollector,
+) -> int:
+    """Validate one parsed batch as columns and add it in row order.
+
+    ``flagged`` marks rows the parser could not type. Flagged rows and rows
+    failing :func:`rejected_rows` go one at a time through ``per_row(i)``,
+    the reader's reference per-row path for the batch's ``i``-th row, so
+    their verdict, reason, line number and quarantine record are the
+    per-row ones. The runs of passing rows between them are added as
+    column slices. Returns how many rows took the per-row path.
+    """
+    n = len(flagged)
+    bad = rejected_rows(columns) | flagged
+    start = 0
+    for i in np.flatnonzero(bad).tolist() + [n]:
+        if i > start:
+            builder.add_columns(columns.rows(start, i))
+            collector.good(i - start)
+        if i < n:
+            per_row(i)
+        start = i + 1
+    return int(bad.sum())

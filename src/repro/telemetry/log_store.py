@@ -9,7 +9,7 @@ shared vocabularies, so filtering and grouping never touch Python strings.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,24 +19,111 @@ from repro.telemetry import timeutil
 from repro.types import ActionType, DayPeriod, UserClass
 
 
-def _encode(values: Sequence[str], vocab: List[str]) -> np.ndarray:
-    """Dictionary-encode ``values`` into ``vocab`` (extended in place)."""
-    index = {name: i for i, name in enumerate(vocab)}
-    codes = np.empty(len(values), dtype=np.int64)
-    for i, name in enumerate(values):
-        code = index.get(name)
-        if code is None:
-            code = len(vocab)
+def _encode(values: Sequence[str], vocab: List[str],
+            index: Optional[Dict[str, int]] = None) -> np.ndarray:
+    """Dictionary-encode ``values`` into ``vocab`` (extended in place).
+
+    New names are appended in first-appearance order. ``index`` maps the
+    names of ``vocab`` to their codes; pass the same dict on every call to
+    encode one column chunk by chunk without rebuilding it.
+    """
+    if index is None:
+        index = {name: i for i, name in enumerate(vocab)}
+    for name in dict.fromkeys(values):
+        if name not in index:
+            index[name] = len(vocab)
             vocab.append(name)
-            index[name] = code
-        codes[i] = code
-    return codes
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int64,
+                       count=len(values))
+
+
+def _remap(codes: np.ndarray, names: Sequence[str], vocab: List[str]) -> np.ndarray:
+    """The rows of ``codes`` (indexes into ``names``) as codes into ``vocab``.
+
+    ``vocab`` is extended in place, exactly as :func:`_encode` over the
+    decoded strings would: only names some row uses are added, in the
+    order of their first row. One mapping array replaces the per-row
+    decode.
+    """
+    index = {name: i for i, name in enumerate(vocab)}
+    present, first_row = np.unique(codes, return_index=True)
+    mapping = np.zeros(len(names), dtype=np.int64)
+    for code in present[np.argsort(first_row)].tolist():
+        name = names[code]
+        new = index.get(name)
+        if new is None:
+            new = index[name] = len(vocab)
+            vocab.append(name)
+        mapping[code] = new
+    return mapping[codes]
 
 
 def _as_name(value: Union[str, ActionType, UserClass]) -> str:
     if isinstance(value, (ActionType, UserClass)):
         return value.value
     return str(value)
+
+
+class Columns(NamedTuple):
+    """One batch of rows as columns, before dictionary encoding."""
+
+    times: np.ndarray
+    latencies_ms: np.ndarray
+    actions: List[str]
+    user_ids: List[str]
+    user_classes: List[str]
+    success: np.ndarray
+    tz_offsets: np.ndarray
+
+    def rows(self, lo: int, hi: int) -> "Columns":
+        return Columns(*(column[lo:hi] for column in self))
+
+
+class ColumnBuilder:
+    """Builds a :class:`LogStore` from batches of columns and single records.
+
+    The vocabularies and their name → code indexes carry across batches
+    and new names are appended in first-appearance order, so the codes and
+    vocabularies depend only on the rows and their order, not on how they
+    were split into batches and records.
+    """
+
+    def __init__(self) -> None:
+        self._chunks: List[tuple] = []
+        self._records: List[ActionRecord] = []
+        self._vocabs: Tuple[List[str], List[str], List[str]] = ([], [], [])
+        self._indexes: Tuple[Dict[str, int], ...] = ({}, {}, {})
+
+    def add_record(self, record: ActionRecord) -> None:
+        self._records.append(record)
+
+    def add_columns(self, columns: Columns) -> None:
+        self._flush_records()
+        codes = [_encode(names, vocab, index) for names, vocab, index in zip(
+            (columns.actions, columns.user_ids, columns.user_classes),
+            self._vocabs, self._indexes)]
+        self._chunks.append((columns.times, columns.latencies_ms, *codes,
+                             columns.success, columns.tz_offsets))
+
+    def _flush_records(self) -> None:
+        records, self._records = self._records, []
+        if records:
+            self.add_columns(Columns(
+                times=np.array([r.time for r in records], dtype=float),
+                latencies_ms=np.array([r.latency_ms for r in records], dtype=float),
+                actions=[r.action for r in records],
+                user_ids=[r.user_id for r in records],
+                user_classes=[r.user_class for r in records],
+                success=np.array([r.success for r in records], dtype=bool),
+                tz_offsets=np.array([r.tz_offset_hours for r in records], dtype=float),
+            ))
+
+    def store(self) -> LogStore:
+        self._flush_records()
+        if not self._chunks:
+            return LogStore(*[np.empty(0)] * 7, *self._vocabs)
+        return LogStore(*(np.concatenate(parts) for parts in zip(*self._chunks)),
+                        *self._vocabs)
 
 
 class LogStore:
@@ -88,22 +175,10 @@ class LogStore:
     @classmethod
     def from_records(cls, records: Iterable[ActionRecord]) -> "LogStore":
         """Build a store from an iterable of records."""
-        rows = list(records)
-        action_vocab: List[str] = []
-        user_vocab: List[str] = []
-        class_vocab: List[str] = []
-        return cls(
-            times=np.array([r.time for r in rows], dtype=float),
-            latencies_ms=np.array([r.latency_ms for r in rows], dtype=float),
-            action_codes=_encode([r.action for r in rows], action_vocab),
-            user_codes=_encode([r.user_id for r in rows], user_vocab),
-            class_codes=_encode([r.user_class for r in rows], class_vocab),
-            success=np.array([r.success for r in rows], dtype=bool),
-            tz_offsets=np.array([r.tz_offset_hours for r in rows], dtype=float),
-            action_vocab=action_vocab,
-            user_vocab=user_vocab,
-            class_vocab=class_vocab,
-        )
+        builder = ColumnBuilder()
+        for record in records:
+            builder.add_record(record)
+        return builder.store()
 
     @classmethod
     def from_arrays(
@@ -328,24 +403,21 @@ class LogStore:
 
     def concat(self, other: "LogStore") -> "LogStore":
         """Concatenate two stores, re-encoding the other's vocabularies."""
-        other_actions = [other.action_vocab[c] for c in other.action_codes]
-        other_users = [other.user_vocab[c] for c in other.user_codes]
-        other_classes = [other.class_vocab[c] for c in other.class_codes]
         action_vocab = list(self.action_vocab)
         user_vocab = list(self.user_vocab)
         class_vocab = list(self.class_vocab)
         return LogStore(
             times=np.concatenate([self.times, other.times]),
             latencies_ms=np.concatenate([self.latencies_ms, other.latencies_ms]),
-            action_codes=np.concatenate(
-                [self.action_codes, _encode(other_actions, action_vocab)]
-            ),
-            user_codes=np.concatenate(
-                [self.user_codes, _encode(other_users, user_vocab)]
-            ),
-            class_codes=np.concatenate(
-                [self.class_codes, _encode(other_classes, class_vocab)]
-            ),
+            action_codes=np.concatenate([
+                self.action_codes,
+                _remap(other.action_codes, other.action_vocab, action_vocab)]),
+            user_codes=np.concatenate([
+                self.user_codes,
+                _remap(other.user_codes, other.user_vocab, user_vocab)]),
+            class_codes=np.concatenate([
+                self.class_codes,
+                _remap(other.class_codes, other.class_vocab, class_vocab)]),
             success=np.concatenate([self.success, other.success]),
             tz_offsets=np.concatenate([self.tz_offsets, other.tz_offsets]),
             action_vocab=action_vocab,

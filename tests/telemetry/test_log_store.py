@@ -129,6 +129,57 @@ class TestOrderingAndConcat:
         assert merged.n_users() == 1
         assert merged.action_names() == ["x"]
 
+    @staticmethod
+    def _concat_by_decoding(a, b):
+        """The per-row concat: decode ``b``'s codes, re-encode into ``a``'s."""
+
+        def encode(names, vocab):
+            index = {name: i for i, name in enumerate(vocab)}
+            codes = np.empty(len(names), dtype=np.int64)
+            for i, name in enumerate(names):
+                if name not in index:
+                    index[name] = len(vocab)
+                    vocab.append(name)
+                codes[i] = index[name]
+            return codes
+
+        vocabs = [list(a.action_vocab), list(a.user_vocab), list(a.class_vocab)]
+        codes = [
+            np.concatenate([own, encode([names[c] for c in other], vocab)])
+            for own, other, names, vocab in zip(
+                (a.action_codes, a.user_codes, a.class_codes),
+                (b.action_codes, b.user_codes, b.class_codes),
+                (b.action_vocab, b.user_vocab, b.class_vocab),
+                vocabs)
+        ]
+        return codes, vocabs
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_concat_matches_decoding_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = [f"n{i}" for i in range(12)]
+
+        def store():
+            n = int(rng.integers(0, 60))
+            vocabs = [list(rng.permutation(pool)[:int(rng.integers(1, 9))])
+                      for _ in range(3)]
+            # Codes use only part of each vocabulary: the rest is unused.
+            codes = [rng.integers(0, max(1, len(v) - 2), n) for v in vocabs]
+            return LogStore.from_coded_arrays(
+                rng.random(n), rng.random(n), codes[0], vocabs[0],
+                codes[1], vocabs[1], codes[2], vocabs[2],
+                success=rng.random(n) < 0.9, tz_offsets=rng.random(n))
+
+        a, b = store(), store()
+        merged = a.concat(b)
+        codes, vocabs = self._concat_by_decoding(a, b)
+        for got, want in zip((merged.action_codes, merged.user_codes,
+                              merged.class_codes), codes):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert [merged.action_vocab, merged.user_vocab, merged.class_vocab] == vocabs
+        assert merged.times.tobytes() == np.concatenate([a.times, b.times]).tobytes()
+        assert merged.success.tolist() == a.success.tolist() + b.success.tolist()
+
 
 class TestAggregation:
     def test_per_user_median(self):

@@ -76,6 +76,21 @@ class TestTypedExits:
         path.write_text("")
         assert main(["analyze", str(path)]) == 5
 
+    @pytest.mark.parametrize("argv", [
+        ["quality", "missing.jsonl"],
+        ["analyze", "missing.jsonl"],
+        ["analyze", "missing.jsonl.gz"],
+        ["preflight", "missing.csv"],
+        ["export-counts", "missing.jsonl", "--out", "counts.json"],
+    ])
+    def test_missing_input_exits_2(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / arg) if arg.startswith("missing") else arg
+                for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing." in err
+        assert len(err.strip().splitlines()) == 1  # no traceback
+
 
 class TestIngestFlags:
     def test_lenient_analyze_succeeds_and_reports(self, dirty_log, capsys):
@@ -105,6 +120,19 @@ class TestIngestFlags:
         status = main(["preflight", str(dirty_log), "--on-bad-rows", "lenient"])
         assert status in (0, 1)  # readiness depends on the data, not a crash
         assert "check" in capsys.readouterr().out
+
+    def test_export_counts_honours_ingest_flags(self, dirty_log, tmp_path,
+                                               capsys):
+        out = tmp_path / "counts.json"
+        assert main(["export-counts", str(dirty_log), "--out", str(out)]) == 3
+        sink = tmp_path / "rejects.jsonl"
+        status = main(["export-counts", str(dirty_log), "--out", str(out),
+                       "--on-bad-rows", "quarantine",
+                       "--quarantine-path", str(sink)])
+        assert status == 0
+        assert out.exists()
+        assert len(sink.read_text().splitlines()) == 2
+        assert "rejected" in capsys.readouterr().err
 
 
 @pytest.fixture()
