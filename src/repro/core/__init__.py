@@ -47,7 +47,6 @@ from repro.core.pipeline import (
     DegradePolicy,
     SubsamplePolicy,
 )
-from repro.core.slice_cache import SliceCache
 from repro.core.preference import PreferenceComputer, average_results
 from repro.core.preflight import PreflightReport, preflight
 from repro.core.quartiles import (
@@ -121,7 +120,6 @@ __all__ = [
     "estimate_alpha",
     "corrected_histograms",
     "corrected_histograms_from_counts",
-    "SliceCache",
     "worked_example",
     "slot_labels",
     "slot_of_times",

@@ -15,8 +15,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.parallel import SerialExecutor, resolve_executor
 from repro.runtime.deadline import check_deadline
 from repro.runtime.memory import estimate_counts_bytes, estimate_nbytes
 from repro.runtime.supervisor import active_supervisor
-from repro.stats.histogram import Histogram1D, HistogramBins, latency_bins
+from repro.stats.histogram import HistogramBins, latency_bins
 from repro.stats.rng import RngFactory
 from repro.core.alpha import (
     AlphaEstimate,
@@ -39,7 +39,6 @@ from repro.core.alpha import (
     corrected_histograms_from_counts,
     slotted_counts,
 )
-from repro.core.slice_cache import SliceCache
 from repro.core.biased import biased_histogram
 from repro.core.locality import (
     DensityLatencySeries,
@@ -82,15 +81,6 @@ class AutoSensConfig:
     def bins(self) -> HistogramBins:
         return latency_bins(self.max_latency_ms, self.bin_width_ms)
 
-    def fingerprint(self) -> Tuple:
-        """Hashable identity of every methodology knob.
-
-        Used as a :class:`~repro.core.slice_cache.SliceCache` key component
-        so cached intermediates are never reused across configs that would
-        compute them differently.
-        """
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
-
     def computer(self) -> PreferenceComputer:
         return PreferenceComputer(
             smoothing_window=self.smoothing_window,
@@ -107,7 +97,7 @@ def _slice_key(
     month: Optional[int],
     days_per_month: int,
 ) -> Tuple:
-    """Normalize a slice predicate to a hashable cache-key tuple."""
+    """Normalize a slice predicate to the tuple that keys its spans."""
 
     def norm(value: Any) -> Optional[str]:
         if value is None:
@@ -220,12 +210,6 @@ class SubsamplePolicy:
             or self.time_fraction < 1.0
         )
 
-    def fingerprint(self) -> Tuple:
-        return (
-            self.event_fraction, self.user_fraction,
-            self.time_fraction, self.n_time_windows,
-        )
-
     def describe(self) -> str:
         return (
             f"events x{self.event_fraction:g}, users x{self.user_fraction:g}, "
@@ -247,23 +231,25 @@ class _ShedSlice:
     reason: str
 
 
-def _curve_task(payload: Tuple) -> Any:
+def _curve_task(payload: Tuple) -> Tuple[Any, List[str]]:
     """Top-level (picklable) sweep task: one preference curve per item.
 
-    Workers rebuild the engine from the config alone; because the pipeline
-    draws its randomness from pure named streams, a fresh engine in another
-    process produces bit-identical results to the serial path. Under a
-    degrade policy a starved slice comes back as a :class:`_StarvedSlice`
-    marker rather than an exception, so one empty slice cannot fail the
-    pool fan-out.
+    Every sweep task, inline or in a worker, rebuilds the engine from the
+    config alone; because the pipeline draws its randomness from pure named
+    streams, a fresh engine in another process produces bit-identical
+    results to one in this process. Returns ``(curve, notes)`` where
+    ``notes`` are the engine's :attr:`AutoSens.degradations` for this task.
+    Under a degrade policy a starved slice comes back as a
+    :class:`_StarvedSlice` marker rather than an exception, so one empty
+    slice cannot fail the pool fan-out.
     """
     config, degrade, subsample, logs, kwargs = payload
-    engine = AutoSens(config, cache=False, degrade=degrade, subsample=subsample)
+    engine = AutoSens(config, degrade=degrade, subsample=subsample)
     try:
-        return engine.preference_curve(logs, **kwargs)
+        return engine.preference_curve(logs, **kwargs), engine.degradations
     except InsufficientDataError as exc:
         if degrade is not None and degrade.on_starved_slice == "skip":
-            return _StarvedSlice(str(exc))
+            return _StarvedSlice(str(exc)), engine.degradations
         raise
 
 
@@ -276,11 +262,8 @@ class AutoSens:
 
     ``executor`` selects how the ``curves_by_*`` sweeps fan out
     (``None``/``"serial"``, ``"process"``, a worker count, or any object
-    with ``map_ordered`` — see :mod:`repro.parallel`). ``cache`` enables
-    memoization of per-slice intermediates (pass a
-    :class:`~repro.core.slice_cache.SliceCache` to share one across
-    engines, or ``False`` to disable). Both are pure plumbing: every
-    combination yields bit-identical results.
+    with ``map_ordered`` — see :mod:`repro.parallel`). It is pure
+    plumbing: every backend yields bit-identical results.
 
     ``degrade`` (a :class:`DegradePolicy`) turns sweep-level
     :class:`InsufficientDataError` aborts into recorded warnings: starved
@@ -297,7 +280,6 @@ class AutoSens:
         self,
         config: Optional[AutoSensConfig] = None,
         executor: Any = None,
-        cache: Union[bool, SliceCache] = True,
         degrade: Optional[DegradePolicy] = None,
         subsample: Optional[SubsamplePolicy] = None,
     ) -> None:
@@ -308,34 +290,14 @@ class AutoSens:
         self.subsample = subsample
         #: Human-readable log of everything a degrade policy dropped.
         self.degradations: List[str] = []
-        if cache is True:
-            self._cache: Optional[SliceCache] = SliceCache()
-        elif cache is False or cache is None:
-            self._cache = None
-        else:
-            self._cache = cache
-
-    @property
-    def cache(self) -> Optional[SliceCache]:
-        """The engine's slice cache (``None`` when caching is disabled)."""
-        return self._cache
 
     def cache_stats(self) -> Dict[str, int]:
-        """Slice-cache hit/miss/eviction counters (all zero when disabled).
+        """Always-zero counters of the retired slice cache.
 
-        Readable without the metrics registry — sweep drivers and tests can
-        assert cache behavior directly off the engine.
+        Kept for callers that still read them; the engine memoizes nothing.
         """
-        if self._cache is None:
-            return {"hits": 0, "misses": 0, "evictions": 0,
-                    "entries": 0, "max_entries": 0}
-        return self._cache.stats()
-
-    def _memo(self, kind: str, logs: LogStore, key: Tuple, compute: Callable[[], Any]) -> Any:
-        if self._cache is None:
-            return compute()
-        full_key = (kind, self._cache.token(logs), key, self.config.fingerprint())
-        return self._cache.get_or_compute(full_key, compute)
+        return {"hits": 0, "misses": 0, "evictions": 0,
+                "entries": 0, "max_entries": 0}
 
     # -- slicing ------------------------------------------------------------
 
@@ -350,15 +312,12 @@ class AutoSens:
     ) -> tuple:
         key = _slice_key(action, user_class, period, month, days_per_month)
         with obs.span("slice", predicate=str(key)):
-            sliced = self._memo(
-                "slice", logs, key,
-                lambda: logs.where(
-                    action=action,
-                    user_class=user_class,
-                    period=period,
-                    month=month,
-                    days_per_month=days_per_month,
-                ),
+            sliced = logs.where(
+                action=action,
+                user_class=user_class,
+                period=period,
+                month=month,
+                days_per_month=days_per_month,
             )
         parts = []
         if action is not None:
@@ -377,15 +336,8 @@ class AutoSens:
             )
         return sliced, description
 
-    def _apply_subsample(
-        self, sliced: LogStore, description: str, key: Tuple
-    ) -> Tuple[LogStore, Tuple]:
-        """Apply the engine's :class:`SubsamplePolicy` to a sliced store.
-
-        Returns the kept store and the memo key extended with the policy
-        fingerprint (so cached intermediates are never shared between
-        subsampled and full evaluations of the same slice).
-        """
+    def _apply_subsample(self, sliced: LogStore, description: str) -> LogStore:
+        """Apply the engine's :class:`SubsamplePolicy` to a sliced store."""
         policy = self.subsample
         stream = self._rng.stream(f"subsample/{description}")
         n = len(sliced)
@@ -427,7 +379,7 @@ class AutoSens:
                 f"subsampling ({policy.describe()}); need at least "
                 f"{self.config.min_actions}"
             )
-        return kept, key + (("subsample",) + policy.fingerprint(),)
+        return kept
 
     # -- distributions --------------------------------------------------------
 
@@ -457,19 +409,16 @@ class AutoSens:
         days_per_month: int = 30,
     ) -> PreferenceResult:
         """Compute the normalized latency preference for a telemetry slice."""
-        cfg = self.config
         key = _slice_key(action, user_class, period, month, days_per_month)
         with obs.span("preference_curve", key=f"curve:{key}") as curve_span:
-            result = self._preference_curve_inner(
-                logs, key, action, user_class, period, month,
+            return self._preference_curve_inner(
+                logs, action, user_class, period, month,
                 days_per_month, curve_span,
             )
-        return result
 
     def _preference_curve_inner(
         self,
         logs: LogStore,
-        key: Tuple,
         action: Union[str, ActionType, None],
         user_class: Union[str, UserClass, None],
         period: Optional[DayPeriod],
@@ -482,7 +431,7 @@ class AutoSens:
             logs, action, user_class, period, month, days_per_month
         )
         if self.subsample is not None and self.subsample.is_active:
-            sliced, key = self._apply_subsample(sliced, description, key)
+            sliced = self._apply_subsample(sliced, description)
         curve_span.set(slice=description, n_actions=len(sliced))
         check_deadline(f"curve [{description}]")
         bins = cfg.bins()
@@ -496,10 +445,8 @@ class AutoSens:
                 what=f"slice [{description}]",
             )
         if not cfg.time_correction:
-            def compute_plain() -> Tuple[Histogram1D, Histogram1D]:
-                return biased_histogram(sliced, bins), unbiased_histogram(sliced, bins)
-
-            biased, unbiased = self._memo("histograms", logs, key, compute_plain)
+            biased = biased_histogram(sliced, bins)
+            unbiased = unbiased_histogram(sliced, bins)
             return computer.compute(
                 biased, unbiased,
                 slice_description=description, n_actions=len(sliced),
@@ -509,10 +456,7 @@ class AutoSens:
         # unbiased weights — happens exactly once per slice; every reference
         # slot below is then an O(n_slots × n_bins) contraction of the tensor.
         with obs.span("slotted_counts", n_actions=len(sliced)):
-            counts = self._memo(
-                "counts", logs, key,
-                lambda: slotted_counts(sliced, bins, scheme=cfg.slot_scheme),
-            )
+            counts = slotted_counts(sliced, bins, scheme=cfg.slot_scheme)
         references = counts.busiest_slots(cfg.n_reference_slots)
         skip_references = (
             self.degrade is not None
@@ -578,13 +522,14 @@ class AutoSens:
     # -- segmentations (the paper's figures) ------------------------------------
 
     def _sweep(self, tasks: List[Tuple[LogStore, Dict[str, Any]]]) -> List[Optional[PreferenceResult]]:
-        """Fan a list of ``(logs, preference_curve kwargs)`` over the executor.
+        """Run one :func:`_curve_task` per ``(logs, preference_curve kwargs)``.
 
-        The serial backend runs through ``self`` (sharing the slice cache);
-        other backends ship ``(config, degrade, subsample, logs, kwargs)``
-        payloads to
-        :func:`_curve_task` workers. Pure stream seeding makes the two
-        paths bit-identical.
+        Tasks run in *waves*: one wave holds every task unless a memory
+        governor bounds how many working sets may be live at once. A wave
+        runs inline on :class:`~repro.parallel.SerialExecutor` and through
+        ``executor.map_ordered`` otherwise; pure stream seeding makes the
+        two bit-identical, and each task's engine degradation notes are
+        appended to :attr:`degradations` in input order.
 
         Under a degrade policy with ``on_starved_slice="skip"`` a starved
         slice yields ``None`` (with the reason recorded on
@@ -593,37 +538,93 @@ class AutoSens:
         dicts.
 
         Inside an entered :class:`~repro.runtime.supervisor.Supervisor`
-        scope the sweep additionally honors the supervision concerns:
-        slices that cannot run before the deadline are *shed* (recorded as
-        ``deadline_exceeded`` degradations) rather than computed, the
-        memory governor bounds how many working sets run concurrently and
-        spills completed results past its soft limit, and per-slice
-        randomness stays pure — so the slices that do complete are
-        bit-identical to an unsupervised run's.
+        scope, once its deadline has expired the sweep *sheds* the work not
+        yet run (a single task inline, a whole wave on a pool), recording a
+        ``deadline_exceeded`` degradation per task, or raises
+        :class:`DeadlineExceededError` under ``on_over_budget="raise"``.
+        Completed results are held by the governor, which spills the
+        least-recently-finished ones to disk past its soft limit; spilled
+        results reload bit-identically before the sweep returns. Without a
+        supervisor nothing is shed and a deadline error propagates.
         """
-        skip_slices = (
-            self.degrade is not None and self.degrade.on_starved_slice == "skip"
-        )
         supervisor = active_supervisor()
+        if supervisor is not None and not supervisor.enabled:
+            supervisor = None
+        deadline = supervisor.deadline if supervisor is not None else None
+        governor = supervisor.memory if supervisor is not None else None
+        shed_over_budget = (
+            self.degrade is None or self.degrade.on_over_budget == "shed"
+        )
+
+        def over_budget() -> bool:
+            if deadline is None or not deadline.expired():
+                return False
+            if not shed_over_budget:
+                deadline.check("sweep")  # raises DeadlineExceededError
+            return True
+
+        def shed(idx: int) -> Tuple[_ShedSlice, List[str]]:
+            reason = (
+                f"sweep task {idx} shed: deadline of "
+                f"{deadline.budget_s:.4g}s exceeded after "
+                f"{deadline.elapsed():.4g}s"
+            )
+            supervisor.shed("deadline_exceeded", task=idx, detail=reason)
+            return _ShedSlice(reason), []
+
+        payloads = [
+            (self.config, self.degrade, self.subsample, lg, kw)
+            for lg, kw in tasks
+        ]
+        wave_size = max(1, len(payloads))
+        if governor is not None and payloads:
+            per_task = max(
+                estimate_counts_bytes(len(lg), self.config.bins().count)
+                for lg, _ in tasks
+            )
+            wave_size = governor.max_concurrent(per_task, len(payloads))
+
+        serial = isinstance(self.executor, SerialExecutor)
+        results: List[Any] = []
         with obs.span("sweep", n_tasks=len(tasks),
                       backend=type(self.executor).__name__):
-            if supervisor is not None and supervisor.enabled:
-                results = self._sweep_supervised(tasks, supervisor, skip_slices)
-            elif isinstance(self.executor, SerialExecutor):
-                results: List[Any] = []
-                for lg, kw in tasks:
+            for start in range(0, len(payloads), wave_size):
+                wave = payloads[start:start + wave_size]
+                if serial:
+                    done = [
+                        shed(start + j) if over_budget() else _curve_task(p)
+                        for j, p in enumerate(wave)
+                    ]
+                elif over_budget():
+                    done = [shed(start + j) for j in range(len(wave))]
+                else:
                     try:
-                        results.append(self.preference_curve(lg, **kw))
-                    except InsufficientDataError as exc:
-                        if not skip_slices:
+                        done = self.executor.map_ordered(_curve_task, wave)
+                    except DeadlineExceededError:
+                        if deadline is None or not shed_over_budget:
                             raise
-                        results.append(_StarvedSlice(str(exc)))
-            else:
-                payloads = [
-                    (self.config, self.degrade, self.subsample, lg, kw)
-                    for lg, kw in tasks
-                ]
-                results = self.executor.map_ordered(_curve_task, payloads)
+                        # The pool-side wait ran out mid-wave; shed the wave
+                        # whole — partial pool results are not recoverable
+                        # without exceeding the budget further.
+                        done = [shed(start + j) for j in range(len(wave))]
+                for idx, (value, notes) in enumerate(done, start):
+                    self.degradations.extend(notes)
+                    if governor is not None and isinstance(
+                        value, PreferenceResult
+                    ):
+                        governor.hold(
+                            ("sweep", idx), value, nbytes=estimate_nbytes(value)
+                        )
+                    results.append(value)
+            if governor is not None:
+                # Reload anything the governor spilled (pickled NumPy arrays
+                # round-trip bit-identically) and release the sweep's keys so
+                # consecutive sweeps never accumulate accounting state.
+                for idx in range(len(results)):
+                    hit, value = governor.fetch(("sweep", idx))
+                    if hit:
+                        results[idx] = value
+                    governor.release(("sweep", idx))
         out: List[Optional[PreferenceResult]] = []
         for result in results:
             if isinstance(result, _StarvedSlice):
@@ -638,111 +639,6 @@ class AutoSens:
             else:
                 out.append(result)
         return out
-
-    def _sweep_supervised(
-        self,
-        tasks: List[Tuple[LogStore, Dict[str, Any]]],
-        supervisor: Any,
-        skip_slices: bool,
-    ) -> List[Any]:
-        """The sweep loop under an entered supervisor scope.
-
-        Tasks run in bounded *waves* (the memory governor's admission
-        decides how many working sets may be live at once; without a
-        governor one wave holds everything). Between tasks and waves the
-        deadline is consulted: once over budget the remaining slices are
-        shed under ``on_over_budget="shed"`` (the default, also used when
-        no degrade policy is set) or the sweep raises under ``"raise"``.
-        Completed results are accounted to the governor, which spills the
-        least-recently-finished ones to disk past its soft limit; spilled
-        results reload bit-identically before the sweep returns.
-        """
-        cfg = self.config
-        deadline = supervisor.deadline
-        governor = supervisor.memory
-        shed_over_budget = (
-            self.degrade is None or self.degrade.on_over_budget == "shed"
-        )
-
-        def over_budget() -> bool:
-            if deadline is None or not deadline.expired():
-                return False
-            if not shed_over_budget:
-                deadline.check("sweep")  # raises DeadlineExceededError
-            return True
-
-        def shed(idx: int) -> _ShedSlice:
-            reason = (
-                f"sweep task {idx} shed: deadline of "
-                f"{deadline.budget_s:.4g}s exceeded after "
-                f"{deadline.elapsed():.4g}s"
-            )
-            supervisor.shed("deadline_exceeded", task=idx, detail=reason)
-            return _ShedSlice(reason)
-
-        n_tasks = len(tasks)
-        wave_size = n_tasks
-        if governor is not None and n_tasks:
-            per_task = max(
-                estimate_counts_bytes(len(lg), cfg.bins().count)
-                for lg, _ in tasks
-            )
-            wave_size = governor.max_concurrent(per_task, n_tasks)
-
-        serial = isinstance(self.executor, SerialExecutor)
-        results: List[Any] = []
-        for start in range(0, n_tasks, max(1, wave_size)):
-            wave = tasks[start:start + max(1, wave_size)]
-            if over_budget():
-                results.extend(shed(start + j) for j in range(len(wave)))
-                continue
-            if serial:
-                for j, (lg, kw) in enumerate(wave):
-                    if over_budget():
-                        results.append(shed(start + j))
-                        continue
-                    try:
-                        results.append(self.preference_curve(lg, **kw))
-                    except InsufficientDataError as exc:
-                        if not skip_slices:
-                            raise
-                        results.append(_StarvedSlice(str(exc)))
-            else:
-                payloads = [
-                    (self.config, self.degrade, self.subsample, lg, kw)
-                    for lg, kw in wave
-                ]
-                try:
-                    results.extend(
-                        self.executor.map_ordered(_curve_task, payloads)
-                    )
-                except DeadlineExceededError:
-                    if not shed_over_budget:
-                        raise
-                    # The pool-side wait ran out mid-wave; shed the wave
-                    # whole — partial pool results are not recoverable
-                    # without exceeding the budget further.
-                    results.extend(shed(start + j) for j in range(len(wave)))
-            if governor is not None:
-                for j in range(start, min(start + len(wave), len(results))):
-                    value = results[j]
-                    if value is None or isinstance(
-                        value, (_StarvedSlice, _ShedSlice)
-                    ):
-                        continue
-                    governor.hold(
-                        ("sweep", j), value, nbytes=estimate_nbytes(value)
-                    )
-        if governor is not None:
-            # Reload anything the governor spilled (pickled NumPy arrays
-            # round-trip bit-identically) and release the sweep's keys so
-            # consecutive sweeps never accumulate accounting state.
-            for idx in range(len(results)):
-                hit, value = governor.fetch(("sweep", idx))
-                if hit:
-                    results[idx] = value
-                governor.release(("sweep", idx))
-        return results
 
     def curves_by_action(
         self,

@@ -109,7 +109,7 @@ def _replicate_task(payload: tuple) -> Optional[np.ndarray]:
     replicate_rng = np.random.default_rng(seed)
     replicate_logs = _resample_days(logs, replicate_rng)
     try:
-        curve = AutoSens(cfg, cache=False).preference_curve(replicate_logs, **slice_kwargs)
+        curve = AutoSens(cfg).preference_curve(replicate_logs, **slice_kwargs)
     except (EmptyDataError, InsufficientDataError):
         return None
     return curve.nlp

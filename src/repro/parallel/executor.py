@@ -129,10 +129,12 @@ def _apply_chunk(payload: tuple) -> Any:
     The legacy two-field payload ``(fn, chunk)`` returns a plain result
     list. The traced four-field payload ``(fn, chunk, base, obs_spec)``
     additionally runs each item under a keyed task span on a worker-local
-    tracer and returns ``(results, span_records)`` so the parent can adopt
-    the worker's spans. The worker tracer shares the parent's ``trace_id``
-    (keyed ids match the serial run) but namespaces its path-based ids per
-    chunk, so two workers' internal spans can never collide.
+    tracer and returns ``(results, span_records, degradations, findings)``
+    so the parent can adopt the worker's spans and re-record its
+    degradations and health findings (:func:`_adopt_records`). The worker
+    tracer shares the parent's ``trace_id`` (keyed ids match the serial
+    run) but namespaces its path-based ids per chunk, so two workers'
+    internal spans can never collide.
     """
     if len(payload) == 2:
         fn, chunk = payload
@@ -151,7 +153,23 @@ def _apply_chunk(payload: tuple) -> Any:
                  run_id=spec["trace_id"]) as ctx:
         ctx.tracer = tracer
         results = _run_task_spans(fn, chunk, base=base)
-    return results, tracer.finished()
+    return results, tracer.finished(), ctx.degradations, ctx.findings
+
+
+def _adopt_records(degradations: List[Dict[str, Any]],
+                   findings: List[Dict[str, Any]]) -> None:
+    """Re-record a worker session's degradations and findings here.
+
+    They go through the same calls the serial path makes, so the parent's
+    lists and the ``autosens_degradations_total`` and
+    ``autosens_health_findings_total`` counters match a serial run.
+    """
+    from repro.obs import probes
+
+    for entry in degradations:
+        detail = dict(entry)
+        obs.record_degradation(detail.pop("kind"), **detail)
+    probes.emit(probes.HealthFinding(**finding) for finding in findings)
 
 
 class ProcessExecutor:
@@ -285,11 +303,12 @@ class ProcessExecutor:
                     try:
                         value = future.result(timeout=wait_s)
                         if spec is not None:
-                            results, records = value
+                            results, records, degradations, findings = value
                             ctx = obs.current()
                             ctx.tracer.adopt(records,
                                              parent_id=chunk_span.span_id,
                                              tid=1 + b)
+                            _adopt_records(degradations, findings)
                             out.extend(results)
                         else:
                             out.extend(value)

@@ -42,7 +42,7 @@ class TestArtifacts:
     def test_metrics_are_prometheus_text(self, artifacts):
         _, metrics, _ = artifacts
         text = metrics.read_text()
-        assert "# TYPE autosens_slice_cache_total counter" in text
+        assert "# TYPE autosens_health_findings_total counter" in text
 
     def test_manifest_names_the_experiment(self, artifacts):
         _, _, manifest = artifacts
