@@ -192,19 +192,54 @@ def slot_time_coverage(
 ) -> np.ndarray:
     """Seconds of ``[start, end)`` falling into each slot (approximate).
 
-    Evaluated on a fixed grid (default 1 minute), which is exact for the
-    hour-aligned schemes whenever the span is a multiple of the resolution.
+    Counts the points of the grid ``np.arange(start, end, resolution_s)``
+    (default 1 minute) in each slot, times the resolution. That is exact
+    for the hour-aligned schemes whenever the span is a multiple of the
+    resolution.
+
+    The grid is never built. The slot is constant between consecutive
+    :func:`_slot_cuts`, so each stretch between cuts holds a closed-form
+    count of grid points. ``np.arange`` fills point ``i`` as
+    ``start + i·δ`` with ``δ = (start + resolution_s) − start``; each cut's
+    grid index is computed from that expression and then re-checked
+    against it, so float rounding cannot move a point across a cut.
     """
     slot_ids = np.asarray(slot_ids, dtype=np.int64)
-    if end <= start:
+    if end <= start or slot_ids.size == 0:
         return np.zeros(len(slot_ids), dtype=float)
-    grid = np.arange(start, end, resolution_s)
-    grid_slots = slot_of_times(grid, scheme, tz_offset_hours)
+    n_points = int(np.ceil((end - start) / resolution_s))
+    delta = (start + resolution_s) - start
+
+    def point(i: np.ndarray) -> np.ndarray:
+        return start + i * delta
+
+    # The last point can round to ``end`` or past it, so the cuts run one
+    # step beyond it.
+    stop = float(point(n_points))
+    cuts = _slot_cuts(start, stop, tz_offset_hours)
+    # First grid index at or after each cut, guarded against rounding.
+    first = np.clip(np.ceil((cuts - start) / delta), 0, n_points).astype(np.int64)
+    first += (first < n_points) & (point(first) < cuts)
+    first -= (first > 0) & (point(first - 1) >= cuts)
+    points = np.diff(np.concatenate(([0], first, [n_points])))
+    bounds = np.concatenate(([start], cuts, [stop]))
+    slots = slot_of_times(0.5 * (bounds[1:] + bounds[:-1]), scheme, tz_offset_hours)
+
+    # A grid point within rounding distance of a cut may get the slot of
+    # the other side from ``slot_of_times``. Only the two points either
+    # side of a cut can be that close, so they are slotted individually.
+    edge = np.sort(np.concatenate((first - 1, first)))
+    edge = edge[(edge >= 0) & (edge < n_points) & (np.diff(edge, prepend=-1) > 0)]
+    points -= np.bincount(np.searchsorted(first, edge, side="right"),
+                          minlength=points.size)
+    slots = np.concatenate((slots, slot_of_times(point(edge), scheme, tz_offset_hours)))
+    points = np.concatenate((points, np.ones(edge.size, dtype=np.int64)))
+
     order = np.argsort(slot_ids, kind="mergesort")
-    rows, member = _rows_in_slots(slot_ids[order], grid_slots)
-    counts = np.bincount(rows[member], minlength=slot_ids.size)
+    rows, member = _rows_in_slots(slot_ids[order], slots)
+    counts = np.bincount(rows[member], weights=points[member], minlength=slot_ids.size)
     out = np.zeros(slot_ids.size, dtype=float)
-    out[order] = counts.astype(float) * resolution_s
+    out[order] = counts * resolution_s
     return out
 
 
@@ -287,6 +322,19 @@ def _exact_unbiased_tensor(
         rows[keep], bin_idx[keep], slot_ids.size, n_bins, weights=lengths[keep])
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` of a non-empty integer array, by sorting.
+
+    NumPy 2's ``np.unique`` takes a hash-table path for integers that is
+    several times slower than a sort on many rows with few distinct values.
+    """
+    ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def slotted_counts(
     logs: LogStore,
     bins: HistogramBins,
@@ -303,7 +351,7 @@ def slotted_counts(
         raise EmptyDataError("cannot slot empty logs")
 
     action_slots = slot_of_times(logs.times, scheme, logs.tz_offsets)
-    slot_ids = np.unique(action_slots)
+    slot_ids = _distinct(action_slots)
     n_slots = slot_ids.size
 
     # c[T, L] — biased counts per slot, one fused-index bincount pass over
@@ -371,30 +419,32 @@ def alpha_from_counts(
             rate = np.where(f > min_time_fraction, c / f, np.nan)
         ref_rate = rate[ref_row]
 
-        alpha_matrix = np.full((n_slots, bins.count), np.nan)
-        valid_ref = (~np.isnan(ref_rate)) & (c[ref_row] >= min_bin_count)
-        for row in range(n_slots):
-            valid = valid_ref & (~np.isnan(rate[row])) & (c[row] >= min_bin_count)
-            alpha_matrix[row, valid] = rate[row, valid] / ref_rate[valid]
+        valid = ((~np.isnan(ref_rate)) & (c[ref_row] >= min_bin_count)
+                 & (~np.isnan(rate)) & (c >= min_bin_count))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            alpha_matrix = np.where(valid, rate / ref_rate, np.nan)
 
-        alpha_by_slot = np.full(n_slots, np.nan)
-        for row in range(n_slots):
-            vals = alpha_matrix[row]
-            ok = ~np.isnan(vals)
-            if not np.any(ok):
-                continue
-            if bin_average == "simple":
-                alpha_by_slot[row] = float(vals[ok].mean())
-            else:
-                weights = c[ref_row][ok]
-                alpha_by_slot[row] = float(np.average(vals[ok], weights=weights))
+        # α[T] averages the defined bins of row T: a masked row sum over
+        # the defined count (or, for "weighted", over the reference slot's
+        # counts in those bins). Summing whole rows orders the additions
+        # differently from a sum over the defined bins alone, so α[T] can
+        # differ from that in the last bits (relative error ~1e-16). A row
+        # with no defined bin comes out 0/0 = NaN.
+        ok = ~np.isnan(alpha_matrix)
+        if bin_average == "simple":
+            weights = ok.astype(float)
+        else:
+            weights = np.where(ok, c[ref_row], 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            alpha_by_slot = (np.where(ok, alpha_matrix * weights, 0.0).sum(axis=1)
+                             / weights.sum(axis=1))
         # Slots with no overlapping valid bins: fall back to total-count ratio,
         # which is exact when α is truly flat across bins.
         totals = c.sum(axis=1)
         ref_total = totals[ref_row]
-        for row in range(n_slots):
-            if np.isnan(alpha_by_slot[row]) and ref_total > 0:
-                alpha_by_slot[row] = totals[row] / ref_total
+        if ref_total > 0:
+            alpha_by_slot = np.where(
+                np.isnan(alpha_by_slot), totals / ref_total, alpha_by_slot)
         alpha_by_slot[ref_row] = 1.0
 
     if obs.current().enabled:

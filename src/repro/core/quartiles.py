@@ -46,11 +46,9 @@ def assign_quartiles(logs: LogStore, min_actions_per_user: int = 1) -> QuartileA
     """
     codes, medians = logs.per_user_median_latency()
     if min_actions_per_user > 1:
-        counted_codes, counts = logs.per_user_action_count()
-        enough = dict(zip(counted_codes.tolist(), counts.tolist()))
-        keep = np.array(
-            [enough.get(int(c), 0) >= min_actions_per_user for c in codes], dtype=bool
-        )
+        # Both lists hold the distinct user codes in ascending order.
+        _, counts = logs.per_user_action_count()
+        keep = counts >= min_actions_per_user
         codes, medians = codes[keep], medians[keep]
     if codes.size < 4:
         raise InsufficientDataError(
@@ -75,10 +73,15 @@ def quartile_slices(
     """
     if assignment is None:
         assignment = assign_quartiles(logs)
+    # Quartile of every row's user; -1 for users without one.
+    size = 1 + max(int(logs.user_codes.max(initial=-1)),
+                   int(assignment.user_codes.max(initial=-1)))
+    quartile_of_user = np.full(size, -1, dtype=np.int64)
+    quartile_of_user[assignment.user_codes] = assignment.quartile
+    row_quartile = quartile_of_user[logs.user_codes]
     out: Dict[str, LogStore] = {}
     for q, name in enumerate(QUARTILE_NAMES):
-        users = assignment.users_in(q)
-        sliced = logs.where(user_codes=users)
+        sliced = logs.filter(logs.success & (row_quartile == q))
         if min_users > 0:
             require_min_aggregate(sliced, min_users=min_users, what=f"quartile {name}")
         out[name] = sliced

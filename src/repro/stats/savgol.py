@@ -81,6 +81,26 @@ def savgol_coefficients(window: int, degree: int, deriv: int = 0) -> np.ndarray:
     return coeffs
 
 
+@lru_cache(maxsize=64)
+def _window_moments(window: int, degree: int) -> tuple:
+    """The per-window constants of :func:`savgol_smooth`, cached read-only.
+
+    Returns ``(powers, rhs_powers, sides)``: the offsets of a window scaled
+    to ``[-1, 1]`` raised to the powers ``0..2·degree`` (one row per
+    offset), the columns ``0..degree`` of that matrix, and the 0/1
+    selectors of the offsets left and right of the centre.
+    """
+    half = window // 2
+    # Scaling the offsets to [-1, 1] keeps the moments of similar size.
+    offsets = np.arange(-half, half + 1) / max(half, 1)
+    powers = offsets[:, None] ** np.arange(2 * degree + 1)
+    rhs_powers = powers[:, np.arange(degree + 1)]
+    sides = np.stack([offsets < 0, offsets > 0], axis=1).astype(float)
+    for array in (powers, rhs_powers, sides):
+        array.flags.writeable = False
+    return powers, rhs_powers, sides
+
+
 def savgol_smooth(values: np.ndarray, window: int = 101, degree: int = 3) -> np.ndarray:
     """Smooth ``values`` with a NaN-aware Savitzky–Golay filter.
 
@@ -109,13 +129,11 @@ def savgol_smooth(values: np.ndarray, window: int = 101, degree: int = 3) -> np.
     masked[half : half + n] = np.where(valid, y, 0.0)
     mask_windows = sliding_window_view(mask, window)
 
-    # Scaling the offsets to [-1, 1] keeps the moments of similar size.
-    offsets = np.arange(-half, half + 1) / max(half, 1)
+    powers, rhs_powers, sides = _window_moments(window, degree)
     terms = np.arange(degree + 1)
-    powers = offsets[:, None] ** np.arange(2 * degree + 1)
     moments = mask_windows @ powers
-    rhs = sliding_window_view(masked, window) @ powers[:, terms]
-    left, right = (mask_windows @ np.stack([offsets < 0, offsets > 0], axis=1)).T
+    rhs = sliding_window_view(masked, window) @ rhs_powers
+    left, right = (mask_windows @ sides).T
 
     n_valid = moments[:, 0]
     gap_fill = ~valid & (n_valid >= degree + 1) & (left > 0) & (right > 0)

@@ -311,18 +311,23 @@ class LogStore:
     # -- filtering ---------------------------------------------------------
 
     def filter(self, mask: np.ndarray) -> "LogStore":
-        """Return the rows where ``mask`` is true (vocabularies shared)."""
+        """Return the rows where ``mask`` is true (vocabularies shared).
+
+        The row indexes are found once and every column is gathered with
+        ``take``: seven boolean-mask indexings would each rescan the mask.
+        """
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.times.shape:
             raise SchemaError("mask must have one entry per row")
+        idx = np.flatnonzero(mask)
         return LogStore(
-            times=self.times[mask],
-            latencies_ms=self.latencies_ms[mask],
-            action_codes=self.action_codes[mask],
-            user_codes=self.user_codes[mask],
-            class_codes=self.class_codes[mask],
-            success=self.success[mask],
-            tz_offsets=self.tz_offsets[mask],
+            times=self.times.take(idx),
+            latencies_ms=self.latencies_ms.take(idx),
+            action_codes=self.action_codes.take(idx),
+            user_codes=self.user_codes.take(idx),
+            class_codes=self.class_codes.take(idx),
+            success=self.success.take(idx),
+            tz_offsets=self.tz_offsets.take(idx),
             action_vocab=self.action_vocab,
             user_vocab=self.user_vocab,
             class_vocab=self.class_vocab,
@@ -430,18 +435,31 @@ class LogStore:
     def per_user_median_latency(self) -> Tuple[np.ndarray, np.ndarray]:
         """(user_codes, median_latency_ms) for every distinct user.
 
-        Vectorized: sorts rows by user code and slices runs.
+        Vectorized: one sort by (user, latency) puts each user's latencies
+        in a sorted run. The median is ``(a + b) / 2`` of the run's two
+        middle elements, which is what ``np.median`` computes; for an odd
+        run both are the middle element and ``(a + a) / 2 == a``. A run
+        holding a NaN (sorted last) has a NaN median, as with ``np.median``.
         """
         if self.is_empty:
             raise EmptyDataError("no rows to compute per-user medians from")
-        order = np.argsort(self.user_codes, kind="mergesort")
-        codes = self.user_codes[order]
-        lats = self.latencies_ms[order]
-        distinct, starts = np.unique(codes, return_index=True)
-        boundaries = np.append(starts, codes.size)
-        medians = np.empty(distinct.size, dtype=float)
-        for i in range(distinct.size):
-            medians[i] = np.median(lats[boundaries[i]:boundaries[i + 1]])
+        # Sort one integer key, user code × rows + latency rank: faster than
+        # ``np.lexsort`` on the two columns, and the same order. Codes index
+        # vocabularies no longer than the rows that built them, so the key
+        # stays below rows² and fits int64 for any store that fits in memory.
+        n = len(self)
+        by_latency = np.argsort(self.latencies_ms)
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_latency] = np.arange(n)
+        key = self.user_codes * n + rank
+        key.sort()
+        codes = key // n
+        lats = self.latencies_ms[by_latency[key % n]]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        counts = np.diff(np.append(starts, n))
+        distinct = codes[starts]
+        medians = (lats[starts + (counts - 1) // 2] + lats[starts + counts // 2]) / 2
+        medians[np.isnan(lats[starts + counts - 1])] = np.nan
         return distinct, medians
 
     def per_user_action_count(self) -> Tuple[np.ndarray, np.ndarray]:

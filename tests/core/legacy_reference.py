@@ -1,7 +1,8 @@
 """Verbatim ports of the pre-tensor ``repro.core.alpha`` loops.
 
-The count tensor, the period lookup and the corrected-histogram
-contraction replaced these per-slot / per-sample Python loops. They stay
+The count tensor, the period lookup, the closed-form slot coverage, the
+masked α arithmetic and the corrected-histogram contraction replaced these
+per-slot / per-sample Python loops. They stay
 here, in the test tree, as the reference the shipped fast paths are
 checked against (``test_tensor_equivalence.py``) and as the Monte Carlo
 reversion the perf gate must catch (``tests/obs/test_perf_gate.py``).
@@ -13,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.alpha import SlottedCounts, slot_of_times
+from repro.core.alpha import AlphaEstimate, SlottedCounts, slot_of_times
 from repro.errors import EmptyDataError
 from repro.stats.histogram import Histogram1D, HistogramBins
 from repro.stats.rng import SeedLike, spawn_rng
@@ -223,3 +224,61 @@ def _legacy_corrected_histograms(logs, bins, alpha):
     pooled = alpha.time_fractions.sum(axis=0)
     unbiased.add_counts(pooled * 10_000.0)
     return biased, unbiased
+
+
+def _legacy_alpha_from_counts(
+    counts: SlottedCounts,
+    reference_slot: Optional[int] = None,
+    min_bin_count: float = 5.0,
+    min_time_fraction: float = 1e-6,
+    bin_average: str = "simple",
+) -> AlphaEstimate:
+    """The old ``alpha_from_counts``: three Python loops over slots."""
+    slot_ids = counts.slot_ids
+    n_slots = slot_ids.size
+    slot_index = {int(s): i for i, s in enumerate(slot_ids)}
+    c = counts.biased_counts
+    f = counts.time_fractions
+    bins = counts.bins
+    if reference_slot is None:
+        reference_slot = counts.busiest_slots(1)[0]
+    ref_row = slot_index[int(reference_slot)]
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rate = np.where(f > min_time_fraction, c / f, np.nan)
+    ref_rate = rate[ref_row]
+
+    alpha_matrix = np.full((n_slots, bins.count), np.nan)
+    valid_ref = (~np.isnan(ref_rate)) & (c[ref_row] >= min_bin_count)
+    for row in range(n_slots):
+        valid = valid_ref & (~np.isnan(rate[row])) & (c[row] >= min_bin_count)
+        alpha_matrix[row, valid] = rate[row, valid] / ref_rate[valid]
+
+    alpha_by_slot = np.full(n_slots, np.nan)
+    for row in range(n_slots):
+        vals = alpha_matrix[row]
+        ok = ~np.isnan(vals)
+        if not np.any(ok):
+            continue
+        if bin_average == "simple":
+            alpha_by_slot[row] = float(vals[ok].mean())
+        else:
+            weights = c[ref_row][ok]
+            alpha_by_slot[row] = float(np.average(vals[ok], weights=weights))
+    totals = c.sum(axis=1)
+    ref_total = totals[ref_row]
+    for row in range(n_slots):
+        if np.isnan(alpha_by_slot[row]) and ref_total > 0:
+            alpha_by_slot[row] = totals[row] / ref_total
+    alpha_by_slot[ref_row] = 1.0
+
+    return AlphaEstimate(
+        scheme=counts.scheme,
+        slot_ids=slot_ids,
+        reference_slot=int(reference_slot),
+        alpha_by_slot=alpha_by_slot,
+        alpha_matrix=alpha_matrix,
+        biased_counts=c,
+        time_fractions=f,
+        bins=bins,
+    )

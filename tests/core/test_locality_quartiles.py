@@ -104,6 +104,15 @@ class TestQuartiles:
         assert sum(len(s) for s in slices.values()) == len(logs)
         assert set(slices) == {"Q1", "Q2", "Q3", "Q4"}
 
+    def test_slices_equal_per_quartile_where(self, owa_logs):
+        """The per-row lookup selects what ``where(user_codes=...)`` does."""
+        assignment = assign_quartiles(owa_logs, min_actions_per_user=20)
+        slices = quartile_slices(owa_logs, assignment)
+        for q, name in enumerate(("Q1", "Q2", "Q3", "Q4")):
+            expected = owa_logs.where(user_codes=assignment.users_in(q))
+            assert np.array_equal(slices[name].times, expected.times)
+            assert np.array_equal(slices[name].user_codes, expected.user_codes)
+
     def test_q1_is_fastest(self):
         logs = _user_logs(np.linspace(100, 800, 16))
         slices = quartile_slices(logs)

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.stats.savgol import SavitzkyGolay, savgol_coefficients, savgol_smooth
+from repro.stats.savgol import (
+    SavitzkyGolay,
+    _window_moments,
+    savgol_coefficients,
+    savgol_smooth,
+)
 
 
 def reference_smooth(values, window=101, degree=3):
@@ -158,6 +163,13 @@ class TestSmooth:
         y = np.array([1.0, 2.0, 3.0])
         smoothed = savgol_smooth(y, window=101, degree=3)
         assert np.allclose(smoothed, y, atol=1e-8)
+
+    def test_cached_window_constants_are_read_only(self):
+        constants = _window_moments(101, 3)
+        for array in constants:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert _window_moments(101, 3) is constants
 
     def test_empty_input(self):
         assert savgol_smooth(np.array([]), 5, 2).size == 0

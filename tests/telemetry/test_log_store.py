@@ -103,6 +103,20 @@ class TestFiltering:
         selected = tiny_logs.filter(np.ones(len(tiny_logs), dtype=bool))
         assert selected.action_vocab is tiny_logs.action_vocab
 
+    @pytest.mark.parametrize("kind", ["empty", "all", "random"])
+    def test_filter_equals_boolean_indexing(self, owa_logs, kind):
+        n = len(owa_logs)
+        mask = {"empty": np.zeros(n, dtype=bool), "all": np.ones(n, dtype=bool),
+                "random": np.random.default_rng(4).random(n) < 0.3}[kind]
+        selected = owa_logs.filter(mask)
+        for column in ("times", "latencies_ms", "action_codes", "user_codes",
+                       "class_codes", "success", "tz_offsets"):
+            got, want = getattr(selected, column), getattr(owa_logs, column)[mask]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        for vocab in ("action_vocab", "user_vocab", "class_vocab"):
+            assert getattr(selected, vocab) is getattr(owa_logs, vocab)
+
 
 class TestOrderingAndConcat:
     def test_sorted_by_time(self):
@@ -195,6 +209,22 @@ class TestAggregation:
         u2 = store.user_vocab.index("u2")
         assert by_code[u1] == 200.0
         assert by_code[u2] == 50.0
+
+    def test_per_user_median_equals_np_median(self):
+        """Odd and even runs, repeated values and a NaN run, user by user."""
+        rng = np.random.default_rng(8)
+        n = 5000
+        users = rng.integers(0, 300, size=n)
+        latencies = np.round(rng.lognormal(4.0, 1.0, size=n), 1)
+        latencies[rng.random(n) < 0.001] = np.nan
+        store = LogStore.from_arrays(
+            times=np.arange(n, dtype=float), latencies_ms=latencies,
+            actions=["a"] * n, user_ids=[f"u{u}" for u in users])
+        codes, medians = store.per_user_median_latency()
+        assert np.array_equal(codes, np.unique(store.user_codes))
+        expected = [np.median(store.latencies_ms[store.user_codes == c]) for c in codes]
+        assert np.array_equal(medians, expected, equal_nan=True)
+        assert np.isnan(medians).any()
 
     def test_per_user_counts(self, tiny_logs):
         codes, counts = tiny_logs.per_user_action_count()
