@@ -34,7 +34,6 @@ __all__ = [
     "AutoSens",
     "AutoSensConfig",
     "owa_scenario",
-    "generate_telemetry",
 ]
 
 
@@ -48,8 +47,4 @@ def __getattr__(name):
         from repro.workload.scenarios import owa_scenario
 
         return owa_scenario
-    if name == "generate_telemetry":
-        from repro.workload.generator import generate_telemetry
-
-        return generate_telemetry
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

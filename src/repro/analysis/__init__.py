@@ -2,7 +2,7 @@
 
 from repro.analysis.base import FULL, SMALL, Check, ExperimentOutcome, Scale
 from repro.analysis.bottleneck import run_bottleneck
-from repro.analysis.experiments import EXPERIMENTS, run_all, run_experiment
+from repro.analysis.experiments import EXPERIMENTS, run_experiment
 from repro.analysis.fig_locality import run_fig1, run_fig2
 from repro.analysis.fig_methodology import run_fig3, run_table1
 from repro.analysis.fig_preferences import run_fig4, run_fig5, run_fig6
@@ -26,7 +26,7 @@ from repro.analysis.sensitivity import (
     run_sensitivity_suite,
 )
 from repro.analysis.sessions_ext import run_sessions
-from repro.analysis.summary import failing_checks, summarize
+from repro.analysis.summary import summarize
 
 __all__ = [
     "Scale",
@@ -36,7 +36,6 @@ __all__ = [
     "ExperimentOutcome",
     "EXPERIMENTS",
     "run_experiment",
-    "run_all",
     "run_fig1",
     "run_fig2",
     "run_fig3",
@@ -64,5 +63,4 @@ __all__ = [
     "run_sensitivity",
     "run_sensitivity_suite",
     "summarize",
-    "failing_checks",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import repro.obs as obs
 
@@ -223,20 +223,3 @@ def run_experiment(
                              cached=cached_hit, supervisor=supervisor,
                              health=health)
     return outcome
-
-
-def run_all(
-    seed: int | None = None,
-    scale: Scale | str = FULL,
-    executor=None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> List[ExperimentOutcome]:
-    """Run every registered experiment in order (resumable per experiment)."""
-    return [
-        run_experiment(
-            eid, seed=seed, scale=scale, executor=executor,
-            checkpoint_dir=checkpoint_dir, retry=retry,
-        )
-        for eid in EXPERIMENTS
-    ]

@@ -24,14 +24,3 @@ def summarize(outcomes: List[ExperimentOutcome]) -> str:
     total = len(outcomes)
     passed = sum(1 for outcome in outcomes if outcome.passed)
     return f"{table}\n{passed}/{total} experiments fully passing"
-
-
-def failing_checks(outcomes: List[ExperimentOutcome]) -> List[str]:
-    """Flat list of 'experiment: check — detail' lines for failures."""
-    lines = []
-    for outcome in outcomes:
-        for check in outcome.checks:
-            if not check.passed:
-                detail = f" — {check.detail}" if check.detail else ""
-                lines.append(f"{outcome.experiment_id}: {check.name}{detail}")
-    return lines

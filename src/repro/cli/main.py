@@ -113,7 +113,7 @@ def _obs_parent() -> argparse.ArgumentParser:
         "--runs-dir", default=None, metavar="DIR",
         help="record this run into the persistent run registry at DIR "
              "(manifest + metrics + progress, indexed append-only); inspect "
-             "with 'autosens runs ls|show|diff|trend'")
+             "with 'autosens runs ls|show|diff'")
     return parent
 
 
@@ -397,6 +397,8 @@ def _report_ingest(logs) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.obs.diff import DEFAULT_CURVE_TOL, DEFAULT_REL_TOL
+
     parser = argparse.ArgumentParser(
         prog="autosens",
         description="AutoSens (IMC 2021) reproduction: latency-sensitivity "
@@ -483,12 +485,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      "health) with tolerance classification")
     diff.add_argument("a", help="baseline artifact (JSON file or run dir)")
     diff.add_argument("b", help="candidate artifact (JSON file or run dir)")
-    diff.add_argument("--rel-tol", type=float, default=None,
+    diff.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
                       help="relative tolerance for ratio-ish quantities "
-                           "(default: 0.10)")
-    diff.add_argument("--curve-tol", type=float, default=None,
+                           "(default: %(default)s)")
+    diff.add_argument("--curve-tol", type=float, default=DEFAULT_CURVE_TOL,
                       help="absolute tolerance for NLP curve values "
-                           "(default: 0.02)")
+                           "(default: %(default)s)")
     diff.add_argument("--out", default=None,
                       help="also write the classified diff as JSON here")
     diff.add_argument("--show-unchanged", action="store_true",
@@ -527,9 +529,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"obs-diff each fixture's {artifact} against "
                  f"<dir>/<name>{suffix} and fail on drift (requires --out-dir)")
         parser.add_argument(
-            "--curve-tol", type=float, default=None,
+            "--curve-tol", type=float, default=DEFAULT_CURVE_TOL,
             help="absolute NLP tolerance for the baseline diff "
-                 "(default: 0.02)")
+                 "(default: %(default)s)")
         return parser
 
     paired_parser(
@@ -581,16 +583,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="obs-diff two recorded runs with tolerance classification")
     runs_diff.add_argument("a", help="baseline run (seq/run id/dir name)")
     runs_diff.add_argument("b", help="candidate run (seq/run id/dir name)")
-    runs_diff.add_argument("--rel-tol", type=float, default=None)
-    runs_diff.add_argument("--curve-tol", type=float, default=None)
-    runs_trend = runs_sub.add_parser(
-        "trend", parents=[runs_dir_parent],
-        help="diff each consecutive pair among the last N runs: wall-time, "
-             "span-share and health-verdict drift over time")
-    runs_trend.add_argument("--last", type=int, default=5,
-                            help="how many recent runs to trend (default: 5)")
-    runs_trend.add_argument("--rel-tol", type=float, default=None)
-    runs_trend.add_argument("--curve-tol", type=float, default=None)
+    runs_diff.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
+    runs_diff.add_argument("--curve-tol", type=float,
+                           default=DEFAULT_CURVE_TOL)
 
     watch = sub.add_parser(
         "watch",
@@ -829,14 +824,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
     import repro.obs as obs
-    from repro.obs.diff import DEFAULT_CURVE_TOL, DEFAULT_REL_TOL
 
-    report = obs.diff_paths(
-        args.a, args.b,
-        rel_tol=args.rel_tol if args.rel_tol is not None else DEFAULT_REL_TOL,
-        curve_tol=(args.curve_tol if args.curve_tol is not None
-                   else DEFAULT_CURVE_TOL),
-    )
+    report = obs.diff_paths(args.a, args.b, rel_tol=args.rel_tol,
+                            curve_tol=args.curve_tol)
     print(obs.render_diff(report, show_unchanged=args.show_unchanged))
     if args.out:
         obs.write_diff(report, args.out)
@@ -933,7 +923,6 @@ def _paired_gate(args: argparse.Namespace, gate: str, names: List[str],
     drifted: List[str] = []
     if args.baseline_dir:
         import repro.obs as obs
-        from repro.obs.diff import DEFAULT_CURVE_TOL
 
         baseline_dir = Path(args.baseline_dir)
         out_dir = Path(args.out_dir)
@@ -944,11 +933,8 @@ def _paired_gate(args: argparse.Namespace, gate: str, names: List[str],
                       file=sys.stderr)
                 drifted.append(name)
                 continue
-            report = obs.diff_paths(
-                baseline, out_dir / f"{name}{suffix}",
-                curve_tol=(args.curve_tol if args.curve_tol is not None
-                           else DEFAULT_CURVE_TOL),
-            )
+            report = obs.diff_paths(baseline, out_dir / f"{name}{suffix}",
+                                    curve_tol=args.curve_tol)
             if obs.diff_exit_code(report) != 0:
                 summary = report["summary"]
                 print(f"{name}: {artifact} drifted from baseline "
@@ -1080,21 +1066,9 @@ def _resolve_run_dir(registry, selector: str) -> Path:
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
-    from repro.obs.diff import DEFAULT_CURVE_TOL, DEFAULT_REL_TOL
-    from repro.obs.registry import (
-        RunRegistry,
-        render_runs_table,
-        render_trend,
-        trend_exit_code,
-    )
+    from repro.obs.registry import RunRegistry, render_runs_table
 
     registry = RunRegistry(args.runs_dir)
-    rel_tol = (getattr(args, "rel_tol", None)
-               if getattr(args, "rel_tol", None) is not None
-               else DEFAULT_REL_TOL)
-    curve_tol = (getattr(args, "curve_tol", None)
-                 if getattr(args, "curve_tol", None) is not None
-                 else DEFAULT_CURVE_TOL)
     if args.runs_command == "ls":
         print(render_runs_table(registry.entries()))
         return 0
@@ -1117,20 +1091,15 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             print(format_table(["field", "value"],
                                obs.manifest_rows(manifest)))
         return 0
-    if args.runs_command == "diff":
-        import repro.obs as obs
+    # diff
+    import repro.obs as obs
 
-        report = obs.diff_paths(
-            _resolve_run_dir(registry, args.a),
-            _resolve_run_dir(registry, args.b),
-            rel_tol=rel_tol, curve_tol=curve_tol)
-        print(obs.render_diff(report))
-        return obs.diff_exit_code(report)
-    # trend
-    reports = registry.trend(last=args.last, rel_tol=rel_tol,
-                             curve_tol=curve_tol)
-    print(render_trend(reports))
-    return trend_exit_code(reports)
+    report = obs.diff_paths(
+        _resolve_run_dir(registry, args.a),
+        _resolve_run_dir(registry, args.b),
+        rel_tol=args.rel_tol, curve_tol=args.curve_tol)
+    print(obs.render_diff(report))
+    return obs.diff_exit_code(report)
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:

@@ -81,7 +81,6 @@ from repro.obs.watch import (
 )
 from repro.obs.profile import (
     SpanProfiler,
-    StackSampler,
     build_profile,
     load_profile,
     write_profile,
@@ -119,7 +118,6 @@ __all__ = [
     "observe",
     "set_gauge",
     "record_degradation",
-    "record_finding",
     "findings",
     "profiler",
     "HealthFinding",
@@ -128,7 +126,6 @@ __all__ = [
     "write_health_report",
     "load_health_report",
     "SpanProfiler",
-    "StackSampler",
     "build_profile",
     "write_profile",
     "load_profile",
@@ -156,7 +153,6 @@ __all__ = [
     "event_lines",
     "event",
     "events_active",
-    "event_bus",
     "attach_sink",
     "detach_sink",
     "ProgressTracker",
@@ -304,19 +300,6 @@ def record_degradation(kind: str, **detail: Any) -> None:
         ctx.bus.publish("degradation", **entry)
 
 
-def record_finding(finding: HealthFinding) -> None:
-    """Accumulate one estimator-health finding (no-op while disabled)."""
-    ctx = _runtime.current()
-    if not ctx.enabled:
-        return
-    ctx.findings.append(finding.to_dict())
-    ctx.metrics.inc("autosens_health_findings_total", 1.0,
-                    stage=finding.stage, severity=finding.severity)
-    if ctx.bus.active:
-        ctx.bus.publish("finding", probe=finding.probe, stage=finding.stage,
-                        severity=finding.severity, message=finding.message)
-
-
 def event(type: str, **payload: Any) -> None:
     """Publish one typed event to the live bus (inert without sinks).
 
@@ -335,11 +318,6 @@ def events_active() -> bool:
     """Is a live event sink attached to the active context's bus?"""
     ctx = _runtime.current()
     return ctx.enabled and ctx.bus.active
-
-
-def event_bus() -> EventBus:
-    """The active context's event bus (inert while no sink is attached)."""
-    return _runtime.current().bus
 
 
 def attach_sink(sink: Any) -> Any:

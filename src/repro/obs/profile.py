@@ -1,22 +1,18 @@
-"""Span-level profiling attribution and a sampling profiler.
+"""Span-level profiling attribution.
 
-Two complementary views of where a run spends its resources:
+:class:`SpanProfiler` piggybacks on the span tree via the tracer's
+``profiler`` hook: on every span enter/exit it reads the process CPU clock
+(``time.process_time``) and peak RSS (``resource.getrusage``) and
+attributes *self* CPU time (total minus time spent in child spans) to the
+span's name. The hook **never touches the span record itself** —
+trace/metrics/manifest artifacts are byte-identical whether profiling is
+on or off (enforced by ``tests/obs/test_profile.py`` and the CLI
+byte-identity tests).
 
-- :class:`SpanProfiler` piggybacks on the span tree via the tracer's
-  ``profiler`` hook: on every span enter/exit it reads the process CPU
-  clock (``time.process_time``) and peak RSS (``resource.getrusage``) and
-  attributes *self* CPU time (total minus time spent in child spans) to
-  the span's name. The hook **never touches the span record itself** —
-  trace/metrics/manifest artifacts are byte-identical whether profiling is
-  on or off (enforced by ``tests/obs/test_profile.py`` and the CLI
-  byte-identity tests).
-- :class:`StackSampler` is a background thread that samples the main
-  thread's Python stack at a fixed interval and accumulates folded stacks
-  (``outer;inner;leaf count``) — the flamegraph input format consumed by
-  ``flamegraph.pl`` / speedscope.
-
-Both views export into one schema-1 profile artifact via
-:func:`build_profile` / :func:`write_profile`.
+The attribution exports into one profile artifact via
+:func:`build_profile` / :func:`write_profile`, with folded stacks
+(``outer;inner;leaf count``) built from the span tree — the flamegraph
+input format consumed by ``flamegraph.pl`` / speedscope.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -33,7 +28,6 @@ from repro.obs import _schema
 __all__ = [
     "PROFILE_SCHEMA",
     "SpanProfiler",
-    "StackSampler",
     "build_profile",
     "write_profile",
     "load_profile",
@@ -42,7 +36,7 @@ __all__ = [
 ]
 
 #: Bump when the profile artifact field set changes.
-PROFILE_SCHEMA = 1
+PROFILE_SCHEMA = 2
 
 try:  # pragma: no cover - resource is POSIX-only; absent means RSS stays 0.
     import resource as _resource
@@ -136,75 +130,6 @@ class SpanProfiler:
         return out
 
 
-class StackSampler:
-    """Fixed-interval Python stack sampler for one target thread.
-
-    A daemon thread wakes every ``interval_s`` and snapshots the target
-    thread's frame via ``sys._current_frames()``, folding it into
-    ``outer;inner;leaf`` stack strings with sample counts. Pure-Python
-    sampling ticks at wall intervals, so counts approximate wall time —
-    good enough to see *where* a multi-second stage lives.
-    """
-
-    def __init__(self, interval_s: float = 0.005,
-                 target_thread_id: Optional[int] = None,
-                 max_depth: int = 64) -> None:
-        self.interval_s = max(0.001, float(interval_s))
-        self.target_thread_id = (
-            target_thread_id if target_thread_id is not None
-            else threading.main_thread().ident)
-        self.max_depth = max_depth
-        self.samples: Dict[str, int] = {}
-        self.n_samples = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _fold(self, frame: Any) -> str:
-        parts: List[str] = []
-        depth = 0
-        while frame is not None and depth < self.max_depth:
-            code = frame.f_code
-            parts.append(f"{Path(code.co_filename).name}:{code.co_name}")
-            frame = frame.f_back
-            depth += 1
-        return ";".join(reversed(parts))
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            frame = sys._current_frames().get(self.target_thread_id)
-            if frame is None:
-                continue
-            stack = self._fold(frame)
-            if stack:
-                self.samples[stack] = self.samples.get(stack, 0) + 1
-                self.n_samples += 1
-
-    def start(self) -> "StackSampler":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name="autosens-stack-sampler", daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
-            self._thread = None
-
-    def __enter__(self) -> "StackSampler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
-    def folded(self) -> List[str]:
-        """Folded-stack lines (``a;b;c count``), deterministic order."""
-        return [f"{stack} {count}"
-                for stack, count in sorted(self.samples.items())]
-
-
 def folded_from_spans(span_snapshot: Dict[str, Dict[str, float]],
                       records: Optional[List[Dict[str, Any]]] = None,
                       ) -> List[str]:
@@ -268,10 +193,9 @@ def top_by_self_time(span_snapshot: Dict[str, Dict[str, float]],
 
 
 def build_profile(profiler: Optional[SpanProfiler],
-                  sampler: Optional[StackSampler] = None,
                   records: Optional[List[Dict[str, Any]]] = None,
                   run_id: str = "") -> Dict[str, Any]:
-    """The schema-1 profile artifact from whichever collectors ran."""
+    """The profile artifact from the span profiler (empty without one)."""
     span_snapshot = profiler.snapshot() if profiler is not None else {}
     payload: Dict[str, Any] = {
         "schema": PROFILE_SCHEMA,
@@ -279,8 +203,6 @@ def build_profile(profiler: Optional[SpanProfiler],
         "spans": span_snapshot,
         "top": top_by_self_time(span_snapshot),
         "folded_spans": folded_from_spans(span_snapshot, records),
-        "folded_stacks": sampler.folded() if sampler is not None else [],
-        "n_stack_samples": sampler.n_samples if sampler is not None else 0,
     }
     return payload
 
@@ -325,11 +247,10 @@ def load_profile(path: Union[str, Path]) -> Dict[str, Any]:
         errors.append(f"{path}: top is not a list of span rows")
     elif self_times != sorted(self_times, reverse=True):
         errors.append(f"{path}: top table is not sorted by self CPU")
-    for key in ("folded_spans", "folded_stacks"):
-        lines = payload.get(key, [])
-        if not isinstance(lines, list) or not all(
-                isinstance(line, str) and _FOLDED_STACK.match(line)
-                for line in lines):
-            errors.append(f"{path}: {key} is not a list of 'stack count'")
+    lines = payload.get("folded_spans", [])
+    if not isinstance(lines, list) or not all(
+            isinstance(line, str) and _FOLDED_STACK.match(line)
+            for line in lines):
+        errors.append(f"{path}: folded_spans is not a list of 'stack count'")
     _schema.raise_if(errors)
     return payload

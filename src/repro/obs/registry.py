@@ -7,12 +7,8 @@ is append-only — recording never rewrites history — and reads are tolerant
 of a torn final line, so a run killed mid-append cannot corrupt the
 registry for later ones.
 
-The registry powers ``autosens runs ls|show|diff|trend``. ``trend`` reuses
-:func:`repro.obs.diff.diff_artifacts` classification over *consecutive*
-manifests, so the same wall-time/span-share/health-verdict taxonomy that
-``obs diff`` applies to two runs extends to the last N: two identical
-deterministic seeded runs trend as all-unchanged (a CI gate), and a
-regression names the first run pair where it appeared.
+The registry powers ``autosens runs ls|show|diff``; ``runs diff`` applies
+:func:`repro.obs.diff.diff_artifacts` classification to two recorded runs.
 
 Fleet-level surveillance over the *whole* history — rolling baselines,
 change-point attribution, SLO burn rates — lives in
@@ -30,12 +26,6 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import SchemaError
 from repro.obs import _schema
-from repro.obs.diff import (
-    DEFAULT_CURVE_TOL,
-    DEFAULT_REL_TOL,
-    diff_exit_code,
-    diff_paths,
-)
 from repro.obs.manifest import load_manifest
 
 __all__ = [
@@ -43,8 +33,6 @@ __all__ = [
     "RunRegistry",
     "load_registry",
     "render_runs_table",
-    "render_trend",
-    "trend_exit_code",
 ]
 
 #: Bump when index-line fields change incompatibly.
@@ -154,34 +142,6 @@ class RunRegistry:
             os.fsync(fh.fileno())
         return entry
 
-    # -- analysis ------------------------------------------------------------
-
-    def trend(self, last: int = 5,
-              rel_tol: float = DEFAULT_REL_TOL,
-              curve_tol: float = DEFAULT_CURVE_TOL) -> List[Dict[str, Any]]:
-        """Diff each consecutive pair among the last ``last`` runs.
-
-        Returns one diff report per pair, oldest first. Runs whose
-        directory (or manifest) has been deleted are skipped with a note
-        entry rather than failing the whole trend.
-        """
-        entries = self.entries()[-max(2, last):]
-        reports: List[Dict[str, Any]] = []
-        for before, after in zip(entries, entries[1:]):
-            pair = {"a_seq": before.get("seq"), "b_seq": after.get("seq")}
-            try:
-                report = diff_paths(self.run_path(before),
-                                    self.run_path(after),
-                                    rel_tol=rel_tol, curve_tol=curve_tol)
-            except Exception as exc:
-                reports.append({**pair, "error": str(exc)})
-                continue
-            report.update(pair)
-            report["a"] = before.get("dir", report.get("a"))
-            report["b"] = after.get("dir", report.get("b"))
-            reports.append(report)
-        return reports
-
 
 # ---------------------------------------------------------------------------
 # CLI rendering.
@@ -244,44 +204,3 @@ def render_runs_table(entries: List[Dict[str, Any]]) -> str:
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def render_trend(reports: List[Dict[str, Any]]) -> str:
-    """``runs trend`` summary: one line per consecutive pair, plus detail
-    lines for every regressed dimension."""
-    if not reports:
-        return "(fewer than two recorded runs — nothing to trend)"
-    lines = []
-    for report in reports:
-        pair = f"{report.get('a', '?')} -> {report.get('b', '?')}"
-        if "error" in report:
-            lines.append(f"{pair}: skipped ({report['error']})")
-            continue
-        summary = report.get("summary", {})
-        regressed = summary.get("regressed", 0) + summary.get("removed", 0)
-        improved = summary.get("improved", 0)
-        unchanged = summary.get("unchanged", 0)
-        added = summary.get("added", 0)
-        verdict = "regressed" if regressed else "ok"
-        lines.append(
-            f"{pair}: {verdict}  "
-            f"(unchanged={unchanged} improved={improved} "
-            f"regressed={regressed} added={added})")
-        if regressed:
-            for entry in report.get("entries", []):
-                if entry.get("classification") in ("regressed", "removed"):
-                    lines.append(
-                        f"    {entry.get('classification')}: "
-                        f"{entry.get('key')}  "
-                        f"{entry.get('a')} -> {entry.get('b')}")
-    return "\n".join(lines)
-
-
-def trend_exit_code(reports: List[Dict[str, Any]]) -> int:
-    """0 when every pair is clean; 1 when any pair regressed or errored."""
-    for report in reports:
-        if "error" in report:
-            return 1
-        if diff_exit_code(report):
-            return 1
-    return 0

@@ -1,7 +1,7 @@
 """Fleet watchtower: SLOs, rolling baselines, and drift detection.
 
-``autosens runs trend`` answers "did the last pair of runs move?" by
-re-running pairwise ``obs diff``. This module answers the fleet question:
+``autosens runs diff`` answers "did this pair of runs move?" with one
+``obs diff``. This module answers the fleet question:
 *across the whole registry history, which series drifted, when, and does
 the fleet still meet its objectives?* Three layers, stdlib-only:
 

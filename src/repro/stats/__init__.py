@@ -11,12 +11,9 @@ of telemetry or the AutoSens methodology:
 - :mod:`repro.stats.sampling` — nearest-in-time resampling primitives
 - :mod:`repro.stats.ou_process` — Ornstein–Uhlenbeck / AR(1) processes
 - :mod:`repro.stats.interpolate` — monotone (PCHIP) interpolation
-- :mod:`repro.stats.bootstrap` — bootstrap confidence intervals
 - :mod:`repro.stats.quantiles` — exact and streaming (P²) quantiles
-- :mod:`repro.stats.smoothing` — moving-average / EWMA helpers
 """
 
-from repro.stats.bootstrap import BootstrapResult, bootstrap_ci, bootstrap_curve_band
 from repro.stats.correlation import pearson, spearman
 from repro.stats.histogram import Histogram1D, HistogramBins, latency_bins
 from repro.stats.interpolate import MonotoneCubicInterpolator
@@ -26,19 +23,14 @@ from repro.stats.msd import (
     mean_absolute_difference,
     mean_successive_difference,
     msd_mad_ratio,
-    von_neumann_ratio,
 )
 from repro.stats.ou_process import OrnsteinUhlenbeck, ar1_series
 from repro.stats.quantiles import P2Quantile, exact_quantile
 from repro.stats.rng import RngFactory, spawn_rng
 from repro.stats.sampling import nearest_time_sample, random_times, sorted_by_time
 from repro.stats.savgol import SavitzkyGolay, savgol_coefficients, savgol_smooth
-from repro.stats.smoothing import ewma, moving_average
 
 __all__ = [
-    "BootstrapResult",
-    "bootstrap_ci",
-    "bootstrap_curve_band",
     "latency_bins",
     "LocalityComparison",
     "compare_locality",
@@ -51,7 +43,6 @@ __all__ = [
     "mean_absolute_difference",
     "mean_successive_difference",
     "msd_mad_ratio",
-    "von_neumann_ratio",
     "OrnsteinUhlenbeck",
     "ar1_series",
     "P2Quantile",
@@ -63,6 +54,4 @@ __all__ = [
     "SavitzkyGolay",
     "savgol_coefficients",
     "savgol_smooth",
-    "ewma",
-    "moving_average",
 ]

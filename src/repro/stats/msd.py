@@ -11,16 +11,11 @@ measured as the mean absolute difference (MAD) between *all* pairs.
   differences are tiny steps while random pairs span the range),
 - the real OWA latency series lands far below 1 — low-latency periods are
   interspersed with high-latency periods.
-
-We also provide the classical von Neumann ratio (mean *squared* successive
-difference over the variance), whose expectation is exactly
-``2n / (n - 1)`` for i.i.d. data — handy for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -71,22 +66,6 @@ def msd_mad_ratio(values: np.ndarray) -> float:
     if mad == 0.0:
         return 0.0
     return mean_successive_difference(values) / mad
-
-
-def von_neumann_ratio(values: np.ndarray) -> float:
-    """Classical von Neumann ratio: mean squared successive difference / variance.
-
-    For an i.i.d. series the expected value is ``2n / (n - 1)`` — about 2.
-    Values well below 2 indicate positive serial correlation (locality).
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        raise EmptyDataError("von Neumann ratio needs at least two samples")
-    mssd = float((np.diff(v) ** 2).mean())
-    var = float(v.var())
-    if var == 0.0:
-        return 0.0
-    return mssd / var
 
 
 @dataclass(frozen=True)

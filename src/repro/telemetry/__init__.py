@@ -3,13 +3,12 @@
 The paper's substrate is OWA server-side logging (Section 3.1); this package
 is its reproduction-scale equivalent: a schema for ``(T, A, L, M)`` tuples,
 a NumPy-backed columnar store with vectorized slicing, JSONL/CSV round-trip
-IO, composable filters, sessionization, and the anonymization/aggregate-size
+IO, sessionization, and the anonymization/aggregate-size
 guards the paper's ethics posture requires.
 """
 
 from repro.telemetry.anonymize import (
     DEFAULT_MIN_AGGREGATE,
-    anonymize_all,
     anonymize_user_id,
     is_guid_shaped,
     require_min_aggregate,
@@ -31,10 +30,9 @@ from repro.telemetry.record import ActionRecord
 from repro.telemetry.session import (
     DEFAULT_SESSION_GAP_SECONDS,
     Session,
-    session_length_vs_latency,
     sessionize,
 )
-from repro.telemetry import filters, timeutil
+from repro.telemetry import timeutil
 
 __all__ = [
     "ActionRecord",
@@ -56,14 +54,11 @@ __all__ = [
     "write_csv",
     "iter_csv",
     "anonymize_user_id",
-    "anonymize_all",
     "is_guid_shaped",
     "require_min_aggregate",
     "DEFAULT_MIN_AGGREGATE",
     "Session",
     "sessionize",
-    "session_length_vs_latency",
     "DEFAULT_SESSION_GAP_SECONDS",
-    "filters",
     "timeutil",
 ]

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Iterable
-
-import numpy as np
 
 from repro.errors import PrivacyError
 from repro.telemetry.log_store import LogStore
@@ -37,11 +34,6 @@ def anonymize_user_id(raw_id: str, key: bytes = b"autosens-repro") -> str:
         f"{digest[0:8]}-{digest[8:12]}-{digest[12:16]}-"
         f"{digest[16:20]}-{digest[20:32]}"
     )
-
-
-def anonymize_all(raw_ids: Iterable[str], key: bytes = b"autosens-repro") -> list:
-    """Anonymize an iterable of raw ids, preserving order."""
-    return [anonymize_user_id(r, key) for r in raw_ids]
 
 
 def require_min_aggregate(

@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from repro.errors import ConfigError, EmptyDataError
+from repro.errors import ConfigError
 from repro.telemetry.log_store import LogStore
 
 DEFAULT_SESSION_GAP_SECONDS = 30 * 60.0
@@ -75,24 +75,3 @@ def sessionize(
             )
             start_idx = i
     return sessions
-
-
-def session_length_vs_latency(
-    sessions: List[Session],
-    latency_split_ms: float,
-) -> tuple[float, float]:
-    """Mean session length (actions) for sessions below/above a latency split.
-
-    Returns ``(mean_actions_fast, mean_actions_slow)``. An extension
-    diagnostic: with a genuine latency preference, fast sessions run longer.
-    """
-    if not sessions:
-        raise EmptyDataError("no sessions to analyze")
-    fast = [s.n_actions for s in sessions if s.mean_latency_ms < latency_split_ms]
-    slow = [s.n_actions for s in sessions if s.mean_latency_ms >= latency_split_ms]
-    if not fast or not slow:
-        raise EmptyDataError(
-            f"latency split {latency_split_ms} ms leaves an empty side "
-            f"({len(fast)} fast, {len(slow)} slow sessions)"
-        )
-    return float(np.mean(fast)), float(np.mean(slow))

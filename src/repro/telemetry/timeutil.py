@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.types import DayPeriod
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
@@ -43,18 +42,6 @@ def day_index(times: np.ndarray, tz_offset_hours: np.ndarray | float = 0.0) -> n
     t = np.asarray(times, dtype=float)
     local = t + SECONDS_PER_HOUR * np.asarray(tz_offset_hours, dtype=float)
     return np.floor(local / SECONDS_PER_DAY).astype(np.int64)
-
-
-def day_period(times: np.ndarray, tz_offset_hours: np.ndarray | float = 0.0) -> np.ndarray:
-    """Map timestamps to the paper's four 6-hour periods.
-
-    Returns an object array of :class:`repro.types.DayPeriod`.
-    """
-    hours = hour_of_day(times, tz_offset_hours)
-    out = np.empty(hours.shape, dtype=object)
-    for i, h in enumerate(hours.ravel()):
-        out.ravel()[i] = DayPeriod.of_hour(float(h))
-    return out
 
 
 def month_index(times: np.ndarray, days_per_month: int = 30) -> np.ndarray:

@@ -1,9 +1,8 @@
-"""Series export: CSV and JSON files for external plotting."""
+"""Series export: CSV files for external plotting."""
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Dict, Union
 
@@ -33,23 +32,3 @@ def save_series_csv(series: Dict[str, np.ndarray], path: PathLike) -> int:
                  for c in columns]
             )
     return n
-
-
-def save_series_json(series: Dict[str, np.ndarray], path: PathLike) -> None:
-    """Write a dict of columns to JSON (NaN becomes null)."""
-    if not series:
-        raise EmptyDataError("no series to export")
-    payload = {}
-    for key, values in series.items():
-        out = []
-        for v in np.atleast_1d(values):
-            if isinstance(v, (float, np.floating)) and np.isnan(v):
-                out.append(None)
-            elif isinstance(v, (np.integer,)):
-                out.append(int(v))
-            elif isinstance(v, (np.floating,)):
-                out.append(float(v))
-            else:
-                out.append(v)
-        payload[key] = out
-    Path(path).write_text(json.dumps(payload, indent=1))

@@ -25,7 +25,6 @@ from repro.workload.generator import (
     GeneratorConfig,
     TelemetryGenerator,
     TelemetryResult,
-    generate_telemetry,
 )
 from repro.workload.incidents import (
     DEFAULT_INCIDENT_SPECS,
@@ -96,7 +95,6 @@ __all__ = [
     "GeneratorConfig",
     "TelemetryGenerator",
     "TelemetryResult",
-    "generate_telemetry",
     "DiurnalCurve",
     "LatencyGrid",
     "LatencyModel",

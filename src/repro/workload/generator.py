@@ -28,7 +28,7 @@ Two response modes (Ablation A; see paper Section 3.5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,7 +43,7 @@ from repro.workload.activity_model import ActivityModel
 from repro.workload.incidents import IncidentPlan, IncidentWindow
 from repro.workload.latency_model import LatencyGrid, LatencyModel, LatencyModelConfig
 from repro.workload.population import Population, PopulationConfig, synthesize_population
-from repro.workload.preference import GroundTruth, PERIOD_EXPONENTS
+from repro.workload.preference import GroundTruth
 from repro.workload.queue_model import QueueModel, QueueModelConfig
 
 SECONDS_PER_DAY = 86400.0
@@ -431,20 +431,3 @@ class TelemetryGenerator:
             n_accepted=n_accepted,
             incident_windows=list(self._incident_windows),
         )
-
-
-def generate_telemetry(
-    seed: Optional[int] = None,
-    config: Optional[GeneratorConfig] = None,
-    ground_truth: Optional[GroundTruth] = None,
-    action_mix: Optional[ActionMix] = None,
-    activity_model: Optional[ActivityModel] = None,
-) -> TelemetryResult:
-    """One-call convenience wrapper around :class:`TelemetryGenerator`."""
-    generator = TelemetryGenerator(
-        config=config,
-        ground_truth=ground_truth,
-        action_mix=action_mix,
-        activity_model=activity_model,
-    )
-    return generator.generate(rng=seed)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli.main import main
+from repro.obs.profile import PROFILE_SCHEMA
 
 
 def _run(tmp_path, tag, seed="11", extra_flags=()):
@@ -91,7 +92,7 @@ class TestHealthAndProfileFlags:
         profile = tmp_path / "profile.json"
         _run(tmp_path, "p", extra_flags=("--profile-out", str(profile)))
         payload = json.loads(profile.read_text())
-        assert payload["schema"] == 1
+        assert payload["schema"] == PROFILE_SCHEMA
         assert "experiment" in payload["spans"]
         assert payload["top"]
 
@@ -231,7 +232,7 @@ class TestRunRegistryCli:
         ])
         assert status == 0
 
-    def test_recorded_runs_ls_show_and_trend(self, tmp_path, capsys):
+    def test_recorded_runs_ls_show_and_diff(self, tmp_path, capsys):
         runs_dir = tmp_path / "runs"
         self._record(runs_dir)
         self._record(runs_dir)
@@ -246,12 +247,13 @@ class TestRunRegistryCli:
         assert "experiment:11" in shown and "health verdict" in shown
 
         # Two identical deterministic runs: every tracked dimension unchanged.
-        assert main(["runs", "trend", "--runs-dir", str(runs_dir)]) == 0
-        trend = capsys.readouterr().out
-        assert "regressed=0" in trend and "ok" in trend
-
         assert main(["runs", "diff", "1", "2",
                      "--runs-dir", str(runs_dir)]) == 0
+        assert "regressed=0" in capsys.readouterr().out
+
+        with pytest.raises(SystemExit) as exc:
+            main(["runs", "trend", "--runs-dir", str(runs_dir)])
+        assert exc.value.code == 2
 
     def test_recorded_dir_holds_the_telemetry_artifacts(self, tmp_path):
         runs_dir = tmp_path / "runs"

@@ -110,14 +110,14 @@ class TestFacade:
     def test_disabled_context_publishes_nothing(self):
         assert not obs.events_active()
         obs.event("run", phase="start")
-        assert obs.event_bus().published == 0
+        assert obs.current().bus.published == 0
 
     def test_enabled_without_sink_stays_inert(self):
         with obs.session(enabled=True):
             assert not obs.events_active()
             obs.event("run", phase="start")
             obs.inc("autosens_x_total")
-            assert obs.event_bus().published == 0
+            assert obs.current().bus.published == 0
 
     def test_attach_wires_the_tracer_listener(self):
         with obs.session(enabled=True, deterministic=True) as ctx:
@@ -136,7 +136,7 @@ class TestFacade:
             assert close["dur_us"] >= 0
 
     def test_metric_finding_degradation_events_flow(self):
-        from repro.obs.probes import HealthFinding
+        from repro.obs.probes import HealthFinding, emit
 
         with obs.session(enabled=True):
             sink = obs.attach_sink(EventSink())
@@ -144,9 +144,9 @@ class TestFacade:
             obs.observe("autosens_x_s", 0.5)
             obs.set_gauge("autosens_x_g", 7.0)
             obs.record_degradation("starved_slice", slice="a")
-            obs.record_finding(HealthFinding(
+            emit([HealthFinding(
                 probe="density", stage="alpha", severity="warn",
-                message="low"))
+                message="low")])
             types = [e["type"] for e in sink.tail()]
             assert types == ["metric", "metric", "metric", "degradation",
                             "finding"]
@@ -198,7 +198,36 @@ class TestNoSinkIdentity:
             # 12 span events through a 4-slot ring: the run never stalled,
             # the loss is explicit.
             assert sink.dropped == 8
-            assert obs.event_bus().stats()["dropped"] == 8
+            assert obs.current().bus.stats()["dropped"] == 8
+
+
+class TestFindingEvents:
+    """Probe findings from a real sweep reach the live stream."""
+
+    def _sweep(self, logs, sink=None):
+        from repro.core import AutoSens
+
+        with obs.session(enabled=True, deterministic=True, run_id="r") as ctx:
+            if sink is not None:
+                obs.attach_sink(sink)
+            AutoSens().curves_by_action(logs)
+            return list(ctx.findings), ctx.metrics.snapshot()
+
+    def test_one_finding_event_per_recorded_finding(self):
+        from repro.workload import owa_scenario
+
+        logs = owa_scenario(seed=3, duration_days=2.0, n_users=40).generate().logs
+        sink = EventSink()
+        findings, metrics = self._sweep(logs, sink)
+        events = [e for e in sink.tail() if e["type"] == "finding"]
+        assert findings
+        assert sink.dropped == 0
+        assert [(e["probe"], e["stage"], e["severity"], e["message"])
+                for e in events] == [
+            (f["probe"], f["stage"], f["severity"], f["message"])
+            for f in findings]
+        # Publishing changes nothing the run records.
+        assert self._sweep(logs) == (findings, metrics)
 
 
 def _square(x):

@@ -20,6 +20,7 @@ from repro.obs.health import (
     load_health_report,
     write_health_report,
 )
+from repro.obs.probes import emit
 from repro.telemetry import IngestPolicy, read_jsonl, write_jsonl
 from repro.workload import owa_scenario
 
@@ -84,7 +85,7 @@ class TestBuildReport:
 
     def test_active_context_findings_and_degradations_are_picked_up(self):
         with obs.session(enabled=True):
-            obs.record_finding(_degenerate_locality_finding())
+            emit([_degenerate_locality_finding()])
             obs.record_degradation("starved_slice", detail="injected")
             report = build_health_report()
         assert {f["stage"] for f in report.findings} == {"locality", "runtime"}

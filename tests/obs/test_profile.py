@@ -14,7 +14,6 @@ import repro.obs as obs
 from repro.errors import SchemaError
 from repro.obs.profile import (
     SpanProfiler,
-    StackSampler,
     build_profile,
     folded_from_spans,
     load_profile,
@@ -131,25 +130,6 @@ class TestFoldedAndTop:
         assert folded_from_spans(snapshot, records=None) == ["solo 2"]
 
 
-class TestStackSampler:
-    def test_sampler_collects_folded_stacks(self):
-        with StackSampler(interval_s=0.001) as sampler:
-            deadline = time.perf_counter() + 0.08
-            while time.perf_counter() < deadline:
-                sum(range(2000))
-        assert sampler.n_samples > 0
-        lines = sampler.folded()
-        assert lines
-        stack, count = lines[0].rsplit(" ", 1)
-        assert int(count) >= 1
-        assert ";" in stack or ":" in stack
-
-    def test_stop_is_idempotent(self):
-        sampler = StackSampler(interval_s=0.001).start()
-        sampler.stop()
-        sampler.stop()
-
-
 class TestArtifact:
     def test_build_write_load_roundtrip(self, tmp_path):
         profiler = SpanProfiler()
@@ -167,7 +147,9 @@ class TestArtifact:
         payload = build_profile(None)
         assert payload["spans"] == {}
         assert payload["top"] == []
-        assert payload["n_stack_samples"] == 0
+        assert payload["folded_spans"] == []
+        assert set(payload) == {"schema", "run_id", "spans", "top",
+                                "folded_spans"}
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,16 +1,15 @@
-"""The run registry: append-only index, lookup, and trend classification."""
+"""The run registry: append-only index, lookup, and ``runs diff``."""
 
 import json
 import multiprocessing
 import sys
 
 import repro.obs as obs
+from repro.cli.main import main
 from repro.obs.registry import (
     REGISTRY_SCHEMA,
     RunRegistry,
     render_runs_table,
-    render_trend,
-    trend_exit_code,
 )
 
 
@@ -135,49 +134,23 @@ class TestConcurrentAppenders:
         assert len(entries) == 1 + 2 * n_each
 
 
-class TestTrend:
-    def test_identical_runs_trend_unchanged(self, tmp_path):
+class TestRunsDiff:
+    def test_identical_runs_diff_unchanged(self, tmp_path, capsys):
         registry = RunRegistry(tmp_path / "runs")
         _record_run(registry)
         _record_run(registry)
-        reports = registry.trend()
-        assert len(reports) == 1
-        summary = reports[0]["summary"]
-        assert summary["regressed"] == 0
-        assert summary["removed"] == 0
-        assert summary["unchanged"] > 0
-        assert trend_exit_code(reports) == 0
+        assert main(["runs", "diff", "1", "2",
+                     "--runs-dir", str(registry.runs_dir)]) == 0
+        assert "regressed=0" in capsys.readouterr().out
 
-    def test_health_regression_is_flagged_on_the_offending_pair(self, tmp_path):
+    def test_health_regression_exits_one(self, tmp_path, capsys):
         registry = RunRegistry(tmp_path / "runs")
-        _record_run(registry)
         _record_run(registry)
         _record_run(registry, verdict="fail",
                     degradations=[{"kind": "breaker_open"}])
-        reports = registry.trend()
-        assert trend_exit_code(reports) == 1
-        assert reports[0]["summary"]["regressed"] == 0  # pair 1->2 clean
-        assert reports[1]["summary"]["regressed"] > 0   # pair 2->3 regressed
-        rendered = render_trend(reports)
-        assert "regressed" in rendered
-
-    def test_last_limits_the_window(self, tmp_path):
-        registry = RunRegistry(tmp_path / "runs")
-        for _ in range(4):
-            _record_run(registry)
-        assert len(registry.trend(last=2)) == 1
-        assert len(registry.trend(last=4)) == 3
-
-    def test_missing_run_dir_is_a_note_not_a_crash(self, tmp_path):
-        registry = RunRegistry(tmp_path / "runs")
-        first = _record_run(registry)
-        _record_run(registry)
-        manifest = registry.run_path(first) / "manifest.json"
-        manifest.unlink()
-        reports = registry.trend()
-        assert "error" in reports[0]
-        assert trend_exit_code(reports) == 1
-        assert "skipped" in render_trend(reports)
+        assert main(["runs", "diff", "1", "2",
+                     "--runs-dir", str(registry.runs_dir)]) == 1
+        assert "[regressed] health.verdict" in capsys.readouterr().out
 
 
 class TestRendering:
@@ -191,6 +164,5 @@ class TestRendering:
         assert "0001-exp-11" in table and "0002-exp-11" in table
         assert "warn" in table
 
-    def test_empty_table_and_trend_are_friendly(self):
+    def test_empty_table_is_friendly(self):
         assert "no recorded runs" in render_runs_table([])
-        assert "nothing to trend" in render_trend([])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro.obs as obs
-from repro.obs.probes import HealthFinding
+from repro.obs.probes import HealthFinding, emit
 from repro.obs.serve import ObsServer, parse_serve_addr
 
 
@@ -55,15 +55,15 @@ class TestEndpoints:
         status, body = _get(server.url + "/healthz")
         assert status == 200
         assert json.loads(body)["verdict"] == "ok"
-        obs.record_finding(HealthFinding(
-            probe="density", stage="alpha", severity="warn", message="low"))
+        emit([HealthFinding(
+            probe="density", stage="alpha", severity="warn", message="low")])
         status, body = _get(server.url + "/healthz")
         assert status == 200
         assert json.loads(body)["verdict"] == "warn"
 
     def test_healthz_is_503_on_fail(self, server):
-        obs.record_finding(HealthFinding(
-            probe="support", stage="alpha", severity="fail", message="gone"))
+        emit([HealthFinding(
+            probe="support", stage="alpha", severity="fail", message="gone")])
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "/healthz")
         assert excinfo.value.code == 503

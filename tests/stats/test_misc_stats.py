@@ -1,13 +1,11 @@
-"""Tests for correlation, smoothing, bootstrap and RNG helpers."""
+"""Tests for correlation and RNG helpers."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, EmptyDataError
-from repro.stats.bootstrap import bootstrap_ci, bootstrap_curve_band
+from repro.errors import EmptyDataError
 from repro.stats.correlation import pearson, spearman
 from repro.stats.rng import RngFactory, spawn_rng
-from repro.stats.smoothing import ewma, moving_average
 
 
 class TestPearson:
@@ -49,69 +47,6 @@ class TestSpearman:
     def test_anticorrelated(self):
         x = np.arange(10.0)
         assert np.isclose(spearman(x, -np.exp(x)), -1.0)
-
-
-class TestMovingAverage:
-    def test_constant(self):
-        assert np.allclose(moving_average(np.ones(10), 3), 1.0)
-
-    def test_window_one_is_identity(self):
-        values = np.arange(5.0)
-        assert np.allclose(moving_average(values, 1), values)
-
-    def test_nan_aware(self):
-        values = np.array([1.0, np.nan, 3.0])
-        out = moving_average(values, 3)
-        assert np.isclose(out[1], 2.0)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ConfigError):
-            moving_average(np.ones(3), 0)
-
-
-class TestEwma:
-    def test_converges_to_constant(self):
-        out = ewma(np.full(100, 5.0), alpha=0.3)
-        assert np.allclose(out, 5.0)
-
-    def test_nan_holds_state(self):
-        out = ewma(np.array([1.0, np.nan, np.nan]), alpha=0.5)
-        assert out[1] == 1.0 and out[2] == 1.0
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ConfigError):
-            ewma(np.ones(3), alpha=0.0)
-
-
-class TestBootstrap:
-    def test_mean_ci_covers_truth(self):
-        rng = np.random.default_rng(1)
-        result = bootstrap_ci(rng.normal(10, 1, 500), np.mean, rng=2)
-        assert result.low < 10.0 < result.high
-        assert result.contains(result.estimate)
-
-    def test_tight_for_large_n(self):
-        rng = np.random.default_rng(3)
-        result = bootstrap_ci(rng.normal(0, 1, 5000), np.mean,
-                              n_resamples=300, rng=4)
-        assert result.halfwidth < 0.1
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyDataError):
-            bootstrap_ci(np.array([]))
-
-    def test_curve_band_shapes(self):
-        point = np.zeros(10)
-        low, high = bootstrap_curve_band(
-            lambda gen: gen.normal(0, 1, 10), point, n_resamples=100, rng=5
-        )
-        assert low.shape == point.shape
-        assert np.all(low <= high)
-
-    def test_curve_band_rejects_bad_resample(self):
-        with pytest.raises(EmptyDataError):
-            bootstrap_curve_band(lambda gen: np.zeros(3), np.zeros(5),
-                                 n_resamples=2, rng=6)
 
 
 class TestRng:

@@ -11,7 +11,6 @@ from repro.stats.msd import (
     mean_absolute_difference,
     mean_successive_difference,
     msd_mad_ratio,
-    von_neumann_ratio,
 )
 
 
@@ -56,21 +55,6 @@ class TestRatio:
         rng = np.random.default_rng(5)
         values = rng.normal(size=5000)
         assert 0.9 < msd_mad_ratio(values) < 1.1
-
-    def test_von_neumann_iid_expectation(self):
-        """E[ratio] = 2n/(n-1) ~ 2 for i.i.d. data."""
-        rng = np.random.default_rng(6)
-        ratios = [von_neumann_ratio(rng.normal(size=500)) for _ in range(30)]
-        assert 1.85 < np.mean(ratios) < 2.15
-
-    def test_von_neumann_detects_positive_correlation(self):
-        from repro.stats.ou_process import ar1_series
-
-        values = ar1_series(4000, phi=0.95, rng=7)
-        assert von_neumann_ratio(values) < 0.5
-
-    def test_von_neumann_constant_series(self):
-        assert von_neumann_ratio(np.ones(10)) == 0.0
 
 
 class TestCompareLocality:

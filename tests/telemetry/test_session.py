@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, EmptyDataError
+from repro.errors import ConfigError
 from repro.telemetry import (
     ActionRecord,
     LogStore,
-    session_length_vs_latency,
     sessionize,
 )
 
@@ -55,27 +54,3 @@ class TestSessionize:
         store = _store([(5.0, 100.0, "u"), (25.0, 100.0, "u")])
         session = sessionize(store, gap_seconds=60.0)[0]
         assert session.duration == 20.0
-
-
-class TestSessionLatencySplit:
-    def test_fast_sessions_longer(self):
-        rows = []
-        # fast user does long sessions, slow user short ones
-        for day in range(20):
-            base = day * 86400.0
-            for i in range(8):
-                rows.append((base + i * 30.0, 100.0, "fast"))
-            for i in range(2):
-                rows.append((base + 40_000.0 + i * 30.0, 900.0, "slow"))
-        sessions = sessionize(_store(rows), gap_seconds=600.0)
-        fast_mean, slow_mean = session_length_vs_latency(sessions, 500.0)
-        assert fast_mean > slow_mean
-
-    def test_empty_side_raises(self):
-        sessions = sessionize(_store([(0.0, 100.0, "u")]), gap_seconds=60.0)
-        with pytest.raises(EmptyDataError):
-            session_length_vs_latency(sessions, 1.0)
-
-    def test_no_sessions_raises(self):
-        with pytest.raises(EmptyDataError):
-            session_length_vs_latency([], 100.0)

@@ -73,8 +73,3 @@ class TestDayPeriod:
 
     def test_wraps_over_24(self):
         assert DayPeriod.of_hour(25.0) == DayPeriod.NIGHT
-
-    def test_array_mapper(self):
-        periods = timeutil.day_period(np.array([9 * 3600.0, 3 * 3600.0]))
-        assert periods[0] == DayPeriod.MORNING
-        assert periods[1] == DayPeriod.LATE_NIGHT

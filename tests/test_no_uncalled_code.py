@@ -1,0 +1,89 @@
+"""Guard against library code that nothing runs.
+
+Every top-level ``def``/``class`` under ``src/`` must be referenced from
+somewhere that ships or runs: ``src/`` itself, ``perfbench/``,
+``benchmarks/``, ``examples/``, ``tools/`` or ``.github/``. Tests do not
+count as callers, a name's mentions inside its own definition do not
+count, and neither do re-exports in an ``__init__.py`` (its imports, its
+``__all__`` and a lazy module ``__getattr__``).
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+from typing import Dict, List
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "perfbench", "benchmarks", "examples", "tools",
+               ".github")
+
+#: Names kept without a production caller, each with its reason.
+ALLOWLIST = {
+    "ar1_series": "AR(1) data generator the locality-statistics tests draw from",
+    "is_guid_shaped": "checker the anonymisation tests apply to emitted tokens",
+}
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_reexport(node: ast.stmt) -> bool:
+    """An ``__init__.py`` statement that only re-exports names."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return True
+    if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+        return True
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _scan() -> tuple:
+    """(top-level definitions in src/ by name, identifier counts over every
+    caller file with each definition's own name left out of its body)."""
+    defs: Dict[str, List[str]] = {}
+    refs: Counter = Counter()
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).rglob("*")):
+            if not path.is_file() or "__pycache__" in path.parts:
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            if path.suffix != ".py":
+                if top == ".github":
+                    refs.update(_IDENT.findall(text))
+                continue
+            lines = text.splitlines()
+            for node in ast.parse(text).body:
+                if path.name == "__init__.py" and _is_reexport(node):
+                    continue
+                start = min([node.lineno] + [
+                    d.lineno for d in getattr(node, "decorator_list", [])])
+                names = Counter(_IDENT.findall(
+                    "\n".join(lines[start - 1:node.end_lineno])))
+                if isinstance(node, _DEFS) and not node.name.startswith("__"):
+                    names.pop(node.name, None)
+                    if top == "src":
+                        defs.setdefault(node.name, []).append(
+                            f"{path.relative_to(ROOT)}::{node.name}")
+                refs.update(names)
+    return defs, refs
+
+
+def test_every_top_level_definition_has_a_caller():
+    defs, refs = _scan()
+    uncalled = sorted(site for name, sites in defs.items()
+                      if not refs[name] and name not in ALLOWLIST
+                      for site in sites)
+    assert not uncalled, (
+        "top-level definitions that nothing outside tests references "
+        "(delete them, or allowlist with a reason):\n  "
+        + "\n  ".join(uncalled))
+
+
+def test_allowlist_names_exist_and_are_still_uncalled():
+    defs, refs = _scan()
+    for name in ALLOWLIST:
+        assert name in defs, f"allowlisted {name!r} is no longer defined"
+        assert not refs[name], f"allowlisted {name!r} now has a caller"

@@ -63,7 +63,6 @@ def test_lazy_root_exports():
 
     assert repro.AutoSens.__name__ == "AutoSens"
     assert callable(repro.owa_scenario)
-    assert callable(repro.generate_telemetry)
     with pytest.raises(AttributeError):
         repro.does_not_exist
 

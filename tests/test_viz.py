@@ -1,7 +1,6 @@
 """Tests for terminal plots, tables and exports."""
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from repro.viz import (
     format_table,
     line_plot,
     save_series_csv,
-    save_series_json,
 )
 
 
@@ -90,17 +88,6 @@ class TestExport:
             save_series_csv({"a": np.ones(2), "b": np.ones(3)},
                             tmp_path / "x.csv")
 
-    def test_json_nan_null(self, tmp_path):
-        path = tmp_path / "series.json"
-        save_series_json({"a": np.array([1.0, np.nan])}, path)
-        data = json.loads(path.read_text())
-        assert data["a"] == [1.0, None]
-
-    def test_json_handles_numpy_ints(self, tmp_path):
-        path = tmp_path / "series.json"
-        save_series_json({"a": np.array([1, 2], dtype=np.int64)}, path)
-        assert json.loads(path.read_text())["a"] == [1, 2]
-
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(EmptyDataError):
-            save_series_json({}, tmp_path / "x.json")
+            save_series_csv({}, tmp_path / "x.csv")

@@ -9,7 +9,6 @@ from repro.workload import (
     GeneratorConfig,
     PopulationConfig,
     TelemetryGenerator,
-    generate_telemetry,
     owa_scenario,
 )
 from repro.workload.scenarios import (
@@ -114,14 +113,6 @@ class TestGenerator:
             GeneratorConfig(response_mode="psychic")
         with pytest.raises(ConfigError):
             GeneratorConfig(error_rate=1.0)
-
-    def test_convenience_wrapper(self):
-        result = generate_telemetry(
-            seed=4,
-            config=GeneratorConfig(duration_days=0.25,
-                                   population=PopulationConfig(n_users=30)),
-        )
-        assert len(result.logs) > 0
 
 
 class TestScenarios:
