@@ -106,14 +106,14 @@ def _obs_parent() -> argparse.ArgumentParser:
         "--serve-obs", default=None, metavar="HOST:PORT",
         help="serve live telemetry over HTTP while the command runs: "
              "/metrics (Prometheus text), /healthz (rolling probe verdict), "
-             "/progress (JSON for 'autosens top'), /events (NDJSON tail); "
-             "port 0 picks a free port; all artifacts stay byte-identical "
-             "with or without this flag")
+             "/progress (JSON for 'autosens top'); port 0 picks a free "
+             "port; all artifacts stay byte-identical with or without "
+             "this flag")
     group.add_argument(
         "--runs-dir", default=None, metavar="DIR",
         help="record this run into the persistent run registry at DIR "
-             "(manifest + metrics + progress, indexed append-only); inspect "
-             "with 'autosens runs ls|show|diff'")
+             "(manifest + metrics, plus progress when served; indexed "
+             "append-only); inspect with 'autosens runs ls|show|diff'")
     return parent
 
 
@@ -209,8 +209,8 @@ def _start_obs_services(args: argparse.Namespace) -> dict:
     """Start the live telemetry plane this invocation asked for.
 
     Returns a services dict consumed by :func:`_finalize_obs_services`.
-    The server attaches to the already-configured context's event bus; a
-    bad ``--serve-obs`` address is a :class:`~repro.errors.ConfigError`
+    The server reads the already-configured context; a bad
+    ``--serve-obs`` address is a :class:`~repro.errors.ConfigError`
     (exit 2) like any other bad flag.
     """
     import time
@@ -218,21 +218,16 @@ def _start_obs_services(args: argparse.Namespace) -> dict:
     services: dict = {"server": None, "t0": time.monotonic()}
     spec = getattr(args, "serve_obs", None)
     if spec:
-        import repro.obs as obs
         from repro.obs.serve import ObsServer, parse_serve_addr
 
         try:
             host, port = parse_serve_addr(spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        server = ObsServer(host, port,
-                           runs_dir=getattr(args, "runs_dir", None)).start()
+        server = ObsServer(host, port).start()
         services["server"] = server
         print(f"obs: serving live telemetry on {server.url} "
-              "(/metrics /healthz /progress /events /slo /trend)",
-              file=sys.stderr)
-        obs.event("run", phase="start", run_id=obs.current().run_id,
-                  command=args.command)
+              "(/metrics /healthz /progress)", file=sys.stderr)
     return services
 
 
@@ -252,7 +247,7 @@ def _finalize_obs_services(args: argparse.Namespace, services: dict,
     server = services.get("server")
     final_state = "done" if status == 0 else "failed"
     if server is not None:
-        obs.event("run", phase=final_state)
+        server.tracker.finish(final_state)
         server.close()
     runs_dir = getattr(args, "runs_dir", None)
     if not runs_dir:
@@ -280,15 +275,9 @@ def _finalize_obs_services(args: argparse.Namespace, services: dict,
     obs.write_manifest(manifest, run_dir / "manifest.json")
     obs.write_metrics_prometheus(ctx.metrics, run_dir / "metrics.prom")
     if server is not None:
-        server.tracker.finish(final_state)
         (run_dir / "progress.json").write_text(
             json.dumps(server.tracker.snapshot(), indent=2, sort_keys=True)
             + "\n", encoding="utf-8")
-        events = server.sink.tail(n=server.sink.maxlen)
-        if events:
-            (run_dir / "events.ndjson").write_text(
-                "".join(line + "\n" for line in obs.event_lines(events)),
-                encoding="utf-8")
     entry = {
         "run_id": ctx.run_id,
         "command": args.command,
@@ -1010,14 +999,19 @@ def _fetch_progress(target: str) -> dict:
     if path.is_dir():
         from repro.obs.manifest import load_manifest
         from repro.obs.progress import load_progress, snapshot_from_manifest
+        from repro.obs.registry import RunRegistry
 
         if (path / "progress.json").is_file():
             return load_progress(path / "progress.json")
         # Runs recorded without --serve-obs persist no progress.json;
-        # degrade to a manifest-only summary instead of erroring.
+        # degrade to a manifest-only summary instead of erroring, timed by
+        # the registry's wall clock when the dir sits in a registry.
         manifest = path / "manifest.json"
         if manifest.is_file():
-            return snapshot_from_manifest(load_manifest(manifest))
+            wall_s = next((entry.get("wall_s") for entry
+                           in RunRegistry(path.parent).entries()
+                           if entry.get("dir") == path.name), None)
+            return snapshot_from_manifest(load_manifest(manifest), wall_s)
         raise SchemaError(f"{path} holds no progress.json or "
                           "manifest.json (is it a recorded run dir?)")
     url = target if target.startswith("http") else f"http://{target}"

@@ -57,7 +57,6 @@ from repro.core.quartiles import (
 )
 from repro.core.result import PreferenceResult
 from repro.core.uncertainty import BandedResult, nlp_confidence_band
-from repro.core.user_medians import StreamingUserMedians
 from repro.core.whatif import (
     WhatIfReport,
     cap_ms,
@@ -89,7 +88,6 @@ __all__ = [
     "load_counts",
     "BandedResult",
     "nlp_confidence_band",
-    "StreamingUserMedians",
     "WhatIfReport",
     "predict_activity_impact",
     "shift_ms",

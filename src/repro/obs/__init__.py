@@ -29,13 +29,6 @@ from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 from repro.obs import _runtime
 from repro.obs._runtime import LEVELS, ObsContext
-from repro.obs.events import (
-    EVENT_TYPES,
-    EVENTS_SCHEMA,
-    EventBus,
-    EventSink,
-    event_lines,
-)
 from repro.obs.diff import (
     diff_artifacts,
     diff_exit_code,
@@ -146,15 +139,7 @@ __all__ = [
     "write_metrics_json",
     "write_metrics_prometheus",
     "DEFAULT_DURATION_BUCKETS_S",
-    "EventBus",
-    "EventSink",
-    "EVENT_TYPES",
-    "EVENTS_SCHEMA",
-    "event_lines",
-    "event",
-    "events_active",
-    "attach_sink",
-    "detach_sink",
+    "report_progress",
     "ProgressTracker",
     "render_progress",
     "snapshot_from_manifest",
@@ -260,9 +245,6 @@ def inc(name: str, amount: float = 1.0, help: str = "", **labels: Any) -> None:
     if not ctx.enabled:
         return
     ctx.metrics.inc(name, amount, help=help, **labels)
-    if ctx.bus.active:
-        ctx.bus.publish("metric", metric=name, kind="counter", delta=amount,
-                        labels=labels)
 
 
 def observe(name: str, value: float, help: str = "", **labels: Any) -> None:
@@ -271,9 +253,6 @@ def observe(name: str, value: float, help: str = "", **labels: Any) -> None:
     if not ctx.enabled:
         return
     ctx.metrics.observe(name, value, help=help, **labels)
-    if ctx.bus.active:
-        ctx.bus.publish("metric", metric=name, kind="histogram", value=value,
-                        labels=labels)
 
 
 def set_gauge(name: str, value: float, help: str = "", **labels: Any) -> None:
@@ -282,9 +261,6 @@ def set_gauge(name: str, value: float, help: str = "", **labels: Any) -> None:
     if not ctx.enabled:
         return
     ctx.metrics.set_gauge(name, value, help=help, **labels)
-    if ctx.bus.active:
-        ctx.bus.publish("metric", metric=name, kind="gauge", value=value,
-                        labels=labels)
 
 
 def record_degradation(kind: str, **detail: Any) -> None:
@@ -296,50 +272,21 @@ def record_degradation(kind: str, **detail: Any) -> None:
     entry.update(detail)
     ctx.degradations.append(entry)
     ctx.metrics.inc("autosens_degradations_total", 1.0, kind=kind)
-    if ctx.bus.active:
-        ctx.bus.publish("degradation", **entry)
 
 
-def event(type: str, **payload: Any) -> None:
-    """Publish one typed event to the live bus (inert without sinks).
+def report_progress(stage: str, total: Optional[int] = None,
+                    done: int = 0) -> None:
+    """Tell the installed progress tracker that a map over ``stage``
+    started with ``total`` tasks, or that ``done`` more of them finished.
 
-    For event types with no better home (supervisor state changes, run
-    lifecycle). Hot paths with large payloads should guard on
-    :func:`events_active` before building kwargs.
+    A no-op unless a live server installed a tracker on the context.
     """
-    ctx = _runtime.current()
-    if not ctx.enabled:
+    tracker = _runtime.current().progress
+    if tracker is None:
         return
-    if ctx.bus.active:
-        ctx.bus.publish(type, **payload)
-
-
-def events_active() -> bool:
-    """Is a live event sink attached to the active context's bus?"""
-    ctx = _runtime.current()
-    return ctx.enabled and ctx.bus.active
-
-
-def attach_sink(sink: Any) -> Any:
-    """Attach a live event sink and wire the tracer's span listener.
-
-    Returns the sink. The first attached sink is what flips every
-    ``bus.active`` guard from the free no-sink path to live publishing;
-    :func:`detach_sink` restores the free path once the last sink leaves.
-    """
-    ctx = _runtime.current()
-    ctx.bus.attach(sink)
-    if ctx.tracer.enabled:
-        ctx.tracer.listener = ctx.bus
-    return sink
-
-
-def detach_sink(sink: Any) -> None:
-    """Detach a sink; unhooks the tracer listener when none remain."""
-    ctx = _runtime.current()
-    ctx.bus.detach(sink)
-    if not ctx.bus.active and getattr(ctx.tracer, "listener", None) is not None:
-        ctx.tracer.listener = None
+    if total is not None:
+        tracker.add_total(stage, total)
+    tracker.add_done(stage, done)
 
 
 def findings() -> List[Dict[str, Any]]:

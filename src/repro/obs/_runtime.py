@@ -6,10 +6,9 @@ whose logging threshold sits above every level, so instrumented code paths
 cost a couple of attribute loads and nothing else when observability is off.
 
 This module sits below :mod:`repro.obs.log` and the instrumented packages
-in the import graph on purpose: it imports only :mod:`repro.obs.trace`,
-:mod:`repro.obs.metrics` and :mod:`repro.obs.events` (leaf modules), which
-keeps the obs package free of circular imports no matter which pipeline
-module is loaded first.
+in the import graph on purpose: it imports only :mod:`repro.obs.trace`
+and :mod:`repro.obs.metrics` (leaf modules), which keeps the obs package
+free of circular imports no matter which pipeline module is loaded first.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, List, Optional, TextIO
 
-from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import DISABLED_TRACER, Tracer
 
@@ -37,13 +35,15 @@ class ObsContext:
     independently (a run may want logs without tracing). ``degradations``
     accumulates free-form notes (e.g. starved slices) for the run manifest;
     ``findings`` accumulates estimator-health probe results
-    (:mod:`repro.obs.probes`) for the health report.
+    (:mod:`repro.obs.probes`) for the health report. ``progress`` is the
+    :class:`~repro.obs.progress.ProgressTracker` a live server installed,
+    or ``None`` when nothing serves ``/progress``.
     """
 
     __slots__ = (
         "enabled", "level_no", "log_json", "log_stream",
         "tracer", "metrics", "deterministic", "run_id", "degradations",
-        "findings", "bus",
+        "findings", "progress",
     )
 
     def __init__(
@@ -73,10 +73,7 @@ class ObsContext:
         self.run_id = run_id
         self.degradations: List[Dict[str, Any]] = []
         self.findings: List[Dict[str, Any]] = []
-        # The live-telemetry event bus. Always present (so call sites need
-        # no None checks) but inert — and near-free — until a sink attaches
-        # via repro.obs.attach_sink.
-        self.bus = EventBus()
+        self.progress: Optional[Any] = None
 
 
 #: The do-nothing context active unless :func:`repro.obs.configure` ran.

@@ -112,9 +112,8 @@ def _finite(x: Any, default: float = float("nan")) -> float:
 def emit(findings: Iterable[HealthFinding]) -> None:
     """Record findings on the active observability context (no-op when off).
 
-    Each finding is appended to the context, counted in
-    ``autosens_health_findings_total`` and, while a live sink is attached,
-    published as a ``finding`` event.
+    Each finding is appended to the context and counted in
+    ``autosens_health_findings_total``.
     """
     from repro.obs import _runtime
 
@@ -125,10 +124,6 @@ def emit(findings: Iterable[HealthFinding]) -> None:
         ctx.findings.append(finding.to_dict())
         ctx.metrics.inc("autosens_health_findings_total", 1.0,
                         stage=finding.stage, severity=finding.severity)
-        if ctx.bus.active:
-            ctx.bus.publish("finding", probe=finding.probe,
-                            stage=finding.stage, severity=finding.severity,
-                            message=finding.message)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,19 @@
 """Live progress: per-stage completed/total, EWMA throughput, and ETA.
 
-A :class:`ProgressTracker` is an event-bus *sink* (see
-:mod:`repro.obs.events`): executors announce stage totals (``stage``
-events) and completions (``tasks`` events), the tracer streams span
-opens/closes, and the tracker folds them into a JSON-ready snapshot —
-the payload behind the obs server's ``/progress`` endpoint, the
-``autosens top`` terminal view, and the ``progress.json`` artifact the
-run registry persists.
+A :class:`ProgressTracker` is installed on the active context by the obs
+server (:mod:`repro.obs.serve`). Executors report to it through
+:func:`repro.obs.report_progress` — a stage total when a map starts,
+completions as tasks finish — and it reads span counts and the current
+span path straight from the run's tracer. Its snapshot is the payload
+behind the server's ``/progress`` endpoint, the ``autosens top`` terminal
+view, and the ``progress.json`` artifact the run registry persists.
 
 Throughput is an exponentially-weighted moving average over task
 completions (half-life :data:`DEFAULT_HALFLIFE_S`), so the ETA tracks the
 *current* rate rather than the run-lifetime mean — a stage that warmed its
 caches reports the faster steady-state rate. All clocks here are wall
 clocks: progress is a live view, never a deterministic artifact, and the
-tracker touches no tracer or RNG state.
+tracker only reads tracer state — it never writes it or any RNG.
 :func:`load_progress` reads a snapshot back and validates it on read.
 """
 
@@ -24,6 +24,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import _schema
+from repro.obs.trace import DISABLED_TRACER, aggregate_span_timings
 
 __all__ = [
     "PROGRESS_SCHEMA",
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 #: Bump when the progress snapshot field set changes incompatibly.
-PROGRESS_SCHEMA = 1
+PROGRESS_SCHEMA = 2
 
 #: EWMA half-life for task throughput, in seconds.
 DEFAULT_HALFLIFE_S = 5.0
@@ -58,60 +59,26 @@ class _StageProgress:
 
 
 class ProgressTracker:
-    """Fold executor and span events into per-stage progress with ETA.
+    """Per-stage progress with ETA, plus span counts read from a tracer.
 
-    Thread-safe enough for its real topology: one publisher thread (the
-    pipeline) mutates, HTTP handler threads read snapshots — per-stage
-    state is swapped atomically under the GIL and the snapshot tolerates
-    mid-update reads (it only ever sees a slightly stale frame).
+    Thread-safe enough for its real topology: one pipeline thread reports,
+    HTTP handler threads read snapshots — per-stage state is swapped
+    atomically under the GIL and the snapshot tolerates mid-update reads
+    (it only ever sees a slightly stale frame).
     """
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic,
+    def __init__(self, tracer: Any = DISABLED_TRACER,
+                 clock: Callable[[], float] = time.monotonic,
                  halflife_s: float = DEFAULT_HALFLIFE_S) -> None:
+        self.tracer = tracer
         self._clock = clock
         self._halflife_s = max(1e-3, float(halflife_s))
         self._stages: Dict[str, _StageProgress] = {}
         self._stage_order: List[str] = []
-        self._open_paths: List[str] = []
-        self._span_counts: Dict[str, int] = {}
         self.state = "running"
         self.started_at = clock()
         self.finished_at: Optional[float] = None
-        self.dropped = 0  # events a bounded upstream sink reported dropped
-        self.events_seen = 0
         self.run_id = ""
-
-    # -- sink protocol -------------------------------------------------------
-
-    def offer(self, event: Dict[str, Any]) -> None:
-        """Consume one bus event (the :class:`~repro.obs.events.EventBus`
-        sink protocol); unknown event types are ignored."""
-        self.events_seen += 1
-        etype = event.get("type")
-        if etype == "stage":
-            self._on_stage(str(event.get("stage", "?")),
-                           int(event.get("total", 0)))
-        elif etype == "tasks":
-            self._on_tasks(str(event.get("stage", "?")),
-                           int(event.get("done", 0)))
-        elif etype == "span_open":
-            path = str(event.get("path", ""))
-            if path:
-                self._open_paths.append(path)
-        elif etype == "span_close":
-            name = str(event.get("name", ""))
-            self._span_counts[name] = self._span_counts.get(name, 0) + 1
-            path = str(event.get("path", ""))
-            if path and path in self._open_paths:
-                self._open_paths.remove(path)
-        elif etype == "run":
-            phase = event.get("phase")
-            if phase in ("done", "failed"):
-                self.finish(state=str(phase))
-            elif event.get("run_id"):
-                self.run_id = str(event["run_id"])
-
-    # -- event folding -------------------------------------------------------
 
     def _stage(self, name: str) -> _StageProgress:
         stage = self._stages.get(name)
@@ -121,12 +88,14 @@ class ProgressTracker:
             self._stage_order.append(name)
         return stage
 
-    def _on_stage(self, name: str, total: int) -> None:
+    def add_total(self, name: str, total: int) -> None:
+        """Announce ``total`` more tasks for stage ``name``."""
         stage = self._stage(name)
         # Several maps over the same task function accumulate one total.
         stage.total = (stage.total or 0) + max(0, total)
 
-    def _on_tasks(self, name: str, done: int) -> None:
+    def add_done(self, name: str, done: int) -> None:
+        """Count ``done`` completed tasks of stage ``name``."""
         if done <= 0:
             return
         stage = self._stage(name)
@@ -148,8 +117,8 @@ class ProgressTracker:
         stage.updated_at = now
 
     def finish(self, state: str = "done") -> None:
-        """Mark the run finished; later events still count but the snapshot
-        reports a terminal state (and stops advertising ETAs)."""
+        """Mark the run finished; later reports still count but the
+        snapshot reports a terminal state (and stops advertising ETAs)."""
         self.state = state if state in STATES else "done"
         self.finished_at = self._clock()
 
@@ -190,38 +159,42 @@ class ProgressTracker:
             "run_id": self.run_id,
             "elapsed_s": round(max(0.0, now - self.started_at), 3),
             "stages": stages,
-            "spans": {k: self._span_counts[k]
-                      for k in sorted(self._span_counts)},
-            "current": self._open_paths[-1] if self._open_paths else None,
-            "events": {"seen": self.events_seen, "dropped": self.dropped},
+            "spans": {name: entry["count"] for name, entry in
+                      aggregate_span_timings(self.tracer.finished()).items()},
+            "current": self.tracer.open_path(),
         }
 
 
-def snapshot_from_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
+def snapshot_from_manifest(manifest: Dict[str, Any],
+                           wall_s: Optional[float] = None) -> Dict[str, Any]:
     """A progress-shaped frame synthesized from a run manifest.
 
     Runs recorded without ``--serve-obs`` persist no ``progress.json``;
     ``autosens top`` degrades to this manifest-only summary instead of
-    erroring: terminal state from ``exit_status``, span counts and a
-    wall-clock estimate from ``span_timings``. The frame satisfies the
-    same schema :func:`load_progress` checks, and carries
-    ``"source": "manifest"`` so renderers can label it honestly.
-    ``manifest`` is one :func:`~repro.obs.manifest.load_manifest` accepts.
+    erroring: terminal state from ``exit_status`` and span counts from
+    ``span_timings``. Elapsed time is ``wall_s`` — the registry index's
+    wall clock for the run — when known, else the longest single span
+    (nested spans overlap their parents, so a sum would count them
+    twice). The frame satisfies the same schema :func:`load_progress`
+    checks, and carries ``"source": "manifest"`` so renderers can label
+    it honestly. ``manifest`` is one
+    :func:`~repro.obs.manifest.load_manifest` accepts.
     """
     timings = manifest.get("span_timings", {})
     spans = {name: timings[name]["count"] for name in sorted(timings)}
-    elapsed = sum(float(timings[name]["seconds"]) for name in sorted(timings))
+    if wall_s is None:
+        wall_s = max((float(entry["seconds"]) for entry in timings.values()),
+                     default=0.0)
     exit_status = manifest.get("exit_status", 0)
     state = "done" if exit_status in (0, None) else "failed"
     return {
         "schema": PROGRESS_SCHEMA,
         "state": state,
         "run_id": str(manifest.get("run_id", "") or ""),
-        "elapsed_s": round(elapsed, 3),
+        "elapsed_s": round(float(wall_s), 3),
         "stages": {},
         "spans": spans,
         "current": None,
-        "events": {"seen": 0, "dropped": 0},
         "source": "manifest",
     }
 
@@ -229,17 +202,14 @@ def snapshot_from_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
 def load_progress(source: Any) -> Dict[str, Any]:
     """Read a progress snapshot back (a path or a parsed payload),
     validating on read: the state vocabulary, per-stage ``done <= total``,
-    finite non-negative rates and ETAs, and event counters."""
+    and finite non-negative rates and ETAs."""
     payload, where, errors = _schema.read_object(
         source, "progress snapshot", PROGRESS_SCHEMA)
-    elapsed, counters = payload.get("elapsed_s"), payload.get("events")
+    elapsed = payload.get("elapsed_s")
     if payload.get("state") not in STATES:
         errors.append(f"{where}: bad state {payload.get('state')!r}")
     if not _schema.is_number(elapsed) or elapsed < 0:
         errors.append(f"{where}: bad elapsed_s {elapsed!r}")
-    if not isinstance(counters, dict) or not all(
-            _schema.is_count(counters.get(k)) for k in ("seen", "dropped")):
-        errors.append(f"{where}: events counters missing or negative")
     stages = payload.get("stages")
     if not isinstance(stages, dict):
         _schema.raise_if(errors + [f"{where}: stages missing"])
@@ -317,7 +287,4 @@ def render_progress(snapshot: Dict[str, Any], source: str = "") -> str:
     if spans:
         top = sorted(spans.items(), key=lambda kv: (-kv[1], kv[0]))[:6]
         lines.append("  spans: " + "  ".join(f"{n}x{c}" for n, c in top))
-    events = snapshot.get("events") or {}
-    if events.get("dropped"):
-        lines.append(f"  events dropped: {events['dropped']}")
     return "\n".join(lines)

@@ -1,8 +1,10 @@
 """Persistent run registry: an append-only index over run artifacts.
 
 A registry is a ``--runs-dir`` directory with one subdirectory per recorded
-run (``<seq:04d>-<run_id>`` holding ``manifest.json``, ``metrics.prom``,
-``progress.json``) plus ``index.jsonl``, one JSON line per run. The index
+run (``<seq:04d>-<run_id>`` holding ``manifest.json`` and ``metrics.prom``,
+plus the final ``/progress`` snapshot as ``progress.json`` when the run
+was served with ``--serve-obs``) and ``index.jsonl``, one JSON line per
+run whose ``wall_s`` times the whole invocation. The index
 is append-only — recording never rewrites history — and reads are tolerant
 of a torn final line, so a run killed mid-append cannot corrupt the
 registry for later ones.

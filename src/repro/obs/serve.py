@@ -2,7 +2,8 @@
 
 Stdlib-only (:class:`http.server.ThreadingHTTPServer` on a daemon thread),
 started by the CLI when ``--serve-obs HOST:PORT`` is passed. The server is
-a pure *reader* of the active :class:`~repro.obs._runtime.ObsContext`:
+a pull-only *reader* of state the run already keeps on the active
+:class:`~repro.obs._runtime.ObsContext`:
 
 ``/metrics``
     Live Prometheus text from the active :class:`MetricsRegistry` (the same
@@ -13,23 +14,15 @@ a pure *reader* of the active :class:`~repro.obs._runtime.ObsContext`:
     503 for ``fail`` — with the full report as a JSON body.
 ``/progress``
     The :class:`~repro.obs.progress.ProgressTracker` snapshot as JSON
-    (per-stage completed/total, EWMA throughput, ETA).
-``/events``
-    NDJSON tail of recent bus events; ``?n=`` bounds the count and
-    ``?since=`` filters by sequence number for incremental polls.
-``/slo`` and ``/trend``
-    Fleet-level watch verdicts over the attached run registry (the
-    ``--runs-dir`` the server was started with): ``/slo`` evaluates the
-    SLO set against registry history — HTTP 200 when every SLO is met,
-    503 on a breach — and ``/trend`` serves the per-series change-point
-    classification. Both 404 when no registry is attached, and both
-    evaluate *recorded history only* (the in-flight run is not yet an
-    index entry).
+    (per-stage completed/total, EWMA throughput, ETA, and span counts read
+    from the tracer).
 
-Determinism contract: the server attaches one bounded
-:class:`~repro.obs.events.EventSink` and one tracker to the event bus and
-*never* writes to the tracer, the metrics registry (beyond the explicit
-pre-scrape supervisor gauge refresh, which is itself skipped for
+Fleet verdicts over recorded history are ``autosens watch <runs-dir>``'s
+job, not the live server's.
+
+Determinism contract: the server installs one progress tracker on the
+context and *never* writes to the tracer, the metrics registry (beyond the
+explicit pre-scrape supervisor gauge refresh, which is itself skipped for
 deterministic runs), or any RNG — artifacts from a served run are
 byte-identical to an unserved one.
 """
@@ -39,11 +32,10 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Any, Optional, Tuple
+from urllib.parse import urlparse
 
 import repro.obs as obs
-from repro.obs.events import EventSink, event_lines
 from repro.obs.progress import ProgressTracker
 
 __all__ = ["ObsServer", "parse_serve_addr"]
@@ -100,8 +92,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        parsed = urlparse(self.path)
-        route = parsed.path.rstrip("/") or "/"
+        route = urlparse(self.path).path.rstrip("/") or "/"
         try:
             if route == "/metrics":
                 self._serve_metrics()
@@ -109,12 +100,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._serve_healthz()
             elif route == "/progress":
                 self._serve_progress()
-            elif route == "/events":
-                self._serve_events(parse_qs(parsed.query))
-            elif route == "/slo":
-                self._serve_slo()
-            elif route == "/trend":
-                self._serve_trend()
             elif route == "/":
                 self._serve_index()
             else:
@@ -133,61 +118,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _serve_index(self) -> None:
         body = ("autosens obs server\n"
-                "endpoints: /metrics /healthz /progress /events "
-                "/slo /trend\n")
+                "endpoints: /metrics /healthz /progress\n")
         self._send(200, "text/plain; charset=utf-8", body.encode("utf-8"))
-
-    def _watch_report(self) -> Optional[Dict[str, Any]]:
-        runs_dir = getattr(self.server, "obs_runs_dir", None)
-        if not runs_dir:
-            return None
-        # Lazy import: watch pulls in the registry, which most served
-        # runs never need; a scrape pays the cost, not startup.
-        from repro.obs.registry import RunRegistry
-        from repro.obs.watch import (
-            WATCH_SCHEMA,
-            WatchConfigError,
-            build_watch_report,
-            load_slo_config,
-        )
-        slo_path = getattr(self.server, "obs_slo_path", None)
-        try:
-            return build_watch_report(
-                RunRegistry(runs_dir),
-                slos=load_slo_config(slo_path) if slo_path else None)
-        except WatchConfigError:
-            # A registry with no recorded history yet (e.g. scraped during
-            # the fleet's very first run) trivially meets every SLO.
-            empty = {"schema": WATCH_SCHEMA, "n_runs": 0,
-                     "note": "empty-registry"}
-            return {
-                "n_runs": 0,
-                "slo": {**empty, "kind": "watch-slo", "slos": [],
-                        "breaches": [], "met": True},
-                "trend": {**empty, "kind": "watch-trend", "series": {}},
-            }
-
-    def _serve_slo(self) -> None:
-        report = self._watch_report()
-        if report is None:
-            self._send(404, "text/plain; charset=utf-8",
-                       b"no run registry attached (start with --runs-dir)\n")
-            return
-        payload = report["slo"]
-        status = 200 if payload.get("met") else 503
-        body = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")) + "\n"
-        self._send(status, "application/json", body.encode("utf-8"))
-
-    def _serve_trend(self) -> None:
-        report = self._watch_report()
-        if report is None:
-            self._send(404, "text/plain; charset=utf-8",
-                       b"no run registry attached (start with --runs-dir)\n")
-            return
-        body = json.dumps(report["trend"], sort_keys=True,
-                          separators=(",", ":")) + "\n"
-        self._send(200, "application/json", body.encode("utf-8"))
 
     def _serve_metrics(self) -> None:
         _refresh_supervisor_gauges()
@@ -213,24 +145,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _serve_progress(self) -> None:
         tracker: ProgressTracker = self.server.obs_tracker  # type: ignore[attr-defined]
-        snapshot = tracker.snapshot()
-        snapshot["events"]["dropped"] = self.server.obs_sink.dropped  # type: ignore[attr-defined]
-        body = json.dumps(snapshot, sort_keys=True) + "\n"
+        body = json.dumps(tracker.snapshot(), sort_keys=True) + "\n"
         self._send(200, "application/json", body.encode("utf-8"))
-
-    def _serve_events(self, query: Dict[str, Any]) -> None:
-        sink: EventSink = self.server.obs_sink  # type: ignore[attr-defined]
-        try:
-            n = int(query.get("n", ["256"])[0])
-        except ValueError:
-            n = 256
-        try:
-            since = int(query.get("since", ["-1"])[0])
-        except ValueError:
-            since = -1
-        events = sink.tail(n=max(1, n), since_seq=since)
-        body = "".join(line + "\n" for line in event_lines(events))
-        self._send(200, "application/x-ndjson", body.encode("utf-8"))
 
     def _send(self, status: int, content_type: str, body: bytes) -> None:
         self.send_response(status)
@@ -243,26 +159,18 @@ class _Handler(BaseHTTPRequestHandler):
 class ObsServer:
     """The live telemetry endpoint for one run.
 
-    ``start()`` attaches a bounded event sink plus a progress tracker to the
-    active bus and begins serving on a daemon thread; ``close()`` detaches
-    both (restoring the bus's free no-sink path) and writes nothing. The
-    tracker outlives ``close()`` so the CLI can persist a final
-    ``progress.json`` into the run registry.
+    ``start()`` installs a progress tracker reading the active context's
+    tracer and begins serving on a daemon thread; ``close()`` uninstalls
+    the tracker and writes nothing. The tracker outlives ``close()`` so
+    the CLI can persist a final ``progress.json`` into the run registry.
     """
 
-    def __init__(self, host: str, port: int,
-                 sink_maxlen: Optional[int] = None,
-                 runs_dir: Optional[str] = None,
-                 slo_path: Optional[str] = None) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self._requested = (host, port)
-        self.runs_dir = str(runs_dir) if runs_dir else None
-        self.slo_path = str(slo_path) if slo_path else None
-        self.sink = EventSink(maxlen=sink_maxlen) if sink_maxlen \
-            else EventSink()
         self.tracker = ProgressTracker()
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._attached = False
+        self._ctx: Optional[Any] = None
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -281,14 +189,12 @@ class ObsServer:
         host, port = self._requested
         server = ThreadingHTTPServer((host, port), _Handler)
         server.daemon_threads = True
-        server.obs_sink = self.sink  # type: ignore[attr-defined]
         server.obs_tracker = self.tracker  # type: ignore[attr-defined]
-        server.obs_runs_dir = self.runs_dir  # type: ignore[attr-defined]
-        server.obs_slo_path = self.slo_path  # type: ignore[attr-defined]
         self._server = server
-        obs.attach_sink(self.sink)
-        obs.attach_sink(self.tracker)
-        self._attached = True
+        self._ctx = obs.current()
+        self.tracker.tracer = self._ctx.tracer
+        self.tracker.run_id = self._ctx.run_id
+        self._ctx.progress = self.tracker
         thread = threading.Thread(target=server.serve_forever,
                                   name="autosens-obs-serve", daemon=True)
         thread.start()
@@ -296,11 +202,11 @@ class ObsServer:
         return self
 
     def close(self) -> None:
-        """Stop serving and detach from the bus (idempotent)."""
-        if self._attached:
-            obs.detach_sink(self.tracker)
-            obs.detach_sink(self.sink)
-            self._attached = False
+        """Stop serving and uninstall the tracker (idempotent)."""
+        if self._ctx is not None:
+            if self._ctx.progress is self.tracker:
+                self._ctx.progress = None
+            self._ctx = None
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()

@@ -165,7 +165,6 @@ class _DisabledTracer:
     """Tracer stand-in installed while observability is off."""
 
     enabled = False
-    listener = None  # never wired; mirrors Tracer for uniform access
     tid = 0
 
     def span(self, name: str, key: Optional[str] = None, **attrs: Any) -> _NoopSpan:
@@ -173,6 +172,9 @@ class _DisabledTracer:
 
     def finished(self) -> List[Dict[str, Any]]:
         return []
+
+    def open_path(self) -> Optional[str]:
+        return None
 
     def adopt(self, records: Iterable[Dict[str, Any]],
               parent_id: Optional[str] = None, tid: Optional[int] = None) -> None:
@@ -205,11 +207,6 @@ class Tracer:
         # clocks and never touches span records, so trace artifacts are
         # byte-identical whether profiling is attached or not.
         self.profiler: Optional[Any] = None
-        # Optional repro.obs.events.EventBus publishing span open/close
-        # events to live sinks. Like the profiler, the listener observes
-        # spans after their identity and clocks are fixed — attaching it
-        # cannot change any artifact byte.
-        self.listener: Optional[Any] = None
         self._t0 = time.perf_counter()
         self._tick = 0
         self._stack: List[Span] = []
@@ -246,10 +243,6 @@ class Tracer:
         self._stack.append(span)
         if self.profiler is not None:
             self.profiler.on_enter(span.name)
-        listener = self.listener
-        if listener is not None and listener.active:
-            listener.publish("span_open", name=span.name, id=span.span_id,
-                             path=span.path, attrs=dict(span.attrs))
 
     def _exit(self, span: Span) -> None:
         if self.profiler is not None:
@@ -263,17 +256,21 @@ class Tracer:
             if top is span:
                 break
         self._records.append(span.to_record())
-        listener = self.listener
-        if listener is not None and listener.active:
-            listener.publish("span_close", name=span.name, id=span.span_id,
-                             path=span.path, dur_us=span.dur_us,
-                             attrs=dict(span.attrs))
 
     # -- record access -------------------------------------------------------
 
     def finished(self) -> List[Dict[str, Any]]:
         """All completed span records, in completion (post-)order."""
         return list(self._records)
+
+    def open_path(self) -> Optional[str]:
+        """Path of the innermost open span, or ``None`` outside any span.
+
+        Safe to call from another thread: the one-element slice is taken
+        atomically, so a span closing mid-read cannot raise.
+        """
+        top = self._stack[-1:]
+        return top[0].path if top else None
 
     def adopt(self, records: Iterable[Dict[str, Any]],
               parent_id: Optional[str] = None, tid: Optional[int] = None) -> None:
@@ -282,8 +279,6 @@ class Tracer:
         Roots among ``records`` (``parent is None``) are re-parented onto
         ``parent_id``; ``tid`` restamps the thread lane for trace viewers.
         """
-        listener = self.listener
-        publish = listener is not None and listener.active
         for record in records:
             adopted = dict(record)
             if adopted.get("parent") is None:
@@ -291,12 +286,6 @@ class Tracer:
             if tid is not None:
                 adopted["tid"] = tid
             self._records.append(adopted)
-            if publish:
-                listener.publish(
-                    "span_close", name=adopted.get("name", ""),
-                    id=adopted.get("id", ""), path=adopted.get("path", ""),
-                    dur_us=adopted.get("dur_us", 0),
-                    attrs=dict(adopted.get("attrs", {})), adopted=True)
 
 
 def aggregate_span_timings(records: Iterable[Dict[str, Any]]

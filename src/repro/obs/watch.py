@@ -21,8 +21,6 @@ the fleet still meet its objectives?* Three layers, stdlib-only:
   threshold) evaluated against registry history. ``max``/``min``
   objectives gate on the share of breaching runs inside the window
   (burn rate); ``stable`` objectives gate on the change-point verdict.
-  Each evaluation publishes a typed ``slo`` event on the process bus
-  (inert without sinks, like all obs instrumentation).
 
 Everything here is a pure function of registry contents: series are
 sorted by name, floats rounded before serialization, artifacts written
@@ -479,7 +477,7 @@ def _eval_stable_slo(slo: Dict[str, Any],
 
 def evaluate_slos(slos: Sequence[Dict[str, Any]],
                   series: Dict[str, List[Tuple[int, float]]]) -> Dict[str, Any]:
-    """Evaluate every SLO against collected series; publish ``slo`` events.
+    """Evaluate every SLO against collected series.
 
     Returns the ``watch-slo`` artifact payload. Pattern matching is
     fnmatch over sorted series names; an SLO whose pattern matches no
@@ -521,7 +519,6 @@ def evaluate_slos(slos: Sequence[Dict[str, Any]],
                     if key in detail:
                         breach[key] = detail[key]
                 breaches.append(breach)
-        _publish_slo_event(result)
     return {
         "schema": WATCH_SCHEMA,
         "kind": "watch-slo",
@@ -529,19 +526,6 @@ def evaluate_slos(slos: Sequence[Dict[str, Any]],
         "breaches": breaches,
         "met": not breaches,
     }
-
-
-def _publish_slo_event(result: Dict[str, Any]) -> None:
-    import repro.obs as obs
-    if not obs.events_active():
-        return
-    obs.event(
-        "slo",
-        slo=result["name"],
-        objective=result["objective"],
-        met=result["met"],
-        breaching=[d["series"] for d in result["series"] if not d["met"]],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -79,14 +79,12 @@ def _run_task_spans(fn: Callable[[Any], Any], items: Sequence[Any],
     """
     name = _task_name(fn)
     out: List[Any] = []
-    live = obs.events_active()
     for i, item in enumerate(items):
         check_deadline(f"task {name}[{base + i}]")
         with obs.span("task", key=f"{name}[{base + i}]", task=name,
                       index=base + i):
             out.append(fn(item))
-        if live:
-            obs.event("tasks", stage=name, done=1)
+        obs.report_progress(name, done=1)
     return out
 
 
@@ -105,9 +103,7 @@ class SerialExecutor:
                 check_deadline("serial task")
                 out.append(fn(item))
             return out
-        if obs.events_active():
-            obs.event("stage", stage=_task_name(fn), total=len(items),
-                      backend="serial")
+        obs.report_progress(_task_name(fn), total=len(items))
         return _run_task_spans(fn, items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -227,7 +223,6 @@ class ProcessExecutor:
                        base: int = 0) -> List[Any]:
         """Re-execute a lost chunk in-process, item by item, with retries."""
         traced = obs.enabled()
-        live = obs.events_active()
         out: List[Any] = []
         name = _task_name(fn)
         for i, item in enumerate(chunk):
@@ -239,8 +234,7 @@ class ProcessExecutor:
                 out.append(call_with_retry(
                     fn, item, policy=self.retry, task_name=f"chunk-item[{i}]"
                 ))
-            if live:
-                obs.event("tasks", stage=name, done=1, recovered=True)
+            obs.report_progress(name, done=1)
         return out
 
     def map_ordered(
@@ -252,10 +246,7 @@ class ProcessExecutor:
         items = list(items)
         if not items:
             return []
-        live = obs.events_active()
-        if live:
-            obs.event("stage", stage=_task_name(fn), total=len(items),
-                      backend="process")
+        obs.report_progress(_task_name(fn), total=len(items))
         if len(items) == 1 or self.max_workers == 1:
             if not obs.enabled():
                 return [fn(item) for item in items]
@@ -312,9 +303,7 @@ class ProcessExecutor:
                             out.extend(results)
                         else:
                             out.extend(value)
-                        if live:
-                            obs.event("tasks", stage=_task_name(fn),
-                                      done=len(chunk), backend="process")
+                        obs.report_progress(_task_name(fn), done=len(chunk))
                     except (BrokenProcessPool, FutureTimeout, OSError) as exc:
                         # A worker died or the chunk blew its budget. The pool
                         # may be unusable (a break fails every in-flight

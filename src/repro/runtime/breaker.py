@@ -103,10 +103,6 @@ class CircuitBreaker:
                       breaker=self.name)
         obs.inc("autosens_breaker_transitions_total",
                 breaker=self.name, to=state)
-        if obs.events_active():
-            obs.event("supervisor", component="breaker", breaker=self.name,
-                      state=state, code=_STATE_CODES[state],
-                      failures=self._failures)
         if state == OPEN:
             self.n_trips += 1
             obs.record_degradation(

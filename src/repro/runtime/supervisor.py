@@ -150,9 +150,6 @@ class Supervisor:
         if self.watchdog is not None:
             self.watchdog.start()
         self.export_gauges()
-        if obs.events_active():
-            obs.event("supervisor", component="scope", phase="enter",
-                      concerns=self._concern_names())
         try:
             with deadline_scope(self.deadline):
                 yield self
@@ -161,21 +158,6 @@ class Supervisor:
                 self.watchdog.stop()
             _ACTIVE.pop()
             self.export_gauges()
-            if obs.events_active():
-                obs.event("supervisor", component="scope", phase="exit",
-                          shed=len(self.shed_log))
-
-    def _concern_names(self) -> List[str]:
-        names = []
-        if self.deadline is not None:
-            names.append("deadline")
-        if self.breaker is not None:
-            names.append("breaker")
-        if self.watchdog is not None:
-            names.append("watchdog")
-        if self.memory is not None:
-            names.append("memory")
-        return names
 
     def summary(self) -> Dict[str, Any]:
         """A manifest-ready account of what supervision did this run."""

@@ -210,10 +210,6 @@ class Watchdog:
             self.kills.append(pid)
             killed.append(pid)
             obs.inc("autosens_watchdog_kills_total")
-            if obs.events_active():
-                obs.event("supervisor", component="watchdog", phase="kill",
-                          pid=pid, stalled_s=round(age, 3),
-                          requeues=len(self.kills))
             obs.record_degradation(
                 "watchdog_kill", pid=pid,
                 task=str(beat.get("task", "")),

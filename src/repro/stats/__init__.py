@@ -11,7 +11,6 @@ of telemetry or the AutoSens methodology:
 - :mod:`repro.stats.sampling` — nearest-in-time resampling primitives
 - :mod:`repro.stats.ou_process` — Ornstein–Uhlenbeck / AR(1) processes
 - :mod:`repro.stats.interpolate` — monotone (PCHIP) interpolation
-- :mod:`repro.stats.quantiles` — exact and streaming (P²) quantiles
 """
 
 from repro.stats.correlation import pearson, spearman
@@ -25,10 +24,9 @@ from repro.stats.msd import (
     msd_mad_ratio,
 )
 from repro.stats.ou_process import OrnsteinUhlenbeck, ar1_series
-from repro.stats.quantiles import P2Quantile, exact_quantile
 from repro.stats.rng import RngFactory, spawn_rng
 from repro.stats.sampling import nearest_time_sample, random_times, sorted_by_time
-from repro.stats.savgol import SavitzkyGolay, savgol_coefficients, savgol_smooth
+from repro.stats.savgol import SavitzkyGolay, savgol_smooth
 
 __all__ = [
     "latency_bins",
@@ -45,13 +43,10 @@ __all__ = [
     "msd_mad_ratio",
     "OrnsteinUhlenbeck",
     "ar1_series",
-    "P2Quantile",
-    "exact_quantile",
     "RngFactory",
     "spawn_rng",
     "nearest_time_sample",
     "random_times",
     "SavitzkyGolay",
-    "savgol_coefficients",
     "savgol_smooth",
 ]

@@ -17,9 +17,9 @@ least-squares kernel:
 3. one batched ``np.linalg.solve`` of those ``(d+1)×(d+1)`` systems
    yields each fit's constant term, the smoothed value.
 
-The same kernel covers the interior (where it equals the convolution with
-:func:`savgol_coefficients`), the shrunken windows at the array edges and
-the windows with NaN gaps. Where a window holds ``n`` valid points with
+The same kernel covers the interior (where it equals the classic
+convolution with fixed SG coefficients), the shrunken windows at the array
+edges and the windows with NaN gaps. Where a window holds ``n`` valid points with
 ``n ≤ degree``, the bin is fitted with degree ``n − 1``. A bin whose own
 input is NaN is filled only from a window that holds at least
 ``degree + 1`` valid points, some on each side of it; extrapolating past the
@@ -42,43 +42,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ConfigError
-
-
-@lru_cache(maxsize=64)
-def savgol_coefficients(window: int, degree: int, deriv: int = 0) -> np.ndarray:
-    """Return the convolution coefficients for a centered SG filter.
-
-    The array is cached and shared between callers, so it is read-only.
-
-    Parameters
-    ----------
-    window:
-        Odd window length.
-    degree:
-        Polynomial degree, must satisfy ``degree < window``.
-    deriv:
-        Derivative order to estimate (0 = smoothing).
-    """
-    if window % 2 != 1 or window < 1:
-        raise ConfigError(f"window must be odd and positive, got {window}")
-    if degree < 0 or degree >= window:
-        raise ConfigError(f"degree must satisfy 0 <= degree < window, got {degree}")
-    if deriv < 0 or deriv > degree:
-        raise ConfigError(f"deriv must satisfy 0 <= deriv <= degree, got {deriv}")
-    half = window // 2
-    # Vandermonde matrix of offsets -half..half.
-    offsets = np.arange(-half, half + 1, dtype=float)
-    vander = np.vander(offsets, degree + 1, increasing=True)
-    # Least squares: coefficients of the fitted polynomial are
-    # (V^T V)^{-1} V^T y; the deriv-th derivative at offset 0 is
-    # deriv! * a_deriv, i.e. a fixed linear functional of y.
-    pinv = np.linalg.pinv(vander)
-    factorial = 1
-    for k in range(2, deriv + 1):
-        factorial *= k
-    coeffs = pinv[deriv] * factorial
-    coeffs.flags.writeable = False
-    return coeffs
 
 
 @lru_cache(maxsize=64)

@@ -263,9 +263,8 @@ class TestRunRegistryCli:
         assert (run_dir / "metrics.prom").is_file()
         progress = json.loads((run_dir / "progress.json").read_text())
         assert progress["state"] == "done"
-        events = (run_dir / "events.ndjson").read_text().splitlines()
-        assert json.loads(events[0])["type"] == "run"
-        assert json.loads(events[-1])["phase"] == "done"
+        assert progress["run_id"] == "experiment:11"
+        assert not (run_dir / "events.ndjson").exists()
 
     def test_top_renders_a_recorded_run(self, tmp_path, capsys):
         runs_dir = tmp_path / "runs"

@@ -19,9 +19,8 @@ import pytest
 
 from repro.analysis.sensitivity import load_frontier
 from repro.errors import SchemaError
-from repro.obs import EventBus, EventSink, ProgressTracker, event_lines
+from repro.obs import ProgressTracker
 from repro.obs.diff import diff_paths, load_diff, write_diff
-from repro.obs.events import load_events
 from repro.obs.health import load_health_report
 from repro.obs.manifest import load_manifest, load_summary, manifest_rows
 from repro.obs.metrics import load_metrics_json, load_metrics_prometheus
@@ -77,29 +76,15 @@ def _diff(tmp: Path) -> Path:
     return write_diff(diff_paths(manifest, manifest), tmp / "diff.json")
 
 
-def _live(tmp: Path) -> None:
-    """A small live run on an event bus: the tracker's snapshot goes to
-    ``progress.json``, the sink's events to ``events.ndjson``."""
-    bus = EventBus()
-    sink = bus.attach(EventSink())
-    tracker = bus.attach(ProgressTracker())
-    bus.publish("run", phase="started", run_id="loaders")
-    bus.publish("stage", stage="sweep", total=8)
-    bus.publish("tasks", stage="sweep", done=3)
-    bus.publish("tasks", stage="sweep", done=2)
-    (tmp / "progress.json").write_text(json.dumps(tracker.snapshot()))
-    (tmp / "events.ndjson").write_text(
-        "".join(line + "\n" for line in event_lines(sink.drain())))
-
-
 def _progress(tmp: Path) -> Path:
-    _live(tmp)
+    """A small live run's tracker snapshot, as ``progress.json``."""
+    tracker = ProgressTracker()
+    tracker.run_id = "loaders"
+    tracker.add_total("sweep", 8)
+    tracker.add_done("sweep", 3)
+    tracker.add_done("sweep", 2)
+    (tmp / "progress.json").write_text(json.dumps(tracker.snapshot()))
     return tmp / "progress.json"
-
-
-def _events(tmp: Path) -> Path:
-    _live(tmp)
-    return tmp / "events.ndjson"
 
 
 def _watch(name: str) -> Callable[[Path], Path]:
@@ -235,11 +220,6 @@ KINDS = [
          _json(_not_an_object),
          _json(_put("stages", "sweep", "done", value=9)),
          "done 9 > total 8"),
-    Kind("events", "events", _events, load_events,
-         _lines(_put(0, "schema", value=99)),
-         _lines(_put(0, value=[])),
-         _lines(_put(2, "seq", value=1)),
-         "not strictly increasing"),
     Kind("registry", "registry", _copy(GOLDEN / "registry" / "clean"),
          load_registry,
          _lines(_put(0, "schema", value=99)),

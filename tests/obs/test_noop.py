@@ -67,30 +67,24 @@ class TestNoopExecutor:
         assert obs.trace_records() == []
 
 
-class TestNoopEventBus:
-    """The bus is compiled into the hot paths but must cost ~nothing off."""
+class TestNoopProgress:
+    """Progress reports are compiled into the executors but cost ~nothing
+    until a live server installs a tracker."""
 
-    def test_disabled_context_publishes_nothing(self):
-        obs.event("run", phase="start")
-        assert not obs.events_active()
-        assert obs.current().bus.published == 0
-        assert obs.current().bus.stats()["sinks"] == 0
+    def test_disabled_context_has_no_tracker(self):
+        obs.report_progress("s", total=3, done=1)
+        assert obs.current().progress is None
 
-    def test_enabled_but_sinkless_bus_stays_inert(self):
+    def test_enabled_context_without_a_server_has_no_tracker(self):
         with obs.session(enabled=True):
             with obs.span("alpha"):
-                obs.inc("autosens_x_total")
-                obs.event("tasks", stage="s", done=1)
-            assert obs.current().bus.published == 0
-            assert obs.current().bus.seq == 0
+                obs.report_progress("s", total=3, done=1)
+            assert obs.current().progress is None
 
-    def test_sinkless_executor_run_publishes_nothing(self):
+    def test_executor_run_without_a_server_installs_nothing(self):
         with obs.session(enabled=True):
-            SerialExecutor().map_ordered(_double, [1, 2, 3])
-            assert obs.current().bus.published == 0
-
-    def test_disabled_tracer_has_no_listener(self):
-        assert obs.current().tracer.listener is None
+            assert SerialExecutor().map_ordered(_double, [1, 2, 3]) == [2, 4, 6]
+            assert obs.current().progress is None
 
 
 def _double(x):

@@ -2,6 +2,7 @@
 
 import math
 
+import repro.obs as obs
 from repro.obs.progress import (
     DEFAULT_HALFLIFE_S,
     PROGRESS_SCHEMA,
@@ -30,9 +31,9 @@ def _tracker():
 class TestStageFolding:
     def test_stage_then_tasks_fold_into_done_over_total(self):
         tracker, clock = _tracker()
-        tracker.offer({"type": "stage", "stage": "sweep", "total": 10})
+        tracker.add_total("sweep", 10)
         clock.advance(1.0)
-        tracker.offer({"type": "tasks", "stage": "sweep", "done": 4})
+        tracker.add_done("sweep", 4)
         snap = tracker.snapshot()
         assert snap["schema"] == PROGRESS_SCHEMA
         stage = snap["stages"]["sweep"]
@@ -42,52 +43,45 @@ class TestStageFolding:
 
     def test_repeated_stage_announcements_accumulate_the_total(self):
         tracker, _ = _tracker()
-        tracker.offer({"type": "stage", "stage": "shard", "total": 3})
-        tracker.offer({"type": "stage", "stage": "shard", "total": 3})
+        tracker.add_total("shard", 3)
+        tracker.add_total("shard", 3)
         assert tracker.snapshot()["stages"]["shard"]["total"] == 6
 
     def test_tasks_before_stage_announcement_still_count(self):
         tracker, _ = _tracker()
-        tracker.offer({"type": "tasks", "stage": "late", "done": 2})
+        tracker.add_done("late", 2)
         stage = tracker.snapshot()["stages"]["late"]
         assert stage["done"] == 2
         assert stage["total"] is None
         assert stage["eta_s"] is None  # no total, no ETA
 
-    def test_unknown_event_types_are_ignored(self):
-        tracker, _ = _tracker()
-        tracker.offer({"type": "metric", "metric": "x"})
-        tracker.offer({"type": "nonsense"})
-        assert tracker.snapshot()["stages"] == {}
-        assert tracker.events_seen == 2
-
 
 class TestRateAndEta:
     def test_eta_tracks_remaining_over_rate(self):
         tracker, clock = _tracker()
-        tracker.offer({"type": "stage", "stage": "s", "total": 100})
+        tracker.add_total("s", 100)
         clock.advance(2.0)
-        tracker.offer({"type": "tasks", "stage": "s", "done": 20})
+        tracker.add_done("s", 20)
         stage = tracker.snapshot()["stages"]["s"]
         assert stage["rate_per_s"] == 10.0
         assert stage["eta_s"] == 8.0  # 80 remaining at 10/s
 
     def test_rate_is_an_ewma_not_a_lifetime_mean(self):
         tracker, clock = _tracker()
-        tracker.offer({"type": "stage", "stage": "s", "total": 1000})
+        tracker.add_total("s", 1000)
         clock.advance(1.0)
-        tracker.offer({"type": "tasks", "stage": "s", "done": 100})  # 100/s
+        tracker.add_done("s", 100)  # 100/s
         # Long enough after the half-life, the old rate should mostly decay.
         clock.advance(DEFAULT_HALFLIFE_S * 10)
-        tracker.offer({"type": "tasks", "stage": "s", "done": 1})
+        tracker.add_done("s", 1)
         rate = tracker.snapshot()["stages"]["s"]["rate_per_s"]
         assert rate < 10.0
 
     def test_completed_stage_advertises_no_eta(self):
         tracker, clock = _tracker()
-        tracker.offer({"type": "stage", "stage": "s", "total": 2})
+        tracker.add_total("s", 2)
         clock.advance(1.0)
-        tracker.offer({"type": "tasks", "stage": "s", "done": 2})
+        tracker.add_done("s", 2)
         assert tracker.snapshot()["stages"]["s"]["eta_s"] is None
 
 
@@ -107,10 +101,10 @@ class TestClamps:
 
     def test_done_over_total_is_clamped_in_the_snapshot(self):
         tracker, clock = _tracker()
-        tracker.offer({"type": "stage", "stage": "s", "total": 5})
+        tracker.add_total("s", 5)
         clock.advance(1.0)
         # Retried tasks over-report: 8 completions against a total of 5.
-        tracker.offer({"type": "tasks", "stage": "s", "done": 8})
+        tracker.add_done("s", 8)
         stage = tracker.snapshot()["stages"]["s"]
         assert stage["done"] == 5
         assert stage["eta_s"] is None  # nothing "remaining" to estimate
@@ -118,19 +112,19 @@ class TestClamps:
 
     def test_zero_duration_window_yields_finite_rate_and_eta(self):
         tracker, clock = _tracker()
-        tracker.offer({"type": "stage", "stage": "s", "total": 1000})
+        tracker.add_total("s", 1000)
         # Two task batches with the clock frozen: dt == 0 exactly.
-        tracker.offer({"type": "tasks", "stage": "s", "done": 10})
-        tracker.offer({"type": "tasks", "stage": "s", "done": 10})
+        tracker.add_done("s", 10)
+        tracker.add_done("s", 10)
         self._assert_frame_sane(tracker.snapshot())
 
     def test_backwards_clock_never_emits_negative_rate_or_eta(self):
         tracker, clock = _tracker()
-        tracker.offer({"type": "stage", "stage": "s", "total": 100})
+        tracker.add_total("s", 100)
         clock.advance(1.0)
-        tracker.offer({"type": "tasks", "stage": "s", "done": 10})
+        tracker.add_done("s", 10)
         clock.advance(-5.0)  # e.g. a clock source swap under the tracker
-        tracker.offer({"type": "tasks", "stage": "s", "done": 10})
+        tracker.add_done("s", 10)
         self._assert_frame_sane(tracker.snapshot())
 
 
@@ -151,8 +145,14 @@ class TestManifestSnapshot:
         assert snap["state"] == "done"
         assert snap["run_id"] == "exp:11"
         assert snap["spans"] == {"ingest": 1, "preference_compute": 3}
-        assert snap["elapsed_s"] == 2.4
+        # Without a wall clock, the longest span bounds the run from
+        # below; summing would count nested spans twice.
+        assert snap["elapsed_s"] == 2.0
         assert snap["source"] == "manifest"
+
+    def test_registry_wall_clock_is_the_elapsed_time(self):
+        snap = snapshot_from_manifest(self._manifest(), wall_s=3.25)
+        assert snap["elapsed_s"] == 3.25
 
     def test_failed_exit_status_maps_to_failed_state(self):
         snap = snapshot_from_manifest(self._manifest(exit_status=3))
@@ -166,25 +166,26 @@ class TestManifestSnapshot:
 
 
 class TestLifecycle:
-    def test_run_events_set_identity_and_terminal_state(self):
+    def test_run_id_and_finish_set_identity_and_terminal_state(self):
         tracker, clock = _tracker()
-        tracker.offer({"type": "run", "phase": "start", "run_id": "exp:11"})
+        tracker.run_id = "exp:11"
         assert tracker.snapshot()["run_id"] == "exp:11"
         clock.advance(3.0)
-        tracker.offer({"type": "run", "phase": "done"})
+        tracker.finish("done")
         snap = tracker.snapshot()
         assert snap["state"] == "done"
         assert snap["elapsed_s"] == 3.0
 
-    def test_span_events_count_and_track_the_open_path(self):
-        tracker, _ = _tracker()
-        tracker.offer({"type": "span_open", "name": "alpha",
-                       "path": "/sweep/alpha"})
-        assert tracker.snapshot()["current"] == "/sweep/alpha"
-        tracker.offer({"type": "span_close", "name": "alpha",
-                       "path": "/sweep/alpha"})
-        snap = tracker.snapshot()
-        assert snap["spans"] == {"alpha": 1}
+    def test_spans_and_open_path_are_read_from_the_tracer(self):
+        with obs.session(enabled=True, deterministic=True) as ctx:
+            tracker = ProgressTracker(tracer=ctx.tracer)
+            with obs.span("sweep"):
+                with obs.span("alpha"):
+                    assert tracker.snapshot()["current"] == "/sweep/alpha"
+                with obs.span("alpha"):
+                    pass
+            snap = tracker.snapshot()
+        assert snap["spans"] == {"alpha": 2, "sweep": 1}
         assert snap["current"] is None
 
     def test_terminal_snapshot_freezes_elapsed(self):
@@ -200,10 +201,10 @@ class TestLifecycle:
 class TestRender:
     def test_render_shows_bars_counts_and_eta(self):
         tracker, clock = _tracker()
-        tracker.offer({"type": "run", "phase": "start", "run_id": "r1"})
-        tracker.offer({"type": "stage", "stage": "sweep", "total": 10})
+        tracker.run_id = "r1"
+        tracker.add_total("sweep", 10)
         clock.advance(1.0)
-        tracker.offer({"type": "tasks", "stage": "sweep", "done": 5})
+        tracker.add_done("sweep", 5)
         frame = render_progress(tracker.snapshot(), source="host:1234")
         assert "run r1" in frame
         assert "[host:1234]" in frame
@@ -215,8 +216,3 @@ class TestRender:
         tracker, _ = _tracker()
         frame = render_progress(tracker.snapshot())
         assert "no stage progress yet" in frame
-
-    def test_render_surfaces_dropped_events(self):
-        tracker, _ = _tracker()
-        tracker.dropped = 12
-        assert "events dropped: 12" in render_progress(tracker.snapshot())

@@ -1,9 +1,9 @@
-"""The obs HTTP server: endpoints, verdict codes, and bus hygiene."""
+"""The obs HTTP server: endpoints, verdict codes, and tracker hygiene."""
 
 import json
 import urllib.error
 import urllib.request
-from pathlib import Path
+from collections import Counter
 
 import pytest
 
@@ -70,10 +70,9 @@ class TestEndpoints:
         payload = json.loads(excinfo.value.read().decode("utf-8"))
         assert payload["verdict"] == "fail"
 
-    def test_progress_reflects_stage_events(self, server):
-        obs.event("run", phase="start", run_id="serve-test")
-        obs.event("stage", stage="sweep", total=4)
-        obs.event("tasks", stage="sweep", done=1)
+    def test_progress_reflects_reported_stages(self, server):
+        obs.report_progress("sweep", total=4)
+        obs.report_progress("sweep", done=1)
         status, body = _get(server.url + "/progress")
         assert status == 200
         snap = json.loads(body)
@@ -81,29 +80,20 @@ class TestEndpoints:
         assert snap["stages"]["sweep"]["done"] == 1
         assert snap["stages"]["sweep"]["total"] == 4
 
-    def test_events_tail_is_ndjson_with_since_filter(self, server):
-        for i in range(5):
-            obs.event("tasks", stage="s", done=1)
-        status, body = _get(server.url + "/events?n=3")
-        events = [json.loads(line) for line in body.splitlines()]
-        assert status == 200
-        assert len(events) == 3
-        seqs = [e["seq"] for e in events]
-        assert seqs == sorted(seqs)
-        _, body = _get(f"{server.url}/events?since={seqs[-1]}")
-        assert body == ""
-
-    def test_spans_flow_to_the_live_stream(self, server):
+    def test_progress_reads_spans_from_the_tracer(self, server):
         with obs.span("alpha", slot=1):
-            pass
-        _, body = _get(server.url + "/events?n=100")
-        types = [json.loads(line)["type"] for line in body.splitlines()]
-        assert "span_open" in types and "span_close" in types
+            _, body = _get(server.url + "/progress")
+            assert json.loads(body)["current"] == "/alpha"
+        _, body = _get(server.url + "/progress")
+        snap = json.loads(body)
+        assert snap["spans"] == {"alpha": 1}
+        assert snap["current"] is None
 
     def test_unknown_route_is_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(server.url + "/nope")
-        assert excinfo.value.code == 404
+        for route in ("/nope", "/events"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(server.url + route)
+            assert excinfo.value.code == 404, route
 
     @pytest.mark.parametrize("route", ["/slo", "/trend"])
     def test_watch_routes_404_without_a_runs_dir(self, server, route):
@@ -112,90 +102,76 @@ class TestEndpoints:
         assert excinfo.value.code == 404
 
 
-class TestWatchEndpoints:
-    """A server wired to a registry serves fleet SLO and trend verdicts."""
-
-    GOLDEN = Path(__file__).parent / "golden" / "registry"
-
-    def _server(self, runs_dir):
-        return ObsServer("127.0.0.1", 0, runs_dir=str(runs_dir)).start()
-
-    def test_slo_is_200_when_the_fleet_is_healthy(self):
-        with obs.session(enabled=True, run_id="watch-clean"):
-            srv = self._server(self.GOLDEN / "clean")
-            try:
-                status, body = _get(srv.url + "/slo")
-            finally:
-                srv.close()
-        payload = json.loads(body)
-        assert status == 200
-        assert payload["kind"] == "watch-slo"
-        assert payload["met"] is True
-        assert payload["breaches"] == []
-
-    def test_slo_is_503_on_a_breach_and_names_the_series(self):
-        with obs.session(enabled=True, run_id="watch-stepped"):
-            srv = self._server(self.GOLDEN / "stepped")
-            try:
-                with pytest.raises(urllib.error.HTTPError) as excinfo:
-                    _get(srv.url + "/slo")
-                assert excinfo.value.code == 503
-                payload = json.loads(excinfo.value.read().decode("utf-8"))
-            finally:
-                srv.close()
-        assert payload["met"] is False
-        assert any(b["series"] == "span_seconds[preference_compute]"
-                   for b in payload["breaches"])
-
-    def test_trend_serves_per_series_change_points(self):
-        with obs.session(enabled=True, run_id="watch-trend"):
-            srv = self._server(self.GOLDEN / "stepped")
-            try:
-                status, body = _get(srv.url + "/trend")
-            finally:
-                srv.close()
-        payload = json.loads(body)
-        assert status == 200
-        assert payload["kind"] == "watch-trend"
-        moved = payload["series"]["span_seconds[preference_compute]"]
-        assert moved["state"] == "stepped"
-        assert moved["change_seq"] == 6
-
-    def test_empty_registry_serves_a_trivially_met_verdict(self, tmp_path):
-        runs_dir = tmp_path / "runs"
-        runs_dir.mkdir()
-        (runs_dir / "index.jsonl").write_text("", encoding="utf-8")
-        with obs.session(enabled=True, run_id="watch-empty"):
-            srv = self._server(runs_dir)
-            try:
-                status, body = _get(srv.url + "/slo")
-            finally:
-                srv.close()
-        payload = json.loads(body)
-        assert status == 200
-        assert payload["met"] is True
-        assert payload["note"] == "empty-registry"
-
-
 class TestLifecycle:
-    def test_start_attaches_and_close_detaches(self):
-        with obs.session(enabled=True, run_id="lifecycle"):
-            assert not obs.events_active()
+    def test_start_installs_and_close_uninstalls_the_tracker(self):
+        with obs.session(enabled=True, run_id="lifecycle") as ctx:
+            assert ctx.progress is None
             srv = ObsServer("127.0.0.1", 0).start()
-            assert obs.events_active()
+            assert ctx.progress is srv.tracker
             host, port = srv.address
             assert port != 0  # ephemeral bind resolved
             srv.close()
-            assert not obs.events_active()
+            assert ctx.progress is None
+            obs.report_progress("s", total=1)  # no tracker: a no-op
+            assert srv.tracker.snapshot()["stages"] == {}
             srv.close()  # idempotent
 
     def test_tracker_survives_close_for_final_persistence(self):
         with obs.session(enabled=True, run_id="persist"):
             srv = ObsServer("127.0.0.1", 0).start()
-            obs.event("stage", stage="s", total=2)
-            obs.event("tasks", stage="s", done=2)
+            obs.report_progress("s", total=2)
+            obs.report_progress("s", done=2)
             srv.close()
             srv.tracker.finish("done")
             snap = srv.tracker.snapshot()
             assert snap["state"] == "done"
             assert snap["stages"]["s"]["done"] == 2
+
+
+class TestServedSweep:
+    """Serving a sweep changes no byte, and its final progress is complete."""
+
+    @pytest.fixture(scope="class")
+    def logs(self):
+        from repro.workload import owa_scenario
+
+        return owa_scenario(seed=3, duration_days=2.0, n_users=40).generate().logs
+
+    def _sweep(self, logs, backend, served):
+        from repro.analysis.sensitivity import run_sensitivity_suite
+        from repro.core import AutoSens
+
+        with obs.session(enabled=True, deterministic=True,
+                         run_id="sweep") as ctx:
+            srv = ObsServer("127.0.0.1", 0).start() if served else None
+            try:
+                # The curve sweep feeds findings and many spans; the
+                # sensitivity twins map through the executor on both
+                # backends, so each run has at least one stage.
+                AutoSens(executor=backend).curves_by_action(logs)
+                run_sensitivity_suite(["user-skew-mild"], executor=backend)
+                frame = (json.loads(_get(srv.url + "/progress")[1])
+                         if served else None)
+            finally:
+                if srv is not None:
+                    srv.close()
+            return (ctx.tracer.finished(), ctx.metrics.render_prometheus(),
+                    list(ctx.findings)), frame
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_serving_changes_no_byte_and_progress_is_complete(
+            self, logs, backend):
+        plain, _ = self._sweep(logs, backend, served=False)
+        served, frame = self._sweep(logs, backend, served=True)
+        assert served == plain
+        records, _, findings = served
+        assert findings
+        tasks = Counter(r["attrs"]["task"] for r in records
+                        if r["name"] == "task")
+        assert frame["stages"]
+        assert {name: (stage["done"], stage["total"])
+                for name, stage in frame["stages"].items()} == {
+            name: (n, n) for name, n in tasks.items()}
+        assert frame["spans"] == {
+            name: entry["count"] for name, entry
+            in obs.aggregate_span_timings(records).items()}

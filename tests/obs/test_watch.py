@@ -5,9 +5,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.obs as obs
 from repro.cli.main import main
-from repro.obs import EventSink
 from repro.obs.registry import RunRegistry
 from repro.obs.watch import (
     DEFAULT_SLOS,
@@ -190,19 +188,6 @@ class TestEvaluateSlos:
         assert report["met"] is True
         assert report["slos"][0]["note"] == "no-data"
 
-    def test_evaluation_publishes_typed_slo_events(self):
-        slos = load_slo_config({"slo": [
-            {"name": "wall", "series": "wall_s", "objective": "max",
-             "threshold": 0.5, "window": 4}]})
-        with obs.session(enabled=True):
-            sink = obs.attach_sink(EventSink())
-            evaluate_slos(slos, {"wall_s": _points([1.0, 1.0])})
-            events = [e for e in sink.tail() if e["type"] == "slo"]
-        assert len(events) == 1
-        assert events[0]["slo"] == "wall"
-        assert events[0]["met"] is False
-        assert events[0]["breaching"] == ["wall_s"]
-
 
 class TestFixtureRegistries:
     """The committed clean/stepped registries drive the CI gate."""
@@ -320,6 +305,13 @@ class TestTopManifestFallback:
         out = capsys.readouterr().out
         assert "manifest-only summary" in out
         assert "preference_compute" in out
+
+    def test_top_takes_elapsed_from_the_registry_wall_clock(self, capsys):
+        # Summing span seconds would count nested spans twice; the index
+        # line's wall_s times the whole run.
+        entry = RunRegistry(CLEAN).entries()[0]
+        assert main(["top", str(CLEAN / entry["dir"])]) == 0
+        assert f"elapsed {entry['wall_s']:.1f}s" in capsys.readouterr().out
 
     def test_top_on_an_empty_dir_is_a_schema_error(self, tmp_path, capsys):
         assert main(["top", str(tmp_path)]) == 3

@@ -150,18 +150,3 @@ class TestExportGauges:
         supervisor = Supervisor(deadline_s=5.0, workdir=tmp_path)
         supervisor.export_gauges()
         assert len(obs.metrics()) == 0
-
-    def test_scope_publishes_supervisor_events_when_live(self, tmp_path):
-        import repro.obs as obs
-
-        with obs.session(enabled=True):
-            sink = obs.attach_sink(obs.EventSink())
-            supervisor = Supervisor(deadline_s=60.0, breaker=True,
-                                    workdir=tmp_path)
-            with supervisor.scope():
-                pass
-            scope_events = [e for e in sink.tail()
-                            if e["type"] == "supervisor"
-                            and e.get("component") == "scope"]
-            assert [e["phase"] for e in scope_events] == ["enter", "exit"]
-            assert scope_events[0]["concerns"] == ["deadline", "breaker"]

@@ -9,7 +9,6 @@ from repro.errors import ConfigError
 from repro.stats.savgol import (
     SavitzkyGolay,
     _window_moments,
-    savgol_coefficients,
     savgol_smooth,
 )
 
@@ -69,44 +68,6 @@ def _random_curve(rng, n, gap_share, head, tail):
     y[:head] = np.nan
     y[n - tail:] = np.nan
     return y
-
-
-class TestCoefficients:
-    def test_sum_to_one(self):
-        """Smoothing coefficients reproduce a constant exactly."""
-        for window, degree in [(5, 2), (7, 3), (101, 3)]:
-            coeffs = savgol_coefficients(window, degree)
-            assert np.isclose(coeffs.sum(), 1.0)
-
-    def test_symmetric(self):
-        coeffs = savgol_coefficients(9, 2)
-        assert np.allclose(coeffs, coeffs[::-1])
-
-    def test_matches_scipy(self):
-        scipy_signal = pytest.importorskip("scipy.signal")
-        ours = savgol_coefficients(11, 3)
-        theirs = scipy_signal.savgol_coeffs(11, 3)[::-1]
-        assert np.allclose(ours, theirs)
-
-    def test_rejects_even_window(self):
-        with pytest.raises(ConfigError):
-            savgol_coefficients(10, 2)
-
-    def test_rejects_degree_ge_window(self):
-        with pytest.raises(ConfigError):
-            savgol_coefficients(5, 5)
-
-    def test_cached_coefficients_are_read_only(self):
-        coeffs = savgol_coefficients(11, 3)
-        with pytest.raises(ValueError):
-            coeffs[0] = 1.0
-        assert savgol_coefficients(11, 3) is coeffs
-
-    def test_first_derivative(self):
-        coeffs = savgol_coefficients(7, 2, deriv=1)
-        x = np.arange(7, dtype=float)
-        # derivative of y = 3x at center should be 3
-        assert np.isclose(np.dot(coeffs, 3.0 * x), 3.0)
 
 
 class TestSmooth:

@@ -2,10 +2,14 @@
 
 Every top-level ``def``/``class`` under ``src/`` must be referenced from
 somewhere that ships or runs: ``src/`` itself, ``perfbench/``,
-``benchmarks/``, ``examples/``, ``tools/`` or ``.github/``. Tests do not
-count as callers, a name's mentions inside its own definition do not
-count, and neither do re-exports in an ``__init__.py`` (its imports, its
-``__all__`` and a lazy module ``__getattr__``).
+``benchmarks/``, ``examples/``, ``tools/`` or ``.github/``. In Python
+files only code counts: names, attributes and imported names from the
+syntax tree, plus string constants that are a bare identifier (an
+``__all__`` entry, a ``getattr`` name). A mention in a docstring, a
+comment or a prose string is not a call. Tests do not count as callers,
+a name's uses inside its own definition do not count, and neither do
+re-exports in an ``__init__.py`` (its imports, its ``__all__`` and a
+lazy module ``__getattr__``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ CALLER_DIRS = ("src", "perfbench", "benchmarks", "examples", "tools",
 ALLOWLIST = {
     "ar1_series": "AR(1) data generator the locality-statistics tests draw from",
     "is_guid_shaped": "checker the anonymisation tests apply to emitted tokens",
+    "iter_jsonl": "per-row JSONL reference the batch-reader tests compare against",
+    "iter_csv": "per-row CSV reference the batch-reader tests compare against",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -40,6 +46,25 @@ def _is_reexport(node: ast.stmt) -> bool:
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
+def _code_names(node: ast.AST) -> Counter:
+    """Identifiers ``node``'s code uses; bare string statements
+    (docstrings) are prose, not code."""
+    docstrings = {id(sub.value) for sub in ast.walk(node)
+                  if isinstance(sub, ast.Expr)}
+    names: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names.update(sub.name.split("."))
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier() and id(sub) not in docstrings):
+            names[sub.value] += 1
+    return names
+
+
 def _scan() -> tuple:
     """(top-level definitions in src/ by name, identifier counts over every
     caller file with each definition's own name left out of its body)."""
@@ -54,14 +79,10 @@ def _scan() -> tuple:
                 if top == ".github":
                     refs.update(_IDENT.findall(text))
                 continue
-            lines = text.splitlines()
             for node in ast.parse(text).body:
                 if path.name == "__init__.py" and _is_reexport(node):
                     continue
-                start = min([node.lineno] + [
-                    d.lineno for d in getattr(node, "decorator_list", [])])
-                names = Counter(_IDENT.findall(
-                    "\n".join(lines[start - 1:node.end_lineno])))
+                names = _code_names(node)
                 if isinstance(node, _DEFS) and not node.name.startswith("__"):
                     names.pop(node.name, None)
                     if top == "src":

@@ -27,7 +27,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.errors import SchemaError  # noqa: E402
 from repro.obs.diff import load_diff  # noqa: E402
-from repro.obs.events import load_events  # noqa: E402
 from repro.obs.health import load_health_report  # noqa: E402
 from repro.obs.manifest import load_manifest, load_summary  # noqa: E402
 from repro.obs.metrics import (  # noqa: E402
@@ -65,8 +64,6 @@ LOADERS = {
                     "--out-dir)", _load_frontier),
     "progress": ("progress snapshot JSON (/progress or a recorded "
                  "progress.json)", load_progress),
-    "events": ("event NDJSON (/events or a recorded events.ndjson)",
-               load_events),
     "registry": ("run registry: a --runs-dir directory or its index.jsonl",
                  load_registry),
     "baseline": ("watch baseline artifact (autosens watch --out-dir "
