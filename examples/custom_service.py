@@ -50,7 +50,7 @@ def main() -> None:
     # Part 2: the round-trip you would run on real server logs.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "actions.jsonl.gz"
-        count = write_jsonl(result.logs.iter_records(), path)
+        count = write_jsonl(result.logs, path)
         print(f"wrote {count} records to {path.name} "
               f"({path.stat().st_size / 1e6:.1f} MB gz)")
         logs = read_jsonl(path)

@@ -637,11 +637,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         scenario = scenario.with_latency_backend(args.latency_backend)
     result = scenario.generate()
     out = Path(args.out)
-    records = result.logs.iter_records()
-    if out.suffix == ".csv":
-        count = write_csv(records, out)
-    else:
-        count = write_jsonl(records, out)
+    write = write_csv if out.suffix == ".csv" else write_jsonl
+    count = write(result.logs, out)
     print(f"wrote {count} actions ({result.n_candidates} candidates, "
           f"{result.acceptance_rate:.1%} accepted) to {out}")
     return 0

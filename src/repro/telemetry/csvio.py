@@ -26,7 +26,7 @@ from repro.telemetry.ingest import (
     ingest_batch,
     validate_record,
 )
-from repro.telemetry.jsonl import _resolve_policy
+from repro.telemetry.jsonl import _column_batches, _resolve_policy
 from repro.telemetry.log_store import ColumnBuilder, Columns, LogStore
 from repro.telemetry.record import ActionRecord
 
@@ -47,18 +47,24 @@ FIELDS = [
 ]
 
 
-def write_csv(records: Iterable[ActionRecord], path: PathLike) -> int:
-    """Write records to CSV with a header row; returns row count."""
+def write_csv(records: Union[LogStore, Iterable[ActionRecord]],
+              path: PathLike) -> int:
+    """Write records, or a :class:`LogStore`'s rows, to CSV with a header
+    row; returns the row count.
+
+    ``success`` is written as ``0``/``1`` and ``extra`` is dropped; each
+    batch of rows goes out in one ``writerows`` call.
+    """
     path = Path(path)
     count = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for record in records:
-            row = record.to_dict()
-            row["success"] = int(row["success"])
-            writer.writerow(row)
-            count += 1
+        writer = csv.writer(fh)
+        writer.writerow(FIELDS)
+        for batch in _column_batches(records):
+            times, actions, latencies, user_ids, user_classes, success, tz, _ = batch
+            writer.writerows(zip(times, actions, latencies, user_ids,
+                                 user_classes, map(int, success), tz))
+            count += len(times)
     return count
 
 

@@ -11,12 +11,15 @@ an :class:`~repro.telemetry.ingest.IngestPolicy` (``"lenient"`` or
 instead. :func:`read_jsonl` attaches the resulting
 :class:`~repro.telemetry.ingest.IngestReport` to the returned store
 (``store.ingest_report``; ``store.n_skipped_rows`` is the skip count).
+:func:`write_jsonl` formats batches of columns, from records or straight
+from a store.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -57,15 +60,88 @@ def _open_text(path: Path, mode: str):
         raise ConfigError(f"{path}: no such telemetry file") from None
 
 
-def write_jsonl(records: Iterable[ActionRecord], path: PathLike) -> int:
-    """Write records to a (optionally ``.gz``) JSONL file; returns row count."""
+#: ``json.dumps(value, separators=(",", ":"))`` for any one value, and for
+#: a whole list of values at once.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Value types a column is encoded as one list: their JSON tokens never
+#: hold a comma.
+_SCALAR = frozenset((int, float, bool))
+
+
+def _column_batches(source: Union[LogStore, Iterable[ActionRecord]]
+                    ) -> Iterator[Tuple[list, ...]]:
+    """The rows of a store or of records as per-field lists, up to
+    :data:`~repro.telemetry.ingest.BATCH_ROWS` rows at a time: the seven
+    :class:`ActionRecord` field columns in field order, then the ``extra``
+    mappings (``None`` when the source carries none)."""
+    if isinstance(source, LogStore):
+        for columns in source.iter_columns():
+            yield (*columns, None)
+        return
+    for batch in batches(iter(source)):
+        yield ([r.time for r in batch], [r.action for r in batch],
+               [r.latency_ms for r in batch], [r.user_id for r in batch],
+               [r.user_class for r in batch], [r.success for r in batch],
+               [r.tz_offset_hours for r in batch], [r.extra for r in batch])
+
+
+def _tokens(values: list) -> list:
+    """Each value as ``json.dumps`` writes it.
+
+    A column of plain ints, floats and bools is encoded with one call and
+    split on commas: a JSON number or literal (``NaN`` and ``Infinity``
+    included) never holds one, so each piece is the value's own token.
+    """
+    if _SCALAR.issuperset(map(type, values)):
+        return _ENCODE(values)[1:-1].split(",")
+    return list(map(_ENCODE, values))
+
+
+def _string_tokens(values: list, cache: dict) -> list:
+    """:func:`_tokens` for a string column, each distinct ``str`` encoded
+    once per ``cache``."""
+    if not _STRING.issuperset(map(type, values)):
+        return list(map(_ENCODE, values))
+    for value in set(values):
+        if value not in cache:
+            cache[value] = _ENCODE(value)
+    return list(map(cache.__getitem__, values))
+
+
+def _jsonl_lines(batch: Tuple[list, ...], cache: dict) -> str:
+    """One batch as the lines the per-record ``json.dumps(to_dict())``
+    writes, keys in :meth:`ActionRecord.to_dict` order."""
+    times, actions, latencies, user_ids, user_classes, success, tz, extras = batch
+    ends: Iterable[str] = repeat("}\n")
+    if extras is not None and any(extras):
+        ends = [',"extra":' + _ENCODE(dict(extra)) + "}\n" if extra else "}\n"
+                for extra in extras]
+    return "".join([
+        f'{{"time":{t},"action":{a},"latency_ms":{lat},"user_id":{u},'
+        f'"user_class":{c},"success":{ok},"tz_offset_hours":{z}{end}'
+        for t, a, lat, u, c, ok, z, end in zip(
+            _tokens(times), _string_tokens(actions, cache), _tokens(latencies),
+            _string_tokens(user_ids, cache), _string_tokens(user_classes, cache),
+            _tokens(success), _tokens(tz), ends)
+    ])
+
+
+def write_jsonl(records: Union[LogStore, Iterable[ActionRecord]],
+                path: PathLike) -> int:
+    """Write records, or a :class:`LogStore`'s rows, to a (optionally
+    ``.gz``) JSONL file; returns the row count.
+
+    Each line is byte for byte ``json.dumps(record.to_dict(),
+    separators=(",", ":"))``, formatted a batch of columns at a time.
+    """
     path = Path(path)
     count = 0
+    cache: dict = {}
     with _open_text(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), separators=(",", ":")))
-            fh.write("\n")
-            count += 1
+        for batch in _column_batches(records):
+            fh.write(_jsonl_lines(batch, cache))
+            count += len(batch[0])
     return count
 
 

@@ -471,18 +471,34 @@ class LogStore:
 
     # -- record round-trip ---------------------------------------------------
 
-    def iter_records(self) -> Iterator[ActionRecord]:
-        """Decode rows back into :class:`ActionRecord` objects (slow path)."""
-        for i in range(len(self)):
-            yield ActionRecord(
-                time=float(self.times[i]),
-                action=self.action_vocab[int(self.action_codes[i])],
-                latency_ms=float(self.latencies_ms[i]),
-                user_id=self.user_vocab[int(self.user_codes[i])],
-                user_class=self.class_vocab[int(self.class_codes[i])],
-                success=bool(self.success[i]),
-                tz_offset_hours=float(self.tz_offsets[i]),
+    def iter_columns(self) -> Iterator[Tuple[list, ...]]:
+        """The rows as Python lists, :data:`~repro.telemetry.ingest.BATCH_ROWS`
+        at a time, in :class:`ActionRecord` field order: ``(times, actions,
+        latencies_ms, user_ids, user_classes, success, tz_offsets)``.
+
+        Each slice is decoded with one ``tolist()`` per column and one
+        vocabulary lookup per string, so the values are plain ``float``,
+        ``str`` and ``bool`` objects.
+        """
+        from repro.telemetry.ingest import BATCH_ROWS  # ingest imports this module
+
+        for lo in range(0, len(self), BATCH_ROWS):
+            rows = slice(lo, lo + BATCH_ROWS)
+            yield (
+                self.times[rows].tolist(),
+                list(map(self.action_vocab.__getitem__, self.action_codes[rows].tolist())),
+                self.latencies_ms[rows].tolist(),
+                list(map(self.user_vocab.__getitem__, self.user_codes[rows].tolist())),
+                list(map(self.class_vocab.__getitem__, self.class_codes[rows].tolist())),
+                self.success[rows].tolist(),
+                self.tz_offsets[rows].tolist(),
             )
+
+    def iter_records(self) -> Iterator[ActionRecord]:
+        """Decode rows back into :class:`ActionRecord` objects, one
+        :meth:`iter_columns` slice at a time."""
+        for columns in self.iter_columns():
+            yield from map(ActionRecord, *columns)
 
     def to_records(self) -> List[ActionRecord]:
         return list(self.iter_records())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EmptyDataError, SchemaError
-from repro.telemetry import ActionRecord, LogStore
+from repro.telemetry import ActionRecord, LogStore, write_jsonl
 from repro.types import DayPeriod
 
 
@@ -246,3 +246,69 @@ class TestRoundTrip:
 
     def test_duration(self, tiny_logs):
         assert tiny_logs.duration() == tiny_logs.times.max() - tiny_logs.times.min()
+
+
+def per_row_records(store):
+    """The one-row-at-a-time decode ``iter_records`` replaced."""
+    for i in range(len(store)):
+        yield ActionRecord(
+            time=float(store.times[i]),
+            action=store.action_vocab[int(store.action_codes[i])],
+            latency_ms=float(store.latencies_ms[i]),
+            user_id=store.user_vocab[int(store.user_codes[i])],
+            user_class=store.class_vocab[int(store.class_codes[i])],
+            success=bool(store.success[i]),
+            tz_offset_hours=float(store.tz_offsets[i]),
+        )
+
+
+def typed_fields(record):
+    """Every field as (type, repr): NaN-safe, and type-exact."""
+    return tuple((type(value), repr(value)) for value in (
+        record.time, record.action, record.latency_ms, record.user_id,
+        record.user_class, record.success, record.tz_offset_hours, record.extra))
+
+
+def coded_store(n, float_dtype=np.float64, code_dtype=np.int64):
+    rng = np.random.default_rng(n)
+    latencies = rng.lognormal(5.0, 0.5, n).astype(float_dtype)
+    latencies[::97] = np.nan
+    return LogStore.from_coded_arrays(
+        times=rng.uniform(0.0, 86400.0, n).astype(float_dtype),
+        latencies_ms=latencies,
+        action_codes=rng.integers(0, 2, n).astype(code_dtype),
+        action_vocab=["SelectMail", "Search"],
+        user_codes=rng.integers(0, 3, n).astype(code_dtype),
+        user_vocab=["u-0", "u-é", 'u-"'],
+        class_codes=rng.integers(0, 2, n).astype(code_dtype),
+        class_vocab=["business", "consumer"],
+        success=rng.random(n) < 0.9,
+        tz_offsets=rng.choice([-5.0, 0.0, 5.5], n).astype(float_dtype),
+    )
+
+
+class TestIterRecords:
+    @pytest.mark.parametrize("n", [0, 1, 8192, 8193])
+    @pytest.mark.parametrize("float_dtype,code_dtype", [
+        (np.float64, np.int64), (np.float32, np.int32), (np.float32, np.int8)])
+    def test_matches_per_row_decode(self, n, float_dtype, code_dtype):
+        store = coded_store(n, float_dtype, code_dtype)
+        got = [typed_fields(r) for r in store.iter_records()]
+        assert got == [typed_fields(r) for r in per_row_records(store)]
+        assert len(got) == n
+        if n:
+            assert {t for t, _ in got[0]} == {float, str, bool, dict}
+
+    def test_validation_still_runs(self):
+        store = LogStore.from_arrays(times=np.zeros(2), latencies_ms=[1.0, -1.0],
+                                     actions=["a", "a"])
+        with pytest.raises(SchemaError, match="latency"):
+            store.to_records()
+
+    @pytest.mark.parametrize("n", [0, 8193])
+    def test_store_and_records_write_the_same_bytes(self, n, tmp_path):
+        store = coded_store(n)
+        assert write_jsonl(store, tmp_path / "store.jsonl") == n
+        assert write_jsonl(store.iter_records(), tmp_path / "records.jsonl") == n
+        assert ((tmp_path / "store.jsonl").read_bytes()
+                == (tmp_path / "records.jsonl").read_bytes())
