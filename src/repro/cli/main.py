@@ -21,6 +21,7 @@ request/config, 3 schema violation, 4 ingest error budget exceeded,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -666,21 +667,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                   "are ignored", file=sys.stderr)
         curve = curve_from_counts(load_counts(path), config,
                                   slice_description=path.stem)
-    elif supervisor is not None:
-        with supervisor.scope():
+    else:
+        with supervisor.scope() if supervisor is not None else contextlib.nullcontext():
             logs = _read_logs(path, args, supervisor=supervisor)
             _report_ingest(logs)
-            engine = AutoSens(config)
-            curve = engine.preference_curve(
+            curve = AutoSens(config).preference_curve(
                 logs, action=args.action, user_class=args.user_class
             )
-    else:
-        logs = _read_logs(path, args)
-        _report_ingest(logs)
-        engine = AutoSens(config)
-        curve = engine.preference_curve(
-            logs, action=args.action, user_class=args.user_class
-        )
     probes = [400.0, 500.0, 800.0, 1000.0, 1500.0, 2000.0]
     rows = []
     for probe in probes:

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.errors import ConfigError, SchemaError
-from repro.core.alpha import SlottedCounts, alpha_from_counts
-from repro.core.pipeline import AutoSensConfig
-from repro.core.preference import average_results
+from repro.errors import SchemaError
+from repro.core.alpha import SlottedCounts
+from repro.core.pipeline import AutoSensConfig, reference_averaged_curve
 from repro.core.result import PreferenceResult
-from repro.stats.histogram import Histogram1D, HistogramBins
+from repro.stats.histogram import HistogramBins
 
 PathLike = Union[str, Path]
 
@@ -85,41 +84,12 @@ def curve_from_counts(
 ) -> PreferenceResult:
     """Run the downstream AutoSens pipeline on a sufficient-statistics table.
 
-    Equivalent to :meth:`AutoSens.preference_curve` on the raw rows the
-    table was built from (the table *is* the pipeline's sufficient
-    statistic), but computable without any access to the telemetry.
+    Bitwise :meth:`AutoSens.preference_curve` on the rows the table was
+    built from (both run :func:`~repro.core.pipeline.reference_averaged_curve`),
+    without any access to the telemetry. ``time_correction=False`` is a
+    :class:`~repro.errors.ConfigError`.
     """
-    cfg = config or AutoSensConfig()
-    if counts.bins != cfg.bins():
-        raise ConfigError(
-            "counts table bin grid does not match the configuration "
-            f"({counts.bins} vs {cfg.bins()})"
-        )
-    computer = cfg.computer()
-    references = counts.busiest_slots(cfg.n_reference_slots)
-    n_actions = int(counts.biased_counts.sum())
-    per_reference: List[PreferenceResult] = []
-    for reference in references:
-        alpha = alpha_from_counts(
-            counts, reference_slot=reference,
-            bin_average=cfg.alpha_bin_average,
-            min_bin_count=cfg.alpha_min_bin_count,
-        )
-        slot_index = {int(s): i for i, s in enumerate(alpha.slot_ids)}
-        pooled = np.zeros(counts.bins.count)
-        for row, slot in enumerate(counts.slot_ids):
-            a = alpha.alpha_by_slot[slot_index[int(slot)]]
-            if a > 0:
-                pooled += counts.biased_counts[row] / a
-        biased = Histogram1D(counts.bins)
-        biased.add_counts(pooled)
-        unbiased = Histogram1D(counts.bins)
-        unbiased.add_counts(counts.time_fractions.sum(axis=0) * 10_000.0)
-        per_reference.append(computer.compute(
-            biased, unbiased,
-            slice_description=slice_description, n_actions=n_actions,
-        ))
-    result = average_results(per_reference, slice_description=slice_description)
-    result.metadata["reference_slots"] = references
+    result = reference_averaged_curve(
+        counts, config or AutoSensConfig(), slice_description)
     result.metadata["from_aggregates"] = True
     return result

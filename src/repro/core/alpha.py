@@ -23,7 +23,7 @@ the pipeline averages over several references (Section 2.4.1, last note).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,8 +131,8 @@ class SlottedCounts:
 
     Computing these once and reusing them across several reference slots is
     what makes the paper's multi-reference averaging cheap. ``slot_seconds``
-    records how much observed wall-clock time each slot covers, which is
-    what makes chunk-level tables mergeable (see
+    records the exact seconds of ``[first, last]`` sample time in each
+    slot, which is what makes chunk-level tables mergeable (see
     :mod:`repro.core.streaming`).
     """
 
@@ -182,67 +182,6 @@ def _count_tensor(
     return counts.astype(float, copy=False).reshape(n_slots, n_bins)
 
 
-def slot_time_coverage(
-    start: float,
-    end: float,
-    scheme: str,
-    slot_ids: np.ndarray,
-    tz_offset_hours: float = 0.0,
-    resolution_s: float = 60.0,
-) -> np.ndarray:
-    """Seconds of ``[start, end)`` falling into each slot (approximate).
-
-    Counts the points of the grid ``np.arange(start, end, resolution_s)``
-    (default 1 minute) in each slot, times the resolution. That is exact
-    for the hour-aligned schemes whenever the span is a multiple of the
-    resolution.
-
-    The grid is never built. The slot is constant between consecutive
-    :func:`_slot_cuts`, so each stretch between cuts holds a closed-form
-    count of grid points. ``np.arange`` fills point ``i`` as
-    ``start + i·δ`` with ``δ = (start + resolution_s) − start``; each cut's
-    grid index is computed from that expression and then re-checked
-    against it, so float rounding cannot move a point across a cut.
-    """
-    slot_ids = np.asarray(slot_ids, dtype=np.int64)
-    if end <= start or slot_ids.size == 0:
-        return np.zeros(len(slot_ids), dtype=float)
-    n_points = int(np.ceil((end - start) / resolution_s))
-    delta = (start + resolution_s) - start
-
-    def point(i: np.ndarray) -> np.ndarray:
-        return start + i * delta
-
-    # The last point can round to ``end`` or past it, so the cuts run one
-    # step beyond it.
-    stop = float(point(n_points))
-    cuts = _slot_cuts(start, stop, tz_offset_hours)
-    # First grid index at or after each cut, guarded against rounding.
-    first = np.clip(np.ceil((cuts - start) / delta), 0, n_points).astype(np.int64)
-    first += (first < n_points) & (point(first) < cuts)
-    first -= (first > 0) & (point(first - 1) >= cuts)
-    points = np.diff(np.concatenate(([0], first, [n_points])))
-    bounds = np.concatenate(([start], cuts, [stop]))
-    slots = slot_of_times(0.5 * (bounds[1:] + bounds[:-1]), scheme, tz_offset_hours)
-
-    # A grid point within rounding distance of a cut may get the slot of
-    # the other side from ``slot_of_times``. Only the two points either
-    # side of a cut can be that close, so they are slotted individually.
-    edge = np.sort(np.concatenate((first - 1, first)))
-    edge = edge[(edge >= 0) & (edge < n_points) & (np.diff(edge, prepend=-1) > 0)]
-    points -= np.bincount(np.searchsorted(first, edge, side="right"),
-                          minlength=points.size)
-    slots = np.concatenate((slots, slot_of_times(point(edge), scheme, tz_offset_hours)))
-    points = np.concatenate((points, np.ones(edge.size, dtype=np.int64)))
-
-    order = np.argsort(slot_ids, kind="mergesort")
-    rows, member = _rows_in_slots(slot_ids[order], slots)
-    counts = np.bincount(rows[member], weights=points[member], minlength=slot_ids.size)
-    out = np.zeros(slot_ids.size, dtype=float)
-    out[order] = counts * resolution_s
-    return out
-
-
 def _slot_cuts(lo: float, hi: float, tz: float) -> np.ndarray:
     """Every whole hour of local (``tz``) and UTC time strictly inside ``(lo, hi)``.
 
@@ -265,8 +204,9 @@ def _exact_unbiased_tensor(
     n_bins: int,
     scheme: str,
     tz: float,
-) -> np.ndarray:
-    """The (n_slots, n_bins) expectation of the paper's unbiased draw.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (n_slots, n_bins) expectation of the paper's unbiased draw, and
+    the seconds of ``[first, last]`` sample time in each slot.
 
     A uniform query over ``[first, last]`` sample time selects the sample
     whose Voronoi cell — the stretch of time nearer to it than to any other
@@ -276,10 +216,14 @@ def _exact_unbiased_tensor(
     the sample). Samples sharing a timestamp split their cell equally (the
     draw's uniform tie-break). Pieces in slots without actions and samples
     off the bin grid are dropped, as the draw rejects those queries.
+
+    A slot's seconds add up its stretches between slot boundaries: they sum
+    to ``last − first`` when every stretch's slot holds an action.
     """
     n = sorted_times.size
     lo, hi = float(sorted_times[0]), float(sorted_times[-1])
-    if hi <= lo:  # all samples at one instant
+    instant = hi <= lo
+    if instant:  # the draw still needs a window to query
         hi = lo + 1.0
     new_run = np.empty(n, dtype=bool)
     new_run[0] = True
@@ -305,6 +249,9 @@ def _exact_unbiased_tensor(
     bounds = np.concatenate(([lo], cuts, [hi]))
     stretch_rows, stretch_member = _rows_in_slots(
         slot_ids, slot_of_times(0.5 * (bounds[1:] + bounds[:-1]), scheme, tz))
+    stretch_s = np.zeros(bounds.size - 1) if instant else np.diff(bounds)
+    seconds = np.bincount(stretch_rows[stretch_member],
+                          weights=stretch_s[stretch_member], minlength=slot_ids.size)
     rows, member = stretch_rows[stretch], stretch_member[stretch]
 
     if distinct.size == n:
@@ -318,8 +265,9 @@ def _exact_unbiased_tensor(
         member = np.repeat(member, reps)
     bin_idx = sample_bin_idx[sample]
     keep = member & (bin_idx >= 0)
-    return _count_tensor(
+    u = _count_tensor(
         rows[keep], bin_idx[keep], slot_ids.size, n_bins, weights=lengths[keep])
+    return u, seconds
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -362,16 +310,13 @@ def slotted_counts(
         action_rows = np.searchsorted(slot_ids, action_slots)
         c = _count_tensor(action_rows[in_grid], bin_idx[in_grid], n_slots, bins.count)
 
-    # Queries are slotted under the slice's median timezone; slot_seconds is
+    # f[T, L] — time fraction per slot at each latency. Queries are slotted
+    # under the slice's median timezone; the slot seconds they cover are
     # the merge weight recorded on the result.
     tz = float(np.median(logs.tz_offsets))
-    t0, t1 = logs.time_range()
-    seconds = slot_time_coverage(t0, t1, scheme, slot_ids, tz_offset_hours=tz)
-
-    # f[T, L] — time fraction per slot at each latency.
     with obs.span("slotted_counts.unbiased"):
         order = np.argsort(logs.times, kind="mergesort")
-        u = _exact_unbiased_tensor(
+        u, seconds = _exact_unbiased_tensor(
             logs.times[order], bin_idx[order], slot_ids, bins.count, scheme, tz)
     slot_totals = u.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -493,6 +438,14 @@ def _inverse_alpha(alpha_by_slot: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pooled_unbiased(alpha: AlphaEstimate) -> Histogram1D:
+    """U pools each slot's fraction profile once (equal time per slot); the
+    mass is arbitrary because U is density-normalized later."""
+    unbiased = Histogram1D(alpha.bins)
+    unbiased.add_counts(alpha.time_fractions.sum(axis=0) * 10_000.0)
+    return unbiased
+
+
 def corrected_histograms_from_counts(
     counts: SlottedCounts,
     alpha: AlphaEstimate,
@@ -519,12 +472,7 @@ def corrected_histograms_from_counts(
 
         biased = Histogram1D(counts.bins)
         biased.add_counts(pooled_biased)
-        unbiased = Histogram1D(counts.bins)
-        # Equal-time pooling of per-slot fractions. Each slot contributes its
-        # fraction profile once; scale is irrelevant because U is normalized.
-        pooled = alpha.time_fractions.sum(axis=0)
-        unbiased.add_counts(pooled * 10_000.0)  # arbitrary mass, density-normalized later
-    return biased, unbiased
+    return biased, _pooled_unbiased(alpha)
 
 
 def corrected_histograms(
@@ -551,13 +499,7 @@ def corrected_histograms(
 
     biased = Histogram1D(bins)
     biased.add(logs.latencies_ms, weights=weights)
-
-    unbiased = Histogram1D(bins)
-    # Equal-time pooling of per-slot fractions. Each slot contributes its
-    # fraction profile once; scale is irrelevant because U is normalized.
-    pooled = alpha.time_fractions.sum(axis=0)
-    unbiased.add_counts(pooled * 10_000.0)  # arbitrary mass, density-normalized later
-    return biased, unbiased
+    return biased, _pooled_unbiased(alpha)
 
 
 # --- The paper's Table 1 worked example -----------------------------------

@@ -24,7 +24,6 @@ import repro.obs as obs
 from repro.errors import (
     ConfigError,
     DeadlineExceededError,
-    EmptyDataError,
     InsufficientDataError,
 )
 from repro.parallel import SerialExecutor, resolve_executor
@@ -35,6 +34,7 @@ from repro.stats.histogram import HistogramBins, latency_bins
 from repro.stats.rng import RngFactory
 from repro.core.alpha import (
     AlphaEstimate,
+    SlottedCounts,
     alpha_from_counts,
     corrected_histograms_from_counts,
     slotted_counts,
@@ -253,6 +253,93 @@ def _curve_task(payload: Tuple) -> Tuple[Any, List[str]]:
         raise
 
 
+def reference_averaged_curve(
+    counts: SlottedCounts,
+    config: AutoSensConfig,
+    slice_description: str = "",
+    n_actions: Optional[int] = None,
+    degrade: Optional[DegradePolicy] = None,
+) -> PreferenceResult:
+    """The α-corrected curve of a :class:`SlottedCounts` table (§2.4.1).
+
+    The one counts-to-curve path, shared by :class:`AutoSens`,
+    :func:`repro.core.curve_from_counts` and
+    :class:`repro.core.StreamingAutoSens`: one curve per each of the
+    ``config.n_reference_slots`` busiest reference slots, averaged. Under
+    ``degrade.on_starved_reference="skip"`` a reference that cannot support
+    a curve is dropped and recorded in ``result.metadata["degradations"]``.
+    ``n_actions`` defaults to the table's in-grid action count. A table
+    holds no sample times to rebuild the uncorrected U from, so
+    ``time_correction=False`` is a :class:`ConfigError`.
+    """
+    if not config.time_correction:
+        raise ConfigError("a counts table cannot give the uncorrected curve "
+                          "(it holds no sample times); use time_correction=True")
+    if counts.bins != config.bins():
+        raise ConfigError(
+            "counts table bin grid does not match the configuration "
+            f"({counts.bins} vs {config.bins()})"
+        )
+    if n_actions is None:
+        n_actions = int(counts.biased_counts.sum())
+    computer = config.computer()
+    references = counts.busiest_slots(config.n_reference_slots)
+    skip_references = degrade is not None and degrade.on_starved_reference == "skip"
+    per_reference = []
+    used_references = []
+    degraded: List[str] = []
+    for reference in references:
+        check_deadline(f"reference slot {int(reference)} [{slice_description}]")
+        try:
+            with obs.span("corrected_reference", slot=int(reference)):
+                alpha = alpha_from_counts(
+                    counts,
+                    reference_slot=reference,
+                    bin_average=config.alpha_bin_average,
+                    min_bin_count=config.alpha_min_bin_count,
+                )
+                biased, unbiased = corrected_histograms_from_counts(counts, alpha)
+                per_reference.append(computer.compute(
+                    biased, unbiased,
+                    slice_description=slice_description, n_actions=n_actions,
+                ))
+            used_references.append(reference)
+        except InsufficientDataError as exc:
+            if not skip_references:
+                raise
+            degraded.append(
+                f"slice [{slice_description}]: reference slot {reference} "
+                f"skipped ({exc})"
+            )
+            obs.record_degradation(
+                "starved_reference", slice=slice_description,
+                reference_slot=int(reference), detail=str(exc))
+    if skip_references and len(per_reference) < degrade.min_references:
+        raise InsufficientDataError(
+            f"slice [{slice_description}]: only {len(per_reference)} of "
+            f"{len(references)} reference slots usable; need at least "
+            f"{degrade.min_references}"
+        )
+    if obs.current().enabled:
+        from repro.obs import probes
+
+        probes.emit(probes.probe_slot_support(
+            n_slots=int(counts.slot_ids.size),
+            n_reference_slots=len(references),
+            n_used_references=len(used_references),
+            slice_description=slice_description,
+        ))
+        probes.emit(probes.probe_latency_regime(
+            counts.biased_counts, counts.bins.centers,
+            slice_description=slice_description,
+        ))
+    result = average_results(per_reference, slice_description=slice_description)
+    result.metadata["reference_slots"] = used_references
+    if degraded:
+        result.metadata["degradations"] = degraded
+    return result
+
+
 class AutoSens:
     """The AutoSens analysis engine.
 
@@ -381,22 +468,6 @@ class AutoSens:
             )
         return kept
 
-    # -- distributions --------------------------------------------------------
-
-    def distributions(self, logs: LogStore) -> tuple:
-        """(B, U) for already-sliced logs, honoring the time correction."""
-        cfg = self.config
-        bins = cfg.bins()
-        if not cfg.time_correction:
-            return biased_histogram(logs, bins), unbiased_histogram(logs, bins)
-        counts = slotted_counts(logs, bins, scheme=cfg.slot_scheme)
-        alpha = alpha_from_counts(
-            counts,
-            bin_average=cfg.alpha_bin_average,
-            min_bin_count=cfg.alpha_min_bin_count,
-        )
-        return corrected_histograms_from_counts(counts, alpha)
-
     # -- the main entry point ---------------------------------------------------
 
     def preference_curve(
@@ -435,7 +506,6 @@ class AutoSens:
         curve_span.set(slice=description, n_actions=len(sliced))
         check_deadline(f"curve [{description}]")
         bins = cfg.bins()
-        computer = cfg.computer()
         supervisor = active_supervisor()
         if supervisor is not None and supervisor.memory is not None:
             # Admission control: refuse a slice whose working set cannot
@@ -445,78 +515,19 @@ class AutoSens:
                 what=f"slice [{description}]",
             )
         if not cfg.time_correction:
-            biased = biased_histogram(sliced, bins)
-            unbiased = unbiased_histogram(sliced, bins)
-            return computer.compute(
-                biased, unbiased,
+            return cfg.computer().compute(
+                biased_histogram(sliced, bins), unbiased_histogram(sliced, bins),
                 slice_description=description, n_actions=len(sliced),
             )
 
         # The expensive part — one pass over the actions plus the exact
         # unbiased weights — happens exactly once per slice; every reference
-        # slot below is then an O(n_slots × n_bins) contraction of the tensor.
+        # slot is then an O(n_slots × n_bins) contraction of the tensor.
         with obs.span("slotted_counts", n_actions=len(sliced)):
             counts = slotted_counts(sliced, bins, scheme=cfg.slot_scheme)
-        references = counts.busiest_slots(cfg.n_reference_slots)
-        skip_references = (
-            self.degrade is not None
-            and self.degrade.on_starved_reference == "skip"
-        )
-        per_reference = []
-        used_references = []
-        degraded: List[str] = []
-        for reference in references:
-            check_deadline(f"reference slot {int(reference)} [{description}]")
-            try:
-                with obs.span("corrected_reference", slot=int(reference)):
-                    alpha = alpha_from_counts(
-                        counts,
-                        reference_slot=reference,
-                        bin_average=cfg.alpha_bin_average,
-                        min_bin_count=cfg.alpha_min_bin_count,
-                    )
-                    biased, unbiased = corrected_histograms_from_counts(counts, alpha)
-                    per_reference.append(
-                        computer.compute(
-                            biased, unbiased,
-                            slice_description=description, n_actions=len(sliced),
-                        )
-                    )
-                used_references.append(reference)
-            except InsufficientDataError as exc:
-                if not skip_references:
-                    raise
-                degraded.append(
-                    f"slice [{description}]: reference slot {reference} "
-                    f"skipped ({exc})"
-                )
-                obs.record_degradation(
-                    "starved_reference", slice=description,
-                    reference_slot=int(reference), detail=str(exc))
-        if skip_references and len(per_reference) < self.degrade.min_references:
-            raise InsufficientDataError(
-                f"slice [{description}]: only {len(per_reference)} of "
-                f"{len(references)} reference slots usable; need at least "
-                f"{self.degrade.min_references}"
-            )
-        self.degradations.extend(degraded)
-        if obs.current().enabled:
-            from repro.obs import probes
-
-            probes.emit(probes.probe_slot_support(
-                n_slots=int(counts.slot_ids.size),
-                n_reference_slots=len(references),
-                n_used_references=len(used_references),
-                slice_description=description,
-            ))
-            probes.emit(probes.probe_latency_regime(
-                counts.biased_counts, bins.centers,
-                slice_description=description,
-            ))
-        result = average_results(per_reference, slice_description=description)
-        result.metadata["reference_slots"] = used_references
-        if degraded:
-            result.metadata["degradations"] = degraded
+        result = reference_averaged_curve(
+            counts, cfg, description, n_actions=len(sliced), degrade=self.degrade)
+        self.degradations.extend(result.metadata.get("degradations", []))
         return result
 
     # -- segmentations (the paper's figures) ------------------------------------
@@ -526,10 +537,10 @@ class AutoSens:
 
         Tasks run in *waves*: one wave holds every task unless a memory
         governor bounds how many working sets may be live at once. A wave
-        runs inline on :class:`~repro.parallel.SerialExecutor` and through
-        ``executor.map_ordered`` otherwise; pure stream seeding makes the
-        two bit-identical, and each task's engine degradation notes are
-        appended to :attr:`degradations` in input order.
+        runs inline on :class:`~repro.parallel.SerialExecutor` (reporting
+        its progress without task spans) and through ``map_ordered``
+        otherwise; pure stream seeding makes the two bit-identical, and each
+        task's degradation notes join :attr:`degradations` in input order.
 
         Under a degrade policy with ``on_starved_slice="skip"`` a starved
         slice yields ``None`` (with the reason recorded on
@@ -585,16 +596,19 @@ class AutoSens:
             wave_size = governor.max_concurrent(per_task, len(payloads))
 
         serial = isinstance(self.executor, SerialExecutor)
+        stage = _curve_task.__qualname__
         results: List[Any] = []
         with obs.span("sweep", n_tasks=len(tasks),
                       backend=type(self.executor).__name__):
             for start in range(0, len(payloads), wave_size):
                 wave = payloads[start:start + wave_size]
                 if serial:
-                    done = [
-                        shed(start + j) if over_budget() else _curve_task(p)
-                        for j, p in enumerate(wave)
-                    ]
+                    obs.report_progress(stage, total=len(wave))
+                    done = []
+                    for j, p in enumerate(wave):
+                        done.append(shed(start + j) if over_budget()
+                                    else _curve_task(p))
+                        obs.report_progress(stage, done=1)
                 elif over_budget():
                     done = [shed(start + j) for j in range(len(wave))]
                 else:

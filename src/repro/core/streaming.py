@@ -28,6 +28,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro.errors import ConfigError, EmptyDataError, InsufficientDataError
+from repro.core.aggregate import curve_from_counts
 from repro.core.alpha import SlottedCounts, slotted_counts
 from repro.core.pipeline import AutoSensConfig
 from repro.core.result import PreferenceResult
@@ -127,8 +128,6 @@ class StreamingAutoSens:
             raise InsufficientDataError(
                 f"consumed only {self.n_rows} rows; need {cfg.min_actions}"
             )
-        from repro.core.aggregate import curve_from_counts
-
         result = curve_from_counts(
             self.merged_counts(), cfg,
             slice_description=self._slice_description,

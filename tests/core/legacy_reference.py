@@ -109,25 +109,6 @@ def _legacy_period_slots(
     return out
 
 
-def _legacy_slot_time_coverage(
-    start: float,
-    end: float,
-    scheme: str,
-    slot_ids: np.ndarray,
-    tz_offset_hours: float = 0.0,
-    resolution_s: float = 60.0,
-) -> np.ndarray:
-    """The old per-slot loop over the minute grid."""
-    if end <= start:
-        return np.zeros(len(slot_ids), dtype=float)
-    grid = np.arange(start, end, resolution_s)
-    grid_slots = slot_of_times(grid, scheme, tz_offset_hours)
-    out = np.zeros(len(slot_ids), dtype=float)
-    for i, slot in enumerate(slot_ids):
-        out[i] = float((grid_slots == slot).sum()) * resolution_s
-    return out
-
-
 def _legacy_slotted_counts(
     logs: LogStore,
     bins: HistogramBins,
@@ -138,8 +119,8 @@ def _legacy_slotted_counts(
 ) -> SlottedCounts:
     """The old ``slotted_counts``: one masked pass over the data per slot.
 
-    Deterministic outputs (biased counts, slot ids, slot seconds) are
-    bit-identical to the shipped version. The unbiased time fractions are
+    Deterministic outputs (biased counts, slot ids) are bit-identical to
+    the shipped version; slot seconds are not recorded. The unbiased time fractions are
     not: this reference samples them with the old fixed-size 12-batch
     redraw loop, while the shipped version computes their exact limit, so
     the two agree only statistically.
@@ -193,11 +174,9 @@ def _legacy_slotted_counts(
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(slot_totals > 0, u / slot_totals, 0.0)
 
-    t0, t1 = logs.time_range()
-    seconds = _legacy_slot_time_coverage(t0, t1, scheme, slot_ids, tz_offset_hours=tz)
     return SlottedCounts(
         scheme=scheme, slot_ids=slot_ids, biased_counts=c, time_fractions=f,
-        bins=bins, slot_seconds=seconds,
+        bins=bins,
     )
 
 

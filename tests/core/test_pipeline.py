@@ -98,12 +98,6 @@ class TestSegmentations:
 
 
 class TestDistributions:
-    def test_shapes(self, owa_logs, engine):
-        biased, unbiased = engine.distributions(
-            owa_logs.where(action="SelectMail"))
-        assert biased.bins == unbiased.bins
-        assert biased.total > 0 and unbiased.total > 0
-
     def test_alpha_profile_period_scheme(self, owa_logs, engine):
         alpha = engine.alpha_profile(owa_logs, scheme="period",
                                      action="SelectMail")

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError, EmptyDataError, InsufficientDataError, SchemaError
 from repro.core import AutoSens, AutoSensConfig
 from repro.core.aggregate import curve_from_counts, load_counts, save_counts
-from repro.core.alpha import slot_time_coverage, slotted_counts
+from repro.core.alpha import slotted_counts
 from repro.core.streaming import (
     StreamingAutoSens,
     iter_chunks_by_day,
@@ -45,22 +45,34 @@ class TestChunking:
         assert list(iter_chunks_by_day(LogStore.from_records([]))) == []
 
 
+def _regular_store(start, end, step=60.0):
+    """One action every ``step`` seconds over ``[start, end]``."""
+    times = np.arange(start, end + step / 2, step)
+    return LogStore.from_arrays(
+        times, np.full(times.size, 250.0), ["SelectMail"] * times.size)
+
+
 class TestSlotTimeCoverage:
+    """``slot_seconds`` holds the exact seconds of sample time per slot."""
+
     def test_full_day_equal_hours(self):
-        seconds = slot_time_coverage(0.0, 86400.0, "hour-of-day",
-                                     np.arange(24))
-        assert np.allclose(seconds, 3600.0)
+        counts = slotted_counts(_regular_store(0.0, 86400.0 - 1.0, 1.0),
+                                latency_bins(3000.0, 10.0))
+        assert np.array_equal(counts.slot_ids, np.arange(24))
+        assert np.allclose(counts.slot_seconds[:-1], 3600.0)
+        assert counts.slot_seconds[-1] == 3599.0
 
     def test_partial_window(self):
-        seconds = slot_time_coverage(0.0, 7200.0, "hour-of-day",
-                                     np.arange(24))
-        assert seconds[0] == 3600.0
-        assert seconds[1] == 3600.0
-        assert seconds[2:].sum() == 0.0
+        counts = slotted_counts(_regular_store(0.0, 7200.0),
+                                latency_bins(3000.0, 10.0))
+        # The sample at 7200 s opens slot 2 but covers no time.
+        assert counts.slot_seconds.tolist() == [3600.0, 3600.0, 0.0]
 
     def test_empty_window(self):
-        seconds = slot_time_coverage(10.0, 10.0, "hour-of-day", np.arange(24))
-        assert seconds.sum() == 0.0
+        store = _regular_store(10.0, 10.0)
+        counts = slotted_counts(store, latency_bins(3000.0, 10.0))
+        assert len(store) == 1
+        assert counts.slot_seconds.sum() == 0.0
 
 
 class TestMerge:
@@ -94,11 +106,19 @@ class TestStreamingAutoSens:
         for chunk in iter_chunks_by_day(sliced_logs, days_per_chunk=1.0):
             stream.consume(chunk.successful())
         curve = stream.preference_curve()
-        # Both sides are Monte Carlo estimates of the same curve (the
-        # streaming side draws per chunk), so the bound is sampling noise,
-        # not a correctness threshold.
+        # U is exact on both sides, but each chunk's Voronoi cells stop at
+        # the chunk's edge samples, so daily chunks move the curve a little.
         for probe in (500.0, 900.0):
             assert abs(float(curve.at(probe)) - float(batch.at(probe))) < 0.08
+
+    def test_one_chunk_matches_batch(self, owa_result, sliced_logs, config):
+        batch = AutoSens(config).preference_curve(
+            owa_result.logs, action="SelectMail", user_class="business")
+        stream = StreamingAutoSens(config)
+        stream.consume(sliced_logs)
+        curve = stream.preference_curve()
+        assert np.array_equal(np.isnan(curve.nlp), np.isnan(batch.nlp))
+        np.testing.assert_allclose(curve.nlp, batch.nlp, rtol=0.0, atol=1e-12)
 
     def test_n_rows_tracks(self, sliced_logs):
         stream = StreamingAutoSens(AutoSensConfig(seed=3))
@@ -158,6 +178,27 @@ class TestAggregateExchange:
         for guid in sliced_logs.user_vocab[:20]:
             if guid:
                 assert guid not in text
+
+    @pytest.mark.parametrize("predicate", [
+        {"action": "SelectMail"},
+        {"action": "SelectMail", "user_class": "business"},
+        {"user_class": "business"},
+        {},
+    ])
+    def test_table_curve_is_the_batch_curve(self, owa_result, predicate):
+        """A table of a slice gives the batch curve of that slice, bitwise."""
+        config = AutoSensConfig(seed=3)
+        batch = AutoSens(config).preference_curve(owa_result.logs, **predicate)
+        counts = slotted_counts(owa_result.logs.where(**predicate), config.bins())
+        table = curve_from_counts(counts, config)
+        assert np.array_equal(table.nlp, batch.nlp, equal_nan=True)
+        assert np.array_equal(table.raw_ratio, batch.raw_ratio, equal_nan=True)
+        assert table.metadata["reference_slots"] == batch.metadata["reference_slots"]
+
+    def test_uncorrected_config_rejected(self, sliced_logs):
+        counts = slotted_counts(sliced_logs, AutoSensConfig().bins())
+        with pytest.raises(ConfigError, match="time_correction"):
+            curve_from_counts(counts, AutoSensConfig(time_correction=False))
 
     def test_bin_grid_mismatch(self, sliced_logs, config):
         counts = slotted_counts(sliced_logs, latency_bins(2000.0, 10.0))

@@ -71,6 +71,20 @@ class TestTypedExits:
                      "--on-bad-rows", "quarantine"]) == 2
         assert "quarantine" in capsys.readouterr().err
 
+    def test_uncorrected_counts_table_exits_2(self, tmp_path, capsys):
+        # A counts table holds per-slot statistics only, so it cannot give
+        # the uncorrected curve; the CLI refuses instead of correcting.
+        log, table = tmp_path / "g.jsonl", tmp_path / "counts.json"
+        main(["generate", "--scenario", "owa", "--seed", "9",
+              "--days", "1", "--users", "60", "--out", str(log)])
+        assert main(["export-counts", str(log), "--out", str(table)]) == 0
+        assert main(["analyze", str(table)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(table), "--no-time-correction"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "time_correction" in err
+        assert len(err.strip().splitlines()) == 1  # no traceback
+
     def test_empty_data_exits_5(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
