@@ -338,11 +338,6 @@ def resolve_fixture(table: Mapping[str, Any], fixture: Any, suite: str) -> Any:
     return fixture
 
 
-def _generate(scenario: Scenario, seed: int, executor: Any, run_id: str):
-    with obs.session(enabled=True, deterministic=True, run_id=run_id):
-        return scenario.generate(seed=seed, executor=executor)
-
-
 def run_paired(perturbations: Sequence[Perturbation], *, scenario: str,
                scale: str, scales: Mapping[str, Tuple], seed: int,
                executor: str, suite: str,
@@ -355,14 +350,14 @@ def run_paired(perturbations: Sequence[Perturbation], *, scenario: str,
     """
     base = resolve_scenario(scenario, scale, scales, suite, seed)
     pool = resolve_executor(executor)
-    clean_logs = _generate(base, seed, pool, f"{suite}:generate").logs
+    clean_logs = base.generate(seed=seed, executor=pool).logs
 
     variants, payloads = [], [(clean_logs, seed, None, f"{suite}:clean")]
     for p in perturbations:
         logs, windows, subsample = clean_logs, [], None
         if p.kind == "incident":
-            telemetry = _generate(base.with_incidents(p.plan), seed, pool,
-                                  f"{suite}:{p.key}")
+            telemetry = base.with_incidents(p.plan).generate(
+                seed=seed, executor=pool)
             logs = telemetry.logs
             windows = [w.to_dict() for w in telemetry.incident_windows]
         elif p.kind == "degrade":

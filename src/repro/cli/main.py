@@ -599,10 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(byte-deterministic: identical registries yield identical "
              "artifacts)")
     watch.add_argument(
-        "--executor", default=None, choices=["serial", "process"],
-        help="per-series analysis executor (default: serial; process is "
-             "byte-identical by contract)")
-    watch.add_argument(
         "--check", action="store_true",
         help="CI gate: exit 1 when any SLO breaches (0 when all met)")
     watch.add_argument(
@@ -1118,9 +1114,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
     def evaluate() -> dict:
         try:
-            return build_watch_report(
-                registry, slos=slos, last=args.last,
-                executor=args.executor)
+            return build_watch_report(registry, slos=slos, last=args.last)
         except WatchConfigError as exc:
             raise ConfigError(str(exc)) from exc
 

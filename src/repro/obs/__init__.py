@@ -16,8 +16,8 @@ Typical use::
         ...
     records = obs.trace_records()
 
-The module-level helpers (:func:`span`, :func:`inc`, :func:`observe`,
-:func:`set_gauge`, :func:`get_logger`) always act on the *currently
+The module-level helpers (:func:`span`, :func:`inc`, :func:`set_gauge`,
+:func:`get_logger`) always act on the *currently
 installed* context, so library code never holds references to a particular
 run's tracer or registry.
 """
@@ -51,7 +51,6 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.metrics import (
-    DEFAULT_DURATION_BUCKETS_S,
     MetricsRegistry,
     write_metrics_json,
     write_metrics_prometheus,
@@ -108,7 +107,6 @@ __all__ = [
     "MetricsRegistry",
     "metrics",
     "inc",
-    "observe",
     "set_gauge",
     "record_degradation",
     "findings",
@@ -138,7 +136,6 @@ __all__ = [
     "chrome_trace_events",
     "write_metrics_json",
     "write_metrics_prometheus",
-    "DEFAULT_DURATION_BUCKETS_S",
     "report_progress",
     "ProgressTracker",
     "render_progress",
@@ -245,14 +242,6 @@ def inc(name: str, amount: float = 1.0, help: str = "", **labels: Any) -> None:
     if not ctx.enabled:
         return
     ctx.metrics.inc(name, amount, help=help, **labels)
-
-
-def observe(name: str, value: float, help: str = "", **labels: Any) -> None:
-    """Observe a histogram sample on the active registry."""
-    ctx = _runtime.current()
-    if not ctx.enabled:
-        return
-    ctx.metrics.observe(name, value, help=help, **labels)
 
 
 def set_gauge(name: str, value: float, help: str = "", **labels: Any) -> None:

@@ -232,19 +232,13 @@ def _span_share_entries(a_spans: Dict[str, Any], b_spans: Dict[str, Any],
 
 
 def _flatten_metrics(snapshot: Dict[str, Any]) -> Dict[str, float]:
-    """Metric snapshot → flat ``name{labels}[.field]`` → value map."""
+    """Metric snapshot → flat ``name{labels}`` → value map."""
     flat: Dict[str, float] = {}
     for name, metric in snapshot.items():
         if not isinstance(metric, dict):
             continue
-        series = metric.get("series", {})
-        for labels, value in series.items():
-            key = f"{name}{labels}"
-            if isinstance(value, dict):  # histogram: compare count and sum
-                flat[f"{key}.count"] = float(value.get("count", 0))
-                flat[f"{key}.sum"] = float(value.get("sum", 0.0))
-            else:
-                flat[key] = float(value)
+        for labels, value in metric.get("series", {}).items():
+            flat[f"{name}{labels}"] = float(value)
     return flat
 
 

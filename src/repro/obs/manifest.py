@@ -223,15 +223,6 @@ def manifest_rows(manifest: Dict[str, Any]) -> List[Tuple[str, Any]]:
             continue
         for labels, value in sorted((metric.get("series") or {}).items()):
             rows.append((f"supervisor {name}{labels}", value))
-    for name, metric in sorted((manifest.get("metrics") or {}).items()):
-        if not isinstance(metric, dict) or metric.get("kind") != "histogram":
-            continue
-        for labels, entry in sorted((metric.get("series") or {}).items()):
-            quantiles = entry.get("quantiles") if isinstance(entry, dict) else None
-            if quantiles:
-                rows.append((
-                    f"{name}{labels}",
-                    " ".join(f"{k}={quantiles[k]}" for k in sorted(quantiles))))
     return rows
 
 

@@ -25,7 +25,7 @@ the fleet still meet its objectives?* Three layers, stdlib-only:
 Everything here is a pure function of registry contents: series are
 sorted by name, floats rounded before serialization, artifacts written
 key-sorted and compact — identical registries yield byte-identical
-``baseline.json``/``trend.json``/``slo.json`` regardless of executor.
+``baseline.json``/``trend.json``/``slo.json``.
 """
 
 from __future__ import annotations
@@ -529,18 +529,8 @@ def evaluate_slos(slos: Sequence[Dict[str, Any]],
 
 
 # ---------------------------------------------------------------------------
-# Report assembly (optionally executor-parallel per series).
+# Report assembly.
 # ---------------------------------------------------------------------------
-
-
-def _series_task(payload: Tuple[str, List[Tuple[int, float]], float, float,
-                                float]) -> Tuple[str, Dict[str, Any],
-                                                 Dict[str, Any]]:
-    """Per-series analysis; module-level so process executors can pickle it."""
-    name, points, halflife, envelope_k, penalty_scale = payload
-    return (name,
-            robust_baseline(points, halflife, envelope_k),
-            detect_change_point(points, penalty_scale))
 
 
 def build_watch_report(registry: RunRegistry,
@@ -548,15 +538,14 @@ def build_watch_report(registry: RunRegistry,
                        last: int = 0,
                        halflife_runs: float = DEFAULT_HALFLIFE_RUNS,
                        envelope_k: float = DEFAULT_ENVELOPE_K,
-                       penalty_scale: float = DEFAULT_PENALTY_SCALE,
-                       executor: Any = None) -> Dict[str, Any]:
+                       penalty_scale: float = DEFAULT_PENALTY_SCALE
+                       ) -> Dict[str, Any]:
     """Baselines + change-points + SLO verdicts for one registry.
 
     Returns ``{"n_runs", "baseline", "trend", "slo"}`` where the three
-    artifact payloads each carry their own ``kind``. ``executor`` accepts
-    anything :func:`repro.parallel.resolve_executor` does; per-series
-    analysis order is pinned to sorted names, so serial and process
-    executors produce byte-identical artifacts.
+    artifact payloads each carry their own ``kind``. Series are analyzed
+    in sorted-name order, so identical registries yield byte-identical
+    artifacts.
     """
     entries = registry.entries()
     if not entries:
@@ -565,16 +554,10 @@ def build_watch_report(registry: RunRegistry,
             f"(missing or empty index.jsonl)")
     slos = load_slo_config(None) if slos is None else list(slos)
     series = collect_series(registry, last=last)
-    payloads = [(name, points, halflife_runs, envelope_k, penalty_scale)
-                for name, points in series.items()]
-    if executor is None or executor == "serial":
-        analyzed = [_series_task(p) for p in payloads]
-    else:
-        from repro.parallel import resolve_executor
-        analyzed = list(resolve_executor(executor).map_ordered(
-            _series_task, payloads))
-    baselines = {name: baseline for name, baseline, _ in analyzed}
-    trends = {name: trend for name, _, trend in analyzed}
+    baselines = {name: robust_baseline(points, halflife_runs, envelope_k)
+                 for name, points in series.items()}
+    trends = {name: detect_change_point(points, penalty_scale)
+              for name, points in series.items()}
     n_runs = len(entries if last <= 0 else entries[-last:])
     baseline_payload = {
         "schema": WATCH_SCHEMA,

@@ -5,7 +5,10 @@ experiment registry and the workload generator all fan out over independent
 work items. :mod:`repro.parallel` gives them one executor protocol with
 interchangeable backends (serial, process pool) plus deterministic per-task
 seeding, with the invariant that **every backend produces bit-identical
-results to the serial reference**.
+results to the serial reference**. Every backend runs its tasks through
+one in-process task loop; a process worker hands its whole observability
+state (spans, metrics, degradations, findings) back in one bundle, so the
+parent's records match a serial run's.
 
 The fault-tolerant layer keeps that invariant under partial failure:
 :class:`RetryPolicy` adds exponential backoff and per-task timeouts,

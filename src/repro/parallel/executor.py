@@ -18,9 +18,17 @@ derives its own stream from a root seed and a stable task name (see
 :mod:`repro.parallel.seeding`), and ``map_ordered`` always returns results
 in input order.
 
+Every task, on every backend, runs through one in-process loop
+(:func:`_run_tasks`): a deadline checkpoint, a keyed ``task`` span when
+tracing is on, and a progress report. A process worker runs that loop in a
+fresh obs session and returns its results with the session's whole state —
+spans, metrics registry, degradations and findings — which the parent
+folds in with one merge (:func:`_merge_bundle`), so a process run records
+exactly what a serial run records.
+
 The process backend is additionally *crash-tolerant*: a chunk whose worker
 dies (``BrokenProcessPool``) or exceeds the retry policy's per-task timeout
-is transparently re-executed on the in-process serial path — pure per-task
+is re-executed by the same loop in-process, with retries — pure per-task
 seeding makes the recovered results bit-identical to an undisturbed run.
 Task-raised exceptions (data errors) still propagate unchanged.
 """
@@ -28,10 +36,10 @@ Task-raised exceptions (data errors) still propagate unchanged.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Union
 
 import repro.obs as obs
-from repro.errors import ConfigError, DeadlineExceededError
+from repro.errors import ConfigError
 from repro.parallel.retry import RetryPolicy, call_with_retry
 from repro.runtime.deadline import active_deadline, check_deadline
 
@@ -69,21 +77,30 @@ def _task_name(fn: Callable[[Any], Any]) -> str:
     return getattr(fn, "__qualname__", type(fn).__name__)
 
 
-def _run_task_spans(fn: Callable[[Any], Any], items: Sequence[Any],
-                    base: int = 0) -> List[Any]:
-    """Run items with one keyed span each; the traced serial inner loop.
+def _run_tasks(fn: Callable[[Any], Any], items: Sequence[Any],
+               base: int = 0, retry: Optional[RetryPolicy] = None) -> List[Any]:
+    """The one in-process task loop, shared by every backend.
 
-    Keys are ``{fn qualname}[{base + index}]`` — a pure function of the
-    task's position, so the same task carries the same span id on the
-    serial backend, in a process worker, and on a checkpoint resume.
+    Each task first passes a deadline checkpoint. When tracing is on it
+    runs under a ``task`` span keyed ``{fn qualname}[{base + index}]`` — a
+    pure function of the task's position, so the same task carries the
+    same span id on the serial backend, in a process worker, and on a
+    checkpoint resume. ``retry`` marks a lost chunk re-executed in-process:
+    each task then goes through :func:`call_with_retry` and its span
+    carries ``recovered=True``.
     """
     name = _task_name(fn)
+    traced = obs.enabled()
+    extra = {} if retry is None else {"recovered": True}
     out: List[Any] = []
     for i, item in enumerate(items):
-        check_deadline(f"task {name}[{base + i}]")
-        with obs.span("task", key=f"{name}[{base + i}]", task=name,
-                      index=base + i):
-            out.append(fn(item))
+        key = f"{name}[{base + i}]"
+        check_deadline(f"task {key}")
+        span = (obs.span("task", key=key, task=name, index=base + i, **extra)
+                if traced else obs.NOOP_SPAN)
+        with span:
+            out.append(fn(item) if retry is None else
+                       call_with_retry(fn, item, policy=retry, task_name=key))
         obs.report_progress(name, done=1)
     return out
 
@@ -97,14 +114,8 @@ class SerialExecutor:
         items: Sequence[Any],
         chunk_size: Optional[int] = None,
     ) -> List[Any]:
-        if not obs.enabled():
-            out: List[Any] = []
-            for item in items:
-                check_deadline("serial task")
-                out.append(fn(item))
-            return out
         obs.report_progress(_task_name(fn), total=len(items))
-        return _run_task_spans(fn, items)
+        return _run_tasks(fn, items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
@@ -119,23 +130,21 @@ def _obs_spec() -> Optional[Dict[str, Any]]:
             "deterministic": ctx.tracer.deterministic}
 
 
-def _apply_chunk(payload: tuple) -> Any:
-    """Top-level (picklable) helper: apply ``fn`` to one chunk of items.
+def _apply_chunk(payload: tuple) -> tuple:
+    """Top-level (picklable) helper: run one chunk in a worker process.
 
-    The legacy two-field payload ``(fn, chunk)`` returns a plain result
-    list. The traced four-field payload ``(fn, chunk, base, obs_spec)``
-    additionally runs each item under a keyed task span on a worker-local
-    tracer and returns ``(results, span_records, degradations, findings)``
-    so the parent can adopt the worker's spans and re-record its
-    degradations and health findings (:func:`_adopt_records`). The worker
-    tracer shares the parent's ``trace_id`` (keyed ids match the serial
-    run) but namespaces its path-based ids per chunk, so two workers'
-    internal spans can never collide.
+    The payload is ``(fn, chunk, base, obs_spec)``; the reply is
+    ``(results, bundle)``. Untraced, the bundle is ``None``. Traced, the
+    chunk runs in a fresh worker session and the bundle is that session's
+    whole state — ``(span_records, metrics, degradations, findings)`` —
+    which :func:`_merge_bundle` folds into the parent. The worker tracer
+    shares the parent's ``trace_id`` (keyed ids match the serial run) but
+    namespaces its path-based ids per chunk, so two workers' internal
+    spans can never collide.
     """
-    if len(payload) == 2:
-        fn, chunk = payload
-        return [fn(item) for item in chunk]
     fn, chunk, base, spec = payload
+    if spec is None:
+        return _run_tasks(fn, chunk, base=base), None
     from repro.obs import session
     from repro.obs.trace import Tracer
 
@@ -148,24 +157,26 @@ def _apply_chunk(payload: tuple) -> Any:
                  deterministic=spec["deterministic"],
                  run_id=spec["trace_id"]) as ctx:
         ctx.tracer = tracer
-        results = _run_task_spans(fn, chunk, base=base)
-    return results, tracer.finished(), ctx.degradations, ctx.findings
+        results = _run_tasks(fn, chunk, base=base)
+    return results, (tracer.finished(), ctx.metrics, ctx.degradations,
+                     ctx.findings)
 
 
-def _adopt_records(degradations: List[Dict[str, Any]],
-                   findings: List[Dict[str, Any]]) -> None:
-    """Re-record a worker session's degradations and findings here.
+def _merge_bundle(bundle: tuple, parent_id: Optional[str], tid: int) -> None:
+    """Fold a worker's obs bundle into the active context.
 
-    They go through the same calls the serial path makes, so the parent's
-    lists and the ``autosens_degradations_total`` and
-    ``autosens_health_findings_total`` counters match a serial run.
+    Spans are adopted under ``parent_id``; metrics merge (counters add,
+    gauges take the worker's last write); degradations and findings are
+    appended as recorded. Nothing is re-recorded, so every counter —
+    ``autosens_degradations_total`` and ``autosens_health_findings_total``
+    included — counts each event once, as on the serial backend.
     """
-    from repro.obs import probes
-
-    for entry in degradations:
-        detail = dict(entry)
-        obs.record_degradation(detail.pop("kind"), **detail)
-    probes.emit(probes.HealthFinding(**finding) for finding in findings)
+    records, metrics, degradations, findings = bundle
+    ctx = obs.current()
+    ctx.tracer.adopt(records, parent_id=parent_id, tid=tid)
+    ctx.metrics.merge(metrics)
+    ctx.degradations.extend(degradations)
+    ctx.findings.extend(findings)
 
 
 class ProcessExecutor:
@@ -219,24 +230,6 @@ class ProcessExecutor:
             size = max(1, -(-len(items) // (4 * self.max_workers)))
         return [items[i:i + size] for i in range(0, len(items), size)]
 
-    def _recover_chunk(self, fn: Callable[[Any], Any], chunk: Sequence[Any],
-                       base: int = 0) -> List[Any]:
-        """Re-execute a lost chunk in-process, item by item, with retries."""
-        traced = obs.enabled()
-        out: List[Any] = []
-        name = _task_name(fn)
-        for i, item in enumerate(chunk):
-            check_deadline(f"recovery {name}[{base + i}]")
-            span = (obs.span("task", key=f"{name}[{base + i}]", task=name,
-                             index=base + i, recovered=True)
-                    if traced else obs.NOOP_SPAN)
-            with span:
-                out.append(call_with_retry(
-                    fn, item, policy=self.retry, task_name=f"chunk-item[{i}]"
-                ))
-            obs.report_progress(name, done=1)
-        return out
-
     def map_ordered(
         self,
         fn: Callable[[Any], Any],
@@ -248,9 +241,7 @@ class ProcessExecutor:
             return []
         obs.report_progress(_task_name(fn), total=len(items))
         if len(items) == 1 or self.max_workers == 1:
-            if not obs.enabled():
-                return [fn(item) for item in items]
-            return _run_task_spans(fn, items)
+            return _run_tasks(fn, items)
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures import TimeoutError as FutureTimeout
         from concurrent.futures.process import BrokenProcessPool
@@ -278,31 +269,18 @@ class ProcessExecutor:
         pool = ProcessPoolExecutor(max_workers=min(self.max_workers, len(chunks)))
         try:
             with chunk_span:
-                futures = [
-                    pool.submit(
-                        _apply_chunk,
-                        (work_fn, chunk) if spec is None
-                        else (work_fn, chunk, b, spec),
-                    )
-                    for chunk, b in zip(chunks, bases)
-                ]
+                futures = [pool.submit(_apply_chunk, (work_fn, chunk, b, spec))
+                           for chunk, b in zip(chunks, bases)]
                 for future, chunk, b in zip(futures, chunks, bases):  # input order
                     if deadline is not None:
                         deadline.check("pool_map")
                     wait_s = (deadline.timeout_or(timeout)
                               if deadline is not None else timeout)
                     try:
-                        value = future.result(timeout=wait_s)
-                        if spec is not None:
-                            results, records, degradations, findings = value
-                            ctx = obs.current()
-                            ctx.tracer.adopt(records,
-                                             parent_id=chunk_span.span_id,
-                                             tid=1 + b)
-                            _adopt_records(degradations, findings)
-                            out.extend(results)
-                        else:
-                            out.extend(value)
+                        results, bundle = future.result(timeout=wait_s)
+                        if bundle is not None:
+                            _merge_bundle(bundle, chunk_span.span_id, 1 + b)
+                        out.extend(results)
                         obs.report_progress(_task_name(fn), done=len(chunk))
                     except (BrokenProcessPool, FutureTimeout, OSError) as exc:
                         # A worker died or the chunk blew its budget. The pool
@@ -315,7 +293,8 @@ class ProcessExecutor:
                                   else "os-error")
                         obs.inc("autosens_executor_recoveries_total",
                                 reason=reason)
-                        out.extend(self._recover_chunk(fn, chunk, base=b))
+                        out.extend(_run_tasks(fn, chunk, base=b,
+                                              retry=self.retry))
         finally:
             # After a timeout a worker may still be running; don't block on
             # it — drop the pool without waiting.

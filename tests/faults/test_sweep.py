@@ -1,12 +1,12 @@
 """The ``curves_by_*`` sweep loop: backend parity and deadline shedding.
 
 Two contracts. First, a process-backend sweep is indistinguishable from a
-serial one: bitwise-equal curves, and the same engine degradation notes,
-obs degradations and health findings — records made inside a worker are
-shipped back, never dropped. Second, under a supervised deadline the
-sweep sheds exactly the work it has not done yet: finished curves stay
-bitwise, each shed task is recorded once, and ``on_over_budget="raise"``
-raises instead. Deadlines run on an injected clock, advanced from hooks
+serial one: bitwise-equal curves, the same engine degradation notes, obs
+degradations and health findings, and the same Prometheus text — a
+worker's whole obs state is shipped back, never dropped. Second, under a
+supervised deadline the sweep sheds exactly the work it has not done yet:
+finished curves stay bitwise, each shed task is recorded once, and
+``on_over_budget="raise"`` raises instead. Deadlines run on an injected clock, advanced from hooks
 around the curve and the pool map, so no test sleeps or races.
 """
 
@@ -101,12 +101,8 @@ def _recorded_sweep(logs, case, executor):
                       subsample=CASES[case]["subsample"])
     with obs.session(enabled=True, deterministic=True, run_id="sweep") as ctx:
         curves = engine.curves_by_action(logs)
-    counters = {
-        name: ctx.metrics.counter(name).snapshot()
-        for name in ("autosens_degradations_total",
-                     "autosens_health_findings_total")
-    }
-    return curves, engine.degradations, ctx.degradations, ctx.findings, counters
+    return (curves, engine.degradations, ctx.degradations, ctx.findings,
+            ctx.metrics.render_prometheus())
 
 
 @pytest.fixture(scope="module")
@@ -120,17 +116,19 @@ class TestBackendParity:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_sweep_records_match_serial(self, logs, serial_runs, case,
                                         backend):
-        curves, notes, degradations, findings, counters = _recorded_sweep(
+        curves, notes, degradations, findings, metrics = _recorded_sweep(
             logs, case, BACKENDS[backend]())
         want_curves, want_notes, want_degradations, want_findings, \
-            want_counters = serial_runs[case]
+            want_metrics = serial_runs[case]
         # The cases must actually degrade, or parity would be vacuous.
         assert want_notes and want_degradations and want_findings
         _assert_curves_identical(curves, want_curves)
         assert notes == want_notes
         assert degradations == want_degradations
         assert findings == want_findings
-        assert counters == want_counters
+        assert "autosens_degradations_total" in want_metrics
+        assert "autosens_health_findings_total" in want_metrics
+        assert metrics == want_metrics
 
 
 def _expire_after_curves(monkeypatch, clock, n_curves):

@@ -104,16 +104,6 @@ class TestClassification:
         assert by_key["m{b}"] == "added"
         assert diff_exit_code(report) == 1  # removed counts as drift
 
-    def test_histograms_compare_count_and_sum(self):
-        a = {"h": {"kind": "histogram", "series": {"{}": {
-            "buckets": {"1": 3}, "inf": 0, "sum": 2.5, "count": 3}}}}
-        b = json.loads(json.dumps(a))
-        report = diff_artifacts(a, b)
-        keys = {e["key"] for e in report["entries"]}
-        assert keys == {"h{}.count", "h{}.sum"}
-        assert all(e["classification"] == "unchanged"
-                   for e in report["entries"])
-
 
 class TestManifestDiff:
     def test_new_degradations_regress(self, tmp_path):

@@ -179,15 +179,15 @@ KINDS = [
          load_metrics_prometheus,
          _text(lambda t: t.replace(" gauge\n", " summary\n")),
          _text(lambda t: "[]\n"),
-         _text(lambda t: t.replace("p50=0.01 ", "p50=0.9 ")),
-         "not monotone", red="semantic"),
+         _text(lambda t: t.replace('"hit"} 3', '"hit"} -3')),
+         "is negative", red="semantic"),
     Kind("metrics-json", "metrics", _copy(GOLDEN / "metrics.json"),
          load_metrics_json,
          _json(_put("autosens_active_workers", "kind", value="summary")),
          _json(_not_an_object),
-         _json(_put("autosens_stage_seconds", "series", FIRST, "count",
-                    value=lambda n: n + 1)),
-         "count disagrees", red="semantic"),
+         _json(_put("autosens_slice_cache_total", "series", FIRST,
+                    value=lambda n: -n)),
+         "is negative", red="semantic"),
     Kind("manifest", "manifest", _copy(GOLDEN / "baseline_manifest.json"),
          load_manifest,
          _json(_put("schema", value=99)),

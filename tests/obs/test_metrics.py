@@ -7,14 +7,11 @@ import pytest
 from repro.errors import ConfigError
 from repro.obs.metrics import (
     MetricsRegistry,
-    bucket_quantile,
     write_metrics_json,
     write_metrics_prometheus,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-
-STAGE_BUCKETS = (0.001, 0.01, 0.1, 1.0)
 
 
 def sample_registry() -> MetricsRegistry:
@@ -24,10 +21,6 @@ def sample_registry() -> MetricsRegistry:
             outcome="hit", kind="action")
     reg.inc("autosens_slice_cache_total", 1.0, outcome="miss", kind="action")
     reg.set_gauge("autosens_active_workers", 4, help="pool width")
-    reg.observe("autosens_stage_seconds", 0.003, help="stage wall time",
-                buckets=STAGE_BUCKETS, stage="sweep")
-    reg.observe("autosens_stage_seconds", 0.25,
-                buckets=STAGE_BUCKETS, stage="sweep")
     return reg
 
 
@@ -57,63 +50,6 @@ class TestGauge:
         assert reg.gauge("g").value() == 7.0
 
 
-class TestHistogram:
-    def test_observations_land_in_the_right_buckets(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", buckets=(1.0, 10.0))
-        h.observe(0.5)
-        h.observe(5.0)
-        h.observe(100.0)  # above the last bound -> +Inf
-        assert h.value() == (105.5, 3)
-        snap = h.snapshot()[""]
-        assert snap["buckets"] == {"1": 1, "10": 1}
-        assert snap["inf"] == 1
-
-    def test_unsorted_buckets_rejected(self):
-        with pytest.raises(ConfigError):
-            MetricsRegistry().histogram("h", buckets=(10.0, 1.0))
-
-
-class TestQuantiles:
-    def test_interpolates_within_the_crossing_bucket(self):
-        # 10 observations spread evenly across (0, 10]: p50 crosses the
-        # single bucket at 50% of its width.
-        assert bucket_quantile((10.0,), (10, 0), 0.5) == pytest.approx(5.0)
-
-    def test_first_bucket_interpolates_from_zero(self):
-        assert bucket_quantile((1.0, 10.0), (4, 0, 0), 0.5) == pytest.approx(0.5)
-
-    def test_inf_crossing_clamps_to_last_finite_bound(self):
-        assert bucket_quantile((1.0, 10.0), (0, 0, 7), 0.99) == 10.0
-
-    def test_empty_series_is_nan(self):
-        import math
-
-        assert math.isnan(bucket_quantile((1.0,), (0, 0), 0.5))
-
-    def test_quantiles_are_monotone(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", buckets=STAGE_BUCKETS)
-        for v in (0.002, 0.003, 0.02, 0.07, 0.4, 0.9):
-            h.observe(v)
-        q = h.quantiles()
-        assert q["p50"] <= q["p90"] <= q["p99"]
-        assert set(q) == {"p50", "p90", "p99"}
-
-    def test_unknown_label_set_is_empty(self):
-        reg = MetricsRegistry()
-        assert reg.histogram("h").quantiles(stage="never") == {}
-
-    def test_snapshot_and_prometheus_carry_quantiles(self):
-        reg = sample_registry()
-        snap = reg.snapshot()["autosens_stage_seconds"]["series"]
-        assert snap['{stage="sweep"}']["quantiles"] == {
-            "p50": 0.01, "p90": 0.82, "p99": 0.982}
-        text = reg.render_prometheus()
-        assert ('# QUANTILE autosens_stage_seconds{stage="sweep"} '
-                "p50=0.01 p90=0.82 p99=0.982") in text
-
-
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         reg = MetricsRegistry()
@@ -125,6 +61,29 @@ class TestRegistry:
         reg.counter("x")
         with pytest.raises(ConfigError):
             reg.gauge("x")
+
+    def test_merge_adds_counters_and_overwrites_gauges(self):
+        reg = MetricsRegistry()
+        reg.inc("c", 2.0, outcome="hit")
+        reg.set_gauge("g", 1.0)
+        other = MetricsRegistry()
+        other.inc("c", 3.0, outcome="hit")
+        other.inc("c", 1.0, outcome="miss")
+        other.set_gauge("g", 7.0)
+        other.set_gauge("h", 5.0, help="only in the other")
+        reg.merge(other)
+        assert reg.counter("c").value(outcome="hit") == 5.0
+        assert reg.counter("c").value(outcome="miss") == 1.0
+        assert reg.gauge("g").value() == 7.0
+        assert "# HELP h only in the other" in reg.render_prometheus()
+
+    def test_merge_kind_clash_raises(self):
+        reg = MetricsRegistry()
+        reg.counter("x")
+        other = MetricsRegistry()
+        other.set_gauge("x", 1.0)
+        with pytest.raises(ConfigError):
+            reg.merge(other)
 
 
 class TestExporters:
@@ -146,7 +105,7 @@ class TestExporters:
         text = sample_registry().render_prometheus()
         assert "# TYPE autosens_slice_cache_total counter" in text
         assert "# HELP autosens_slice_cache_total slice cache lookups" in text
-        assert 'le="+Inf"' in text
+        assert "# TYPE autosens_active_workers gauge" in text
         assert text.endswith("\n")
 
     def test_empty_registry_renders_empty(self):

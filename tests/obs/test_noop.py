@@ -32,7 +32,6 @@ class TestNoopSpan:
 class TestNoopMetrics:
     def test_disabled_writes_never_create_series(self):
         obs.inc("autosens_should_not_exist", outcome="hit")
-        obs.observe("autosens_should_not_exist_s", 1.0)
         obs.set_gauge("autosens_should_not_exist_g", 1.0)
         obs.record_degradation("should_not_exist")
         assert len(obs.metrics()) == 0

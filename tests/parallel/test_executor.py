@@ -1,11 +1,13 @@
-"""The executor protocol: ordering, chunking, spec resolution, seeding."""
+"""The executor protocol: ordering, chunking, spec resolution, seeding,
+and the hand-off of a worker's observability state."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+import repro.obs as obs
+from repro.errors import ConfigError, DeadlineExceededError
 from repro.parallel import (
     EXECUTOR_BACKENDS,
     ProcessExecutor,
@@ -14,6 +16,7 @@ from repro.parallel import (
     task_seeds,
     task_streams,
 )
+from repro.runtime import Deadline, deadline_scope
 
 
 def _square(x):
@@ -23,6 +26,13 @@ def _square(x):
 
 def _tag(x):
     return (x, x % 3)
+
+
+def _record_metrics(x):
+    """Module-level task that writes a counter and a gauge."""
+    obs.inc("autosens_test_tasks_total", parity=x % 2)
+    obs.set_gauge("autosens_test_last_item", x)
+    return x
 
 
 class TestSerialExecutor:
@@ -72,6 +82,32 @@ class TestProcessExecutor:
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ConfigError):
             ProcessExecutor(chunk_size=0)
+
+
+class TestDeadline:
+    @pytest.mark.parametrize("executor", [
+        SerialExecutor(), ProcessExecutor(max_workers=1)],
+        ids=["serial", "process-one-worker"])
+    def test_expired_deadline_raises_before_any_task(self, executor):
+        clock = iter([0.0] + [1e6] * 100)
+        deadline = Deadline(budget_s=1.0, clock=lambda: next(clock))
+        with deadline_scope(deadline):
+            with pytest.raises(DeadlineExceededError):
+                executor.map_ordered(_square, [1, 2, 3])
+
+
+class TestWorkerObsHandOff:
+    def test_worker_metrics_render_as_on_the_serial_backend(self):
+        rendered = []
+        for executor in (SerialExecutor(), ProcessExecutor(max_workers=2)):
+            with obs.session(enabled=True, deterministic=True,
+                             run_id="handoff") as ctx:
+                assert executor.map_ordered(_record_metrics, range(8)) \
+                    == list(range(8))
+            rendered.append(ctx.metrics.render_prometheus())
+        assert "autosens_test_tasks_total" in rendered[0]
+        assert "autosens_test_last_item 7" in rendered[0]
+        assert rendered[1] == rendered[0]
 
 
 class TestResolveExecutor:
