@@ -25,13 +25,7 @@ from repro.analysis.fig_time import run_fig7, run_fig8, run_fig9
 from repro.analysis.regions_ext import run_regions
 from repro.analysis.sessions_ext import run_sessions
 from repro.errors import ConfigError
-from repro.parallel import (
-    CheckpointJournal,
-    ResilientExecutor,
-    RetryPolicy,
-    resolve_executor,
-)
-from repro.parallel.executor import ProcessExecutor
+from repro.parallel import CheckpointJournal, JournaledExecutor, resolve_executor
 from repro.runtime.supervisor import Supervisor
 
 #: Every experiment, in the paper's presentation order. Values take
@@ -120,7 +114,6 @@ def run_experiment(
     scale: Scale | str = FULL,
     executor=None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
-    retry: Optional[RetryPolicy] = None,
     manifest_out: Optional[Union[str, Path]] = None,
     supervisor: Optional[Supervisor] = None,
 ) -> ExperimentOutcome:
@@ -134,16 +127,16 @@ def run_experiment(
     journaled there as the driver runs, and the finished outcome itself is
     journaled too. A rerun with the same ``(experiment_id, seed, scale)``
     skips journaled work — an interrupted sweep continues where it
-    stopped, bit-identical to a run that was never interrupted. ``retry``
-    tunes the fault-tolerant re-execution of lost tasks (worker crashes).
+    stopped, bit-identical to a run that was never interrupted.
 
     ``supervisor`` (a :class:`~repro.runtime.supervisor.Supervisor`) puts
-    the whole run under supervision: its deadline becomes ambient for
-    every cooperative checkpoint, its watchdog supervises process-backend
-    workers, its circuit breaker guards the resilient recovery path, and
-    its memory governor bounds sweep working sets. Everything supervision
-    sheds, trips, kills or spills lands in the run manifest under
-    ``extra.supervision`` plus the regular degradations list.
+    the whole run under supervision by entering its scope: its deadline
+    becomes ambient for every cooperative checkpoint, its watchdog
+    supervises process-backend workers, its circuit breaker guards the
+    process backend's lost-chunk recovery, and its memory governor bounds
+    sweep working sets. Everything supervision sheds, trips, kills or
+    spills lands in the run manifest under ``extra.supervision`` plus the
+    regular degradations list.
 
     The run is wrapped in one root span per experiment, and with
     ``manifest_out`` a provenance manifest (seed, config fingerprint,
@@ -180,21 +173,8 @@ def run_experiment(
                 obs.inc("autosens_checkpoint_total", outcome="outcome-hit")
 
         if outcome is None:
-            if executor is not None or supervisor is not None:
-                executor = resolve_executor(executor)
-            if (supervisor is not None and supervisor.watchdog is not None
-                    and isinstance(executor, ProcessExecutor)
-                    and executor.watchdog is None):
-                executor.watchdog = supervisor.watchdog
-            if journal is not None or retry is not None:
-                executor = ResilientExecutor(
-                    inner=executor if executor is not None
-                    else resolve_executor(None),
-                    retry=retry,
-                    checkpoint=journal,
-                    breaker=supervisor.breaker if supervisor is not None
-                    else None,
-                )
+            if journal is not None:
+                executor = JournaledExecutor(resolve_executor(executor), journal)
 
             kwargs = {}
             if seed is not None:

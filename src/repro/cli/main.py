@@ -310,9 +310,10 @@ def _runtime_parent() -> argparse.ArgumentParser:
              "at all stops with exit code 10")
     group.add_argument(
         "--breaker", action="store_true",
-        help="guard flaky stages and ingestion with a circuit breaker: "
-             "repeated failures open the circuit (exit code 9) instead of "
-             "retrying into a known-bad dependency")
+        help="guard ingestion and the process backend's lost-chunk "
+             "recovery with a circuit breaker: repeated failures open the "
+             "circuit (exit code 9) instead of retrying into a known-bad "
+             "dependency")
     return parent
 
 

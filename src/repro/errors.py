@@ -103,8 +103,8 @@ class PrivacyError(ReproError):
 class TaskFailedError(ReproError):
     """A runtime task kept failing after every allowed retry.
 
-    Raised by :func:`repro.parallel.retry.call_with_retry` and the
-    resilient executors once a task has exhausted its
+    Raised by :func:`repro.parallel.retry.call_with_retry` (and so by the
+    process backend's lost-chunk recovery) once a task has exhausted its
     :class:`~repro.parallel.retry.RetryPolicy`. The original exception is
     preserved both as ``last_cause`` and as ``__cause__`` (so tracebacks
     chain normally).

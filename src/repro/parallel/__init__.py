@@ -10,15 +10,17 @@ one in-process task loop; a process worker hands its whole observability
 state (spans, metrics, degradations, findings) back in one bundle, so the
 parent's records match a serial run's.
 
-The fault-tolerant layer keeps that invariant under partial failure:
-:class:`RetryPolicy` adds exponential backoff and per-task timeouts,
-:class:`ProcessExecutor` survives worker crashes by re-executing lost
-chunks serially, :class:`ResilientExecutor` composes retry + crash
-fallback + checkpointing over any backend, and
-:class:`CheckpointJournal` makes interrupted sweeps resumable.
+The fault-tolerant layer keeps that invariant under partial failure.
+:class:`ProcessExecutor` survives worker crashes and timeouts by
+re-executing a lost chunk in-process through the same task loop, under a
+:class:`RetryPolicy` (exponential backoff, per-task timeouts); that is the
+only recovery loop, and the ambient
+:class:`~repro.runtime.supervisor.Supervisor`'s breaker and watchdog plug
+into it. :class:`CheckpointJournal` makes interrupted sweeps resumable,
+and :class:`JournaledExecutor` puts one in front of any backend.
 """
 
-from repro.parallel.checkpoint import CheckpointJournal
+from repro.parallel.checkpoint import CheckpointJournal, JournaledExecutor
 from repro.parallel.executor import (
     EXECUTOR_BACKENDS,
     Executor,
@@ -26,7 +28,6 @@ from repro.parallel.executor import (
     SerialExecutor,
     resolve_executor,
 )
-from repro.parallel.resilient import ResilientExecutor
 from repro.parallel.retry import RetryPolicy, call_with_retry, is_retryable
 from repro.parallel.seeding import task_seeds, task_streams
 
@@ -35,9 +36,9 @@ __all__ = [
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",
-    "ResilientExecutor",
     "RetryPolicy",
     "CheckpointJournal",
+    "JournaledExecutor",
     "call_with_retry",
     "is_retryable",
     "resolve_executor",

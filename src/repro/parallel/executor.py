@@ -30,7 +30,10 @@ The process backend is additionally *crash-tolerant*: a chunk whose worker
 dies (``BrokenProcessPool``) or exceeds the retry policy's per-task timeout
 is re-executed by the same loop in-process, with retries — pure per-task
 seeding makes the recovered results bit-identical to an undisturbed run.
-Task-raised exceptions (data errors) still propagate unchanged.
+This is the only recovery loop; the ambient
+:class:`~repro.runtime.supervisor.Supervisor` lends it its circuit breaker
+and its watchdog. Task-raised exceptions (data errors) still propagate
+unchanged.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import repro.obs as obs
 from repro.errors import ConfigError
 from repro.parallel.retry import RetryPolicy, call_with_retry
 from repro.runtime.deadline import active_deadline, check_deadline
+from repro.runtime.supervisor import active_supervisor
 
 __all__ = [
     "Executor",
@@ -86,12 +90,17 @@ def _run_tasks(fn: Callable[[Any], Any], items: Sequence[Any],
     pure function of the task's position, so the same task carries the
     same span id on the serial backend, in a process worker, and on a
     checkpoint resume. ``retry`` marks a lost chunk re-executed in-process:
-    each task then goes through :func:`call_with_retry` and its span
+    each task then goes through :func:`call_with_retry`, guarded by the
+    ambient supervisor's circuit breaker if it has one, and its span
     carries ``recovered=True``.
     """
     name = _task_name(fn)
     traced = obs.enabled()
     extra = {} if retry is None else {"recovered": True}
+    breaker = None
+    if retry is not None:
+        supervisor = active_supervisor()
+        breaker = supervisor.breaker if supervisor is not None else None
     out: List[Any] = []
     for i, item in enumerate(items):
         key = f"{name}[{base + i}]"
@@ -100,7 +109,8 @@ def _run_tasks(fn: Callable[[Any], Any], items: Sequence[Any],
                 if traced else obs.NOOP_SPAN)
         with span:
             out.append(fn(item) if retry is None else
-                       call_with_retry(fn, item, policy=retry, task_name=key))
+                       call_with_retry(fn, item, policy=retry, task_name=key,
+                                       breaker=breaker))
         obs.report_progress(name, done=1)
     return out
 
@@ -192,18 +202,20 @@ class ProcessExecutor:
     of chunks lost to worker crashes or timeouts. The default policy
     recovers crashes but applies no timeout.
 
-    ``watchdog`` (a :class:`~repro.runtime.watchdog.Watchdog`) enables
-    hung-worker supervision: every task is wrapped in a heartbeat shim and
-    a worker whose heartbeat stalls is killed — breaking the pool, which
-    lands the lost chunks on the same serial recovery path as a crash, so
-    the requeued results stay bit-identical. The executor starts the
-    watchdog thread on demand; whoever owns the watchdog stops it.
+    Supervision is ambient. Inside a
+    :class:`~repro.runtime.supervisor.Supervisor` scope with a watchdog,
+    every task is wrapped in a heartbeat shim and a worker whose heartbeat
+    stalls is killed — breaking the pool, which lands the lost chunks on
+    the same in-process recovery loop as a crash, so the requeued results
+    stay bit-identical. The supervisor's breaker guards that loop (see
+    :func:`_run_tasks`).
 
     An ambient :class:`~repro.runtime.deadline.Deadline` (see
     :func:`repro.runtime.deadline.deadline_scope`) additionally bounds
     every blocking wait on a chunk: an over-budget map raises
     :class:`~repro.errors.DeadlineExceededError` at the next chunk
-    boundary instead of waiting out a stuck pool.
+    boundary, or as soon as the budget ends a wait, and drops the pool
+    with its queued chunks instead of waiting out a stuck pool.
     """
 
     def __init__(
@@ -211,7 +223,6 @@ class ProcessExecutor:
         max_workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
-        watchdog: Optional[Any] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
@@ -220,7 +231,6 @@ class ProcessExecutor:
         self.max_workers = max_workers or max(1, os.cpu_count() or 1)
         self.chunk_size = chunk_size
         self.retry = retry or RetryPolicy()
-        self.watchdog = watchdog
 
     def _chunks(self, items: Sequence[Any], chunk_size: Optional[int]) -> List[Sequence[Any]]:
         size = chunk_size or self.chunk_size
@@ -255,12 +265,12 @@ class ProcessExecutor:
             base += len(chunk)
         timeout = self.retry.timeout_s
         deadline = active_deadline()
+        supervisor = active_supervisor()
         work_fn = fn
-        if self.watchdog is not None:
-            # Heartbeat shim + supervision thread: a live-but-stuck worker
-            # is killed, breaking the pool onto the serial recovery path.
-            work_fn = self.watchdog.wrap(fn)
-            self.watchdog.start()
+        if supervisor is not None and supervisor.watchdog is not None:
+            # Heartbeat shim: the supervisor's watchdog thread kills a
+            # live-but-stuck worker, breaking the pool onto the recovery loop.
+            work_fn = supervisor.watchdog.wrap(fn)
         out: List[Any] = []
         recovered = False
         chunk_span = obs.span("pool_map", n_items=len(items),
@@ -283,6 +293,9 @@ class ProcessExecutor:
                         out.extend(results)
                         obs.report_progress(_task_name(fn), done=len(chunk))
                     except (BrokenProcessPool, FutureTimeout, OSError) as exc:
+                        if isinstance(exc, FutureTimeout) and deadline is not None:
+                            # The run's budget, not the chunk's, ended the wait.
+                            deadline.check("pool_map")
                         # A worker died or the chunk blew its budget. The pool
                         # may be unusable (a break fails every in-flight
                         # future), so recover this chunk serially; purity makes
@@ -295,10 +308,12 @@ class ProcessExecutor:
                                 reason=reason)
                         out.extend(_run_tasks(fn, chunk, base=b,
                                               retry=self.retry))
-        finally:
-            # After a timeout a worker may still be running; don't block on
-            # it — drop the pool without waiting.
-            pool.shutdown(wait=not recovered, cancel_futures=recovered)
+        except BaseException:
+            # Chunks may still be queued or running: drop them, don't wait.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        # After a timeout a worker may still be running; don't block on it.
+        pool.shutdown(wait=not recovered, cancel_futures=recovered)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -2,11 +2,8 @@
 
 A :class:`RetryPolicy` says how often to re-attempt a failed task and how
 long to wait between attempts (exponential backoff, capped). Delays are
-deterministic by default; the opt-in ``jitter="decorrelated"`` mode adds
-*seed-derived* decorrelated jitter — still a pure function of the policy's
-``jitter_seed``, so reproducibility survives while fleet-wide retries stop
-synchronizing into thundering herds. The sleep function is injectable so
-tests run instantly.
+deterministic, and the sleep function is injectable so tests run
+instantly.
 
 Data errors (:class:`~repro.errors.ReproError`) are *not* retried by
 default: a slice that is too sparse stays too sparse, and retrying it only
@@ -22,7 +19,6 @@ attempts into a known-bad dependency.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Tuple, Type
@@ -35,10 +31,7 @@ from repro.errors import (
     TaskFailedError,
 )
 
-__all__ = ["RetryPolicy", "call_with_retry", "is_retryable", "JITTER_MODES"]
-
-#: Accepted ``RetryPolicy.jitter`` values.
-JITTER_MODES = ("none", "decorrelated")
+__all__ = ["RetryPolicy", "call_with_retry", "is_retryable"]
 
 
 @dataclass(frozen=True)
@@ -49,12 +42,6 @@ class RetryPolicy:
     bound a task (the process backend); in-process callers cannot preempt
     a running function, so they ignore it. ``max_attempts=1`` means "no
     retries" — the first failure is final.
-
-    ``jitter="decorrelated"`` switches :meth:`delays` to the decorrelated
-    jitter scheme (each delay drawn uniformly from ``[base, 3 × previous]``,
-    capped): retries across a fleet de-synchronize, yet the sequence is a
-    pure function of ``jitter_seed`` — identical seeds give identical delay
-    sequences, so chaos tests stay reproducible.
     """
 
     max_attempts: int = 3
@@ -62,8 +49,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     max_backoff_s: float = 5.0
     timeout_s: Optional[float] = None
-    jitter: str = "none"
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -74,30 +59,9 @@ class RetryPolicy:
             raise ConfigError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.jitter not in JITTER_MODES:
-            raise ConfigError(
-                f"jitter must be one of {JITTER_MODES}, got {self.jitter!r}"
-            )
 
     def delays(self) -> Iterator[float]:
-        """The backoff sequence, one delay per retry.
-
-        Deterministic capped-exponential by default; under
-        ``jitter="decorrelated"`` each delay is drawn from a private
-        ``random.Random(jitter_seed)`` stream, so the sequence is
-        reproducible yet uncorrelated across differently-seeded policies.
-        """
-        if self.jitter == "decorrelated":
-            rng = random.Random(self.jitter_seed)
-            delay = self.backoff_base_s
-            for _ in range(self.max_attempts - 1):
-                delay = min(
-                    self.max_backoff_s,
-                    rng.uniform(self.backoff_base_s, max(
-                        self.backoff_base_s, delay * 3.0)),
-                )
-                yield delay
-            return
+        """The capped-exponential backoff sequence, one delay per retry."""
         delay = self.backoff_base_s
         for _ in range(self.max_attempts - 1):
             yield min(delay, self.max_backoff_s)
@@ -136,7 +100,6 @@ def call_with_retry(
     policy: Optional[RetryPolicy] = None,
     task_name: str = "task",
     sleep: Callable[[float], None] = time.sleep,
-    retryable: Callable[[BaseException], bool] = is_retryable,
     breaker: Optional[Any] = None,
 ) -> Any:
     """Invoke ``fn(*args)`` under a retry policy.
@@ -162,7 +125,7 @@ def call_with_retry(
         except CircuitOpenError:
             raise  # the breaker said stop; retrying would defeat it
         except BaseException as exc:
-            if not retryable(exc):
+            if not is_retryable(exc):
                 raise
             last = exc
             if attempt < policy.max_attempts:

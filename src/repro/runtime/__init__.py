@@ -1,10 +1,11 @@
 """Supervised runtime: budgets, breakers, watchdogs and memory governance.
 
-PR 2's resilience layer handles *failures* — crashed workers, dirty rows,
-starved slices. This package handles *degradation that never fails*: a
-run that would blow past its wall-clock budget, a worker that hangs
-without dying, a dependency that keeps timing out, a sweep whose working
-set outgrows memory. Four concerns, one composition point:
+The executor's recovery loop handles *failures* — crashed workers,
+timed-out chunks — and ingestion handles dirty rows. This package handles
+*degradation that never fails*: a run that would blow past its wall-clock
+budget, a worker that hangs without dying, a dependency that keeps
+failing, a sweep whose working set outgrows memory. Four concerns, one
+composition point:
 
 - :mod:`repro.runtime.deadline` — wall-clock budgets with cooperative
   cancellation checkpoints through the pipeline's expensive stages.
@@ -15,12 +16,14 @@ set outgrows memory. Four concerns, one composition point:
 - :mod:`repro.runtime.memory` — working-set estimation, sweep admission
   control, and LRU disk spill of completed slices.
 
-:class:`~repro.runtime.supervisor.Supervisor` composes any subset and
-plugs into the degrade/manifest machinery so every shed slice, opened
-breaker, killed worker and spilled result is *recorded*, never silent.
-With no supervisor installed, every hook in the pipeline is a no-op and
-behavior (including obs artifacts) is byte-identical to an unsupervised
-build.
+:class:`~repro.runtime.supervisor.Supervisor` composes any subset and is
+the only way in: inside its scope the deadline is ambient, the sweep
+layer reads the memory governor, and the process backend reads the
+breaker and the watchdog (:func:`active_supervisor`). Every shed slice,
+opened breaker, killed worker and spilled result is *recorded* through
+the degrade/manifest machinery, never silent. With no supervisor
+installed, every hook in the pipeline is a no-op and behavior (including
+obs artifacts) is byte-identical to an unsupervised build.
 """
 
 from repro.runtime.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker

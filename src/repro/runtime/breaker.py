@@ -1,8 +1,9 @@
 """Circuit breakers: stop hammering a dependency that is known bad.
 
-A :class:`CircuitBreaker` wraps a flaky callable (an ingestion reader over
-a network mount, a stage touching an external store) with the classic
-three-state machine:
+A :class:`CircuitBreaker` guards a flaky call with the classic
+three-state machine. A supervised run's breaker guards two calls: the
+CLI's ingestion reader, and each attempt of the process backend's
+lost-chunk recovery.
 
 - **closed** — calls pass through; consecutive failures are counted.
 - **open** — after ``failure_threshold`` consecutive failures the breaker
@@ -16,8 +17,9 @@ three-state machine:
 
 The breaker composes with :class:`~repro.parallel.retry.RetryPolicy`
 through :func:`repro.parallel.retry.call_with_retry`'s ``breaker``
-parameter: an open circuit short-circuits the retry loop instead of
-burning attempts into a known-bad dependency.
+parameter — the executor passes the ambient supervisor's breaker there —
+so an open circuit short-circuits the retry loop instead of burning
+attempts into a known-bad dependency.
 
 State is exported as the ``autosens_breaker_state`` gauge (0 closed,
 1 half-open, 2 open) on every transition, and trips are counted in
@@ -28,7 +30,7 @@ drive the cooldown without sleeping.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Tuple
+from typing import Any, Callable
 
 import repro.obs as obs
 from repro.errors import CircuitOpenError, ConfigError
@@ -44,19 +46,14 @@ _STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
 
 class CircuitBreaker:
-    """A named closed/open/half-open circuit breaker.
-
-    ``excluded`` lists exception types that do *not* count as dependency
-    failures (data errors should fail the call, not trip the breaker);
-    by default every exception counts.
-    """
+    """A named closed/open/half-open circuit breaker; every exception a
+    guarded call raises counts as a failure."""
 
     def __init__(
         self,
         name: str = "default",
         failure_threshold: int = 5,
         reset_timeout_s: float = 30.0,
-        excluded: Tuple[type, ...] = (),
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
@@ -70,7 +67,6 @@ class CircuitBreaker:
         self.name = name
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
-        self.excluded = excluded
         self._clock = clock
         self._state = CLOSED
         self._failures = 0
@@ -145,7 +141,7 @@ class CircuitBreaker:
 
         Raises :class:`~repro.errors.CircuitOpenError` without calling when
         the circuit is open; otherwise forwards the call and records the
-        outcome (exceptions in ``excluded`` pass through uncounted).
+        outcome.
         """
         if not self.allow():
             self.n_refused += 1
@@ -153,22 +149,11 @@ class CircuitBreaker:
             raise CircuitOpenError(self.name, retry_after_s=self.retry_after())
         try:
             result = fn(*args, **kwargs)
-        except BaseException as exc:
-            if not isinstance(exc, self.excluded):
-                self.record_failure()
+        except BaseException:
+            self.record_failure()
             raise
         self.record_success()
         return result
-
-    def wrap(self, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """A callable equivalent to ``fn`` routed through this breaker."""
-
-        def guarded(*args: Any, **kwargs: Any) -> Any:
-            return self.call(fn, *args, **kwargs)
-
-        guarded.__qualname__ = getattr(fn, "__qualname__", repr(fn))
-        guarded.__doc__ = fn.__doc__
-        return guarded
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CircuitBreaker({self.name!r}, state={self.state}, "

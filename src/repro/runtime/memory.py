@@ -37,7 +37,6 @@ import numpy as np
 
 import repro.obs as obs
 from repro.errors import ConfigError, MemoryBudgetError
-from repro.parallel.checkpoint import CheckpointJournal
 
 __all__ = [
     "MemoryGovernor",
@@ -127,10 +126,12 @@ class MemoryGovernor:
                 "hard_limit_bytes must be >= soft_limit_bytes "
                 f"({self.hard_limit_bytes} < {self.soft_limit_bytes})"
             )
-        self._journal = (
-            CheckpointJournal(spill_dir, namespace="memory-spill")
-            if spill_dir is not None else None
-        )
+        self._journal = None
+        if spill_dir is not None:
+            # Imported here: repro.parallel's executor imports this package.
+            from repro.parallel.checkpoint import CheckpointJournal
+
+            self._journal = CheckpointJournal(spill_dir, namespace="memory-spill")
         self._held: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
         self._spilled: Dict[Hashable, str] = {}
         self.n_spills = 0

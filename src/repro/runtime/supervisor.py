@@ -12,12 +12,14 @@ and installs them for a run:
 
 Inside the scope the deadline is ambient (every
 :func:`~repro.runtime.deadline.check_deadline` checkpoint observes it),
-the watchdog thread supervises worker heartbeats, and the sweep layer
+the watchdog thread supervises worker heartbeats, the sweep layer
 consults :func:`active_supervisor` for admission control and result
-spilling. Everything the supervisor sheds, trips, kills or spills is
-recorded through :func:`repro.obs.record_degradation`, so it lands in the
-run manifest exactly like PR 2's starved-slice degradations — degradation
-stays visible, never silent.
+spilling, and the process backend consults it for the watchdog's
+heartbeat shim and for the breaker that guards its lost-chunk recovery.
+Everything the supervisor sheds, trips, kills or spills is recorded
+through :func:`repro.obs.record_degradation`, so it lands in the run
+manifest exactly like starved-slice degradations — degradation stays
+visible, never silent.
 
 All of this composes with, not replaces, the existing resilience: retry
 policies still govern re-execution, the checkpoint journal still makes

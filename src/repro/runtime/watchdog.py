@@ -1,9 +1,12 @@
 """Heartbeat-based hung-worker detection for the process backend.
 
-PR 2's crash/timeout recovery handles workers that *die* (the pool breaks
-and the lost chunks are re-executed serially). It never fires for a worker
-that is alive but stuck — wedged on a lock, spinning in a pathological
-input, blocked on a dead filesystem. This module closes that gap:
+The process backend's crash/timeout recovery handles workers that *die*
+(the pool breaks and the lost chunks are re-executed in-process). It
+never fires for a worker that is alive but stuck — wedged on a lock,
+spinning in a pathological input, blocked on a dead filesystem. This
+module closes that gap. A watchdog is installed only through
+``Supervisor(watchdog=...)``: its scope runs the thread, and the process
+backend reads it from :func:`~repro.runtime.supervisor.active_supervisor`.
 
 - Workers run their tasks through a :class:`TaskHeartbeat` shim that
   records a liveness beat (pid, wall time, task key) in a spool directory

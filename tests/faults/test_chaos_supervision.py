@@ -52,14 +52,11 @@ class TestStalledWorkerChaos:
         watchdog = Watchdog(
             tmp_path / "hb", stall_timeout_s=1.0, poll_interval_s=0.2,
         )
-        executor = ProcessExecutor(
-            max_workers=2, chunk_size=1, watchdog=watchdog,
-        )
+        supervisor = Supervisor(watchdog=watchdog, workdir=tmp_path)
+        executor = ProcessExecutor(max_workers=2, chunk_size=1)
         with obs.session(enabled=True) as ctx:
-            try:
+            with supervisor.scope():
                 got = executor.map_ordered(stalled, items)
-            finally:
-                watchdog.stop()
 
         # The run completed and every result — including the requeued
         # stalled item — matches the clean computation bit for bit.
@@ -137,9 +134,7 @@ class TestCombinedChaos:
             memory_budget_mb=governor, workdir=tmp_path,
         )
         stalled = StalledTask(_kernel, _is_item_three, stall_s=60.0)
-        executor = ProcessExecutor(
-            max_workers=2, chunk_size=1, watchdog=watchdog,
-        )
+        executor = ProcessExecutor(max_workers=2, chunk_size=1)
         engine = AutoSens(AutoSensConfig(seed=5), degrade=DegradePolicy(),
                           executor=SerialExecutor())
 

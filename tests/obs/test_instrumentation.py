@@ -14,8 +14,8 @@ from repro.core.pipeline import AutoSens, AutoSensConfig
 from repro.obs import span_identity
 from repro.parallel import (
     CheckpointJournal,
+    JournaledExecutor,
     ProcessExecutor,
-    ResilientExecutor,
     SerialExecutor,
 )
 from repro.telemetry.ingest import IngestCollector, IngestPolicy
@@ -61,11 +61,11 @@ class TestTaskSpanIdentity:
     def test_resumed_run_reuses_cached_task_ids(self, tmp_path):
         journal = CheckpointJournal(tmp_path, namespace="sweep")
         with obs.session(enabled=True, run_id="res", deterministic=True):
-            ResilientExecutor(checkpoint=journal).map_ordered(
+            JournaledExecutor(SerialExecutor(), journal).map_ordered(
                 _double, [1, 2, 3, 4])
             cold = _task_ids(obs.trace_records())
         with obs.session(enabled=True, run_id="res", deterministic=True) as ctx:
-            ResilientExecutor(checkpoint=journal).map_ordered(
+            JournaledExecutor(SerialExecutor(), journal).map_ordered(
                 _double, [1, 2, 3, 4])
             resumed = obs.trace_records()
             hits = ctx.metrics.counter("autosens_checkpoint_total")
@@ -77,7 +77,7 @@ class TestTaskSpanIdentity:
     def test_cold_run_counts_misses(self, tmp_path):
         journal = CheckpointJournal(tmp_path, namespace="sweep")
         with obs.session(enabled=True, run_id="res") as ctx:
-            ResilientExecutor(checkpoint=journal).map_ordered(_double, [1, 2])
+            JournaledExecutor(SerialExecutor(), journal).map_ordered(_double, [1, 2])
             counter = ctx.metrics.counter("autosens_checkpoint_total")
             assert counter.value(outcome="miss") == 2.0
             assert counter.value(outcome="hit") == 0.0

@@ -13,14 +13,21 @@ import time
 
 import pytest
 
-from repro.errors import InsufficientDataError, TaskFailedError
+import repro.obs as obs
+from repro.errors import (
+    CircuitOpenError,
+    DeadlineExceededError,
+    InsufficientDataError,
+    TaskFailedError,
+)
 from repro.parallel import (
     CheckpointJournal,
+    JournaledExecutor,
     ProcessExecutor,
-    ResilientExecutor,
     RetryPolicy,
     SerialExecutor,
 )
+from repro.runtime import CircuitBreaker, Deadline, Supervisor, deadline_scope
 
 
 def _in_worker() -> bool:
@@ -43,12 +50,26 @@ def _square_slow_in_worker(x):
     return x * x
 
 
+def _square_slow_after_zero(x):
+    if x:
+        time.sleep(2.0)
+    return x * x
+
+
+def _os_error_everywhere(_):
+    raise OSError("dependency down")
+
+
+def _serial(items):
+    return SerialExecutor().map_ordered(_square, items)
+
+
 class TestProcessExecutorCrashRecovery:
     def test_worker_crash_recovers_bit_identical(self):
         items = list(range(12))
-        expected = SerialExecutor().map_ordered(_square, items)
         executor = ProcessExecutor(max_workers=2, chunk_size=3)
-        assert executor.map_ordered(_square_crash_in_worker, items) == expected
+        assert executor.map_ordered(_square_crash_in_worker, items) == \
+            _serial(items)
 
     def test_timeout_recovers_serially(self):
         items = list(range(4))
@@ -58,7 +79,7 @@ class TestProcessExecutorCrashRecovery:
         )
         start = time.monotonic()
         assert executor.map_ordered(_square_slow_in_worker, items) == \
-            SerialExecutor().map_ordered(_square, items)
+            _serial(items)
         # The hung workers must not be waited for on shutdown.
         assert time.monotonic() - start < 25.0
 
@@ -69,45 +90,111 @@ class TestProcessExecutorCrashRecovery:
         with pytest.raises(InsufficientDataError):
             ProcessExecutor(max_workers=1).map_ordered(sparse, [1])
 
+    def test_one_recovery_loop_under_the_journal(self, tmp_path):
+        """A one-chunk map whose worker dies, under the journal wrapper:
+        the one recovery loop re-runs the chunk, journals every task, and
+        counts exactly one recovery."""
+        items = list(range(6))
+        journal = CheckpointJournal(tmp_path, namespace="one-loop")
+        executor = JournaledExecutor(
+            ProcessExecutor(max_workers=2, chunk_size=len(items)), journal)
+        with obs.session(enabled=True, deterministic=True) as ctx:
+            got = executor.map_ordered(_square_crash_in_worker, items)
+        assert got == _serial(items)
+        assert len(journal) == len(items)
+        text = ctx.metrics.render_prometheus()
+        recoveries = ctx.metrics.counter("autosens_executor_recoveries_total")
+        assert recoveries.value(reason="crash") == 1.0
+        families = {line.split()[2] for line in text.splitlines()
+                    if line.startswith("# TYPE") and "recover" in line}
+        assert families == {"autosens_executor_recoveries_total"}
+
+    def test_breaker_guards_the_recovery_loop(self, tmp_path):
+        supervisor = Supervisor(
+            breaker=CircuitBreaker(failure_threshold=1), workdir=tmp_path)
+        with supervisor.scope():
+            with pytest.raises(CircuitOpenError):
+                ProcessExecutor(max_workers=2).map_ordered(
+                    _os_error_everywhere, [1, 2])
+        with pytest.raises(TaskFailedError):
+            ProcessExecutor(max_workers=2).map_ordered(
+                _os_error_everywhere, [1, 2])
+
+
+class TestProcessExecutorDeadline:
+    def test_expired_budget_is_not_a_timeout_recovery(self):
+        """The deadline ending a chunk wait raises at once; nothing is
+        counted as recovered."""
+        items = list(range(6))
+        with obs.session(enabled=True) as ctx:
+            with deadline_scope(Deadline(0.5)):
+                start = time.monotonic()
+                with pytest.raises(DeadlineExceededError):
+                    ProcessExecutor(max_workers=2, chunk_size=1).map_ordered(
+                        _square_slow_after_zero, items)
+                elapsed = time.monotonic() - start
+            recoveries = ctx.metrics.counter(
+                "autosens_executor_recoveries_total")
+            assert recoveries.value(reason="timeout") == 0.0
+        assert elapsed < 1.5
+
+    def test_expired_budget_drops_queued_chunks(self, monkeypatch):
+        """Expiry at a chunk boundary surfaces without waiting out the
+        running and queued chunks. The fake clock jumps past the budget
+        once chunk 0's results are in; five 2 s chunks remain."""
+        now = [0.0]
+        report_progress = obs.report_progress
+
+        def expire_after_a_chunk(stage, total=None, done=0):
+            if done:
+                now[0] = 100.0
+            report_progress(stage, total=total, done=done)
+
+        monkeypatch.setattr(obs, "report_progress", expire_after_a_chunk)
+        executor = ProcessExecutor(max_workers=2, chunk_size=1)
+        start = time.monotonic()
+        with deadline_scope(Deadline(10.0, clock=lambda: now[0])):
+            with pytest.raises(DeadlineExceededError, match="pool_map"):
+                executor.map_ordered(_square_slow_after_zero, range(6))
+        assert time.monotonic() - start < 1.5
+
 
 class TestResilientExecutor:
-    def test_plain_map_matches_serial(self):
-        executor = ResilientExecutor()
+    """The resilient stack: a :class:`JournaledExecutor` over a backend
+    whose one recovery loop re-runs lost chunks in-process."""
+
+    def test_plain_map_matches_serial(self, tmp_path):
+        executor = JournaledExecutor(SerialExecutor(),
+                                     CheckpointJournal(tmp_path))
         assert executor.map_ordered(_square, range(5)) == [0, 1, 4, 9, 16]
         assert executor.map_ordered(_square, []) == []
 
-    def test_inner_crash_falls_back_to_serial(self):
-        class BrokenInner:
-            def map_ordered(self, fn, items, chunk_size=None):
-                raise OSError("pool exploded")
+    def test_inner_crash_falls_back_to_serial(self, tmp_path):
+        items = list(range(8))
+        executor = JournaledExecutor(
+            ProcessExecutor(max_workers=2, chunk_size=3),
+            CheckpointJournal(tmp_path))
+        assert executor.map_ordered(_square_crash_in_worker, items) == \
+            _serial(items)
 
-        executor = ResilientExecutor(inner=BrokenInner(), sleep=lambda _: None)
-        assert executor.map_ordered(_square, range(4)) == [0, 1, 4, 9]
-
-    def test_non_retryable_inner_error_propagates(self):
+    def test_non_retryable_inner_error_propagates(self, tmp_path):
         class DataErrorInner:
             def map_ordered(self, fn, items, chunk_size=None):
                 raise InsufficientDataError("sparse")
 
-        executor = ResilientExecutor(inner=DataErrorInner())
+        executor = JournaledExecutor(DataErrorInner(),
+                                     CheckpointJournal(tmp_path))
         with pytest.raises(InsufficientDataError):
             executor.map_ordered(_square, range(4))
 
-    def test_retry_exhaustion_surfaces_task_failed(self):
-        class AlwaysBroken:
-            def map_ordered(self, fn, items, chunk_size=None):
-                raise OSError("down")
-
-        def flaky(_):
-            raise OSError("still down")
-
-        executor = ResilientExecutor(
-            inner=AlwaysBroken(),
-            retry=RetryPolicy(max_attempts=2),
-            sleep=lambda _: None,
-        )
+    def test_retry_exhaustion_surfaces_task_failed(self, tmp_path):
+        executor = JournaledExecutor(
+            ProcessExecutor(max_workers=2,
+                            retry=RetryPolicy(max_attempts=2,
+                                              backoff_base_s=0.0)),
+            CheckpointJournal(tmp_path))
         with pytest.raises(TaskFailedError) as excinfo:
-            executor.map_ordered(flaky, [1, 2])
+            executor.map_ordered(_os_error_everywhere, [1, 2])
         assert excinfo.value.attempts == 2
 
     def test_checkpoint_skips_completed_tasks(self, tmp_path):
@@ -118,11 +205,11 @@ class TestResilientExecutor:
             calls.append(x)
             return x * 3
 
-        first = ResilientExecutor(checkpoint=journal)
+        first = JournaledExecutor(SerialExecutor(), journal)
         assert first.map_ordered(task, [1, 2, 3]) == [3, 6, 9]
         assert calls == [1, 2, 3]
 
-        resumed = ResilientExecutor(checkpoint=journal)
+        resumed = JournaledExecutor(SerialExecutor(), journal)
         assert resumed.map_ordered(task, [1, 2, 3]) == [3, 6, 9]
         assert calls == [1, 2, 3]  # nothing recomputed
 
@@ -141,13 +228,13 @@ class TestResilientExecutor:
             calls.append(x)
             return x + 100
 
-        executor = ResilientExecutor(checkpoint=journal)
+        executor = JournaledExecutor(SerialExecutor(), journal)
         with pytest.raises(KeyboardInterrupt):
             executor.map_ordered(task, [0, 1, 2, 3, 4])
         assert calls == [0, 1, 2]
 
         explode_at[0] = None  # the interruption does not recur
-        resumed = ResilientExecutor(checkpoint=journal)
+        resumed = JournaledExecutor(SerialExecutor(), journal)
         assert resumed.map_ordered(task, [0, 1, 2, 3, 4]) == \
             [100, 101, 102, 103, 104]
         assert calls == [0, 1, 2, 3, 4]  # 0-2 served from the journal
@@ -155,15 +242,13 @@ class TestResilientExecutor:
     def test_checkpointed_process_backend_matches_serial(self, tmp_path):
         journal = CheckpointJournal(tmp_path, namespace="proc")
         items = list(range(10))
-        expected = SerialExecutor().map_ordered(_square, items)
-        executor = ResilientExecutor(
-            inner=ProcessExecutor(max_workers=2, chunk_size=2),
-            checkpoint=journal,
-        )
+        expected = _serial(items)
+        executor = JournaledExecutor(
+            ProcessExecutor(max_workers=2, chunk_size=2), journal)
         assert executor.map_ordered(_square, items) == expected
         # Workers journaled every task; a serial resume recomputes nothing.
         assert len(journal) >= len(items)
-        resumed = ResilientExecutor(checkpoint=journal)
+        resumed = JournaledExecutor(SerialExecutor(), journal)
         calls = []
 
         def spy(x):

@@ -92,55 +92,3 @@ class TestCallWithRetry:
         assert err.attempts == 3
         assert isinstance(err.last_cause, OSError)
         assert isinstance(err.__cause__, OSError)
-
-
-class TestDecorrelatedJitter:
-    def test_off_by_default(self):
-        assert RetryPolicy().jitter == "none"
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter="full")
-
-    def test_same_seed_same_delays(self):
-        # Seed-derived jitter is a pure function of jitter_seed: chaos
-        # tests replaying a policy see the exact same backoff schedule.
-        kwargs = dict(max_attempts=6, backoff_base_s=0.05,
-                      max_backoff_s=5.0, jitter="decorrelated")
-        a = list(RetryPolicy(jitter_seed=7, **kwargs).delays())
-        b = list(RetryPolicy(jitter_seed=7, **kwargs).delays())
-        assert a == b
-        # ... and of nothing else: a fresh iterator replays identically.
-        policy = RetryPolicy(jitter_seed=7, **kwargs)
-        assert list(policy.delays()) == list(policy.delays()) == a
-
-    def test_different_seeds_decorrelate(self):
-        kwargs = dict(max_attempts=8, backoff_base_s=0.05,
-                      max_backoff_s=60.0, jitter="decorrelated")
-        a = list(RetryPolicy(jitter_seed=1, **kwargs).delays())
-        b = list(RetryPolicy(jitter_seed=2, **kwargs).delays())
-        assert a != b
-
-    def test_delays_respect_bounds(self):
-        policy = RetryPolicy(max_attempts=10, backoff_base_s=0.1,
-                             max_backoff_s=2.0, jitter="decorrelated",
-                             jitter_seed=3)
-        delays = list(policy.delays())
-        assert len(delays) == 9
-        assert all(0.1 <= d <= 2.0 for d in delays)
-
-    def test_jittered_policy_still_retries(self):
-        attempts = []
-
-        def flaky(x):
-            attempts.append(x)
-            if len(attempts) < 3:
-                raise OSError("transient")
-            return x
-
-        sleeps = []
-        policy = RetryPolicy(max_attempts=4, backoff_base_s=0.01,
-                             jitter="decorrelated", jitter_seed=11)
-        assert call_with_retry(flaky, 9, policy=policy,
-                               sleep=sleeps.append) == 9
-        assert sleeps == list(policy.delays())[:2]

@@ -99,24 +99,3 @@ class TestStateMachine:
         assert breaker.state == OPEN
         assert breaker.n_trips == 2
         assert breaker.retry_after() == pytest.approx(10.0)
-
-    def test_excluded_exceptions_do_not_count(self):
-        breaker = CircuitBreaker(failure_threshold=1, excluded=(ValueError,))
-        with pytest.raises(ValueError):
-            breaker.call(_failing(ValueError))
-        assert breaker.state == CLOSED  # data errors fail the call only
-        with pytest.raises(OSError):
-            breaker.call(_failing(OSError))
-        assert breaker.state == OPEN
-
-    def test_wrap_preserves_identity(self):
-        breaker = CircuitBreaker()
-
-        def stage():
-            """Docs ride along."""
-            return 7
-
-        guarded = breaker.wrap(stage)
-        assert guarded() == 7
-        assert guarded.__qualname__.endswith("stage")
-        assert guarded.__doc__ == "Docs ride along."

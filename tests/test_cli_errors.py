@@ -206,6 +206,39 @@ class TestExperimentCheckpointFlag:
         assert main(args) == 0  # resumed from the journal
         assert capsys.readouterr().out == first
 
+    def test_fig4_resume_serves_every_sweep_task(self, tmp_path, capsys):
+        """fig4 maps its sweep through the executor, so the task journal
+        is exercised: with the outcome entry gone, a rerun serves every
+        sweep task from the journal."""
+        import pickle
+
+        from repro.analysis.base import ExperimentOutcome
+
+        ckpt = tmp_path / "ckpt"
+        metrics = tmp_path / "metrics.prom"
+        args = ["experiment", "fig4", "--scale", "small",
+                "--checkpoint-dir", str(ckpt), "--no-plots",
+                "--metrics-out", str(metrics)]
+        status = main(args)
+        first = capsys.readouterr().out
+        assert main(args) == status
+        assert capsys.readouterr().out == first
+
+        entries = sorted(ckpt.glob("*.pkl"))
+        outcomes = [path for path in entries
+                    if isinstance(pickle.loads(path.read_bytes()),
+                                  ExperimentOutcome)]
+        assert len(outcomes) == 1
+        outcomes[0].unlink()
+        n_tasks = len(entries) - 1
+        assert n_tasks > 0
+
+        assert main(args) == status
+        assert capsys.readouterr().out == first
+        hits = [line for line in metrics.read_text().splitlines()
+                if line.startswith('autosens_checkpoint_total{outcome="hit"}')]
+        assert hits == [f'autosens_checkpoint_total{{outcome="hit"}} {n_tasks}']
+
 
 def _health(findings):
     return {"schema": 1, "verdict": "ok", "stages": {},

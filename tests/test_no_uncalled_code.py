@@ -1,6 +1,14 @@
 """Guard against library code that nothing runs.
 
-Every top-level ``def``/``class`` under ``src/`` must be referenced from
+Two checks. *Modules:* every module under ``src/`` must be imported,
+directly or through other modules, from a shipped entry point — the
+``autosens`` console script (``repro.cli.main``), ``python -m repro``
+(``repro.__main__``), or a file under ``perfbench/``, ``benchmarks/``,
+``examples/`` or ``tools/``. Any import statement counts, a function-level
+one included; importing a module also runs its parent packages. A set of
+modules that only import each other is unreachable.
+
+*Names:* every top-level ``def``/``class`` under ``src/`` must be referenced from
 somewhere that ships or runs: ``src/`` itself, ``perfbench/``,
 ``benchmarks/``, ``examples/``, ``tools/`` or ``.github/``. In Python
 files only code counts: names, attributes and imported names from the
@@ -16,9 +24,10 @@ from __future__ import annotations
 
 import ast
 import re
+import shutil
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional, Set
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "perfbench", "benchmarks", "examples", "tools",
@@ -30,6 +39,21 @@ ALLOWLIST = {
     "is_guid_shaped": "checker the anonymisation tests apply to emitted tokens",
     "iter_jsonl": "per-row JSONL reference the batch-reader tests compare against",
     "iter_csv": "per-row CSV reference the batch-reader tests compare against",
+}
+
+#: Programs that import ``src/``, besides the two entry modules below.
+SHIPPED_DIRS = ("perfbench", "benchmarks", "examples", "tools")
+#: Modules run as programs: the console script and ``python -m repro``.
+ENTRY_MODULES = ("repro.cli.main", "repro.__main__")
+
+_FAULTS = ("chaos harness only tests import; moving under tests/ is its "
+           "own ROADMAP item")
+#: Modules kept without a shipped importer, each with its reason.
+MODULE_ALLOWLIST = {
+    "repro.faults": _FAULTS,
+    "repro.faults.inject": _FAULTS,
+    "repro.faults.specs": _FAULTS,
+    "repro.faults.tasks": _FAULTS,
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -108,3 +132,80 @@ def test_allowlist_names_exist_and_are_still_uncalled():
     for name in ALLOWLIST:
         assert name in defs, f"allowlisted {name!r} is no longer defined"
         assert not refs[name], f"allowlisted {name!r} now has a caller"
+
+
+def _imported_modules(tree: ast.AST, package: Optional[List[str]]) -> Set[str]:
+    """Every dotted name an import in ``tree`` may load: the module, its
+    parent packages and, for ``from m import x``, ``m.x``. ``package`` is
+    the importing module's package, for relative imports (``None`` skips
+    them)."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = [node.module] if node.module else []
+            if node.level:
+                if package is None:
+                    continue
+                base = package[:len(package) - node.level + 1] + base
+            targets = [".".join(base + [alias.name]) for alias in node.names]
+            targets.append(".".join(base))
+        else:
+            continue
+        for target in targets:
+            parts = target.split(".")
+            names.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    return names
+
+
+def _unreachable_modules(src: Path, shipped_root: Path = ROOT) -> List[str]:
+    """Modules under ``src`` that no shipped entry point reaches."""
+    graph: Dict[str, Set[str]] = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = list(path.relative_to(src).with_suffix("").parts)
+        package = parts[:-1]
+        if parts[-1] == "__init__":
+            parts = package
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[".".join(parts)] = _imported_modules(tree, package)
+    frontier = set(ENTRY_MODULES)
+    for top in SHIPPED_DIRS:
+        for path in sorted((shipped_root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            frontier |= _imported_modules(tree, None)
+    seen: Set[str] = set()
+    while frontier:
+        module = frontier.pop()
+        if module in graph and module not in seen:
+            seen.add(module)
+            frontier |= graph[module]
+    return sorted(set(graph) - seen)
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    unreachable = [module for module in _unreachable_modules(ROOT / "src")
+                   if module not in MODULE_ALLOWLIST]
+    assert not unreachable, (
+        "modules that no shipped entry point imports (delete them, or "
+        "allowlist with a reason):\n  " + "\n  ".join(unreachable))
+
+
+def test_module_allowlist_entries_exist_and_are_still_unreachable():
+    unreachable = _unreachable_modules(ROOT / "src")
+    for module in MODULE_ALLOWLIST:
+        assert module in unreachable, (
+            f"allowlisted module {module!r} is gone or now reachable")
+
+
+def test_a_planted_island_is_unreachable(tmp_path):
+    """Two modules that import only each other and ``repro.errors`` are
+    caught; the copy's real modules are not."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "repro", src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (src / "repro" / "island.py").write_text(
+        "from repro.errors import ConfigError\nfrom repro import islet\n")
+    (src / "repro" / "islet.py").write_text("from . import island\n")
+    assert _unreachable_modules(src) == sorted(
+        ["repro.island", "repro.islet", *MODULE_ALLOWLIST])
