@@ -20,7 +20,6 @@ from repro.core.alpha import (
     SlottedCounts,
     WorkedExample,
     alpha_from_counts,
-    corrected_histograms,
     corrected_histograms_from_counts,
     estimate_alpha,
     slot_labels,
@@ -68,7 +67,6 @@ from repro.core.unbiased import (
     UnbiasedDraw,
     draw_unbiased_samples,
     unbiased_histogram,
-    voronoi_weights,
 )
 from repro.core.validation import (
     PAPER_ANCHOR_LATENCIES,
@@ -107,7 +105,6 @@ __all__ = [
     "curve_distance",
     "stability_report",
     "unbiased_histogram",
-    "voronoi_weights",
     "draw_unbiased_samples",
     "UnbiasedDraw",
     "AlphaEstimate",
@@ -116,7 +113,6 @@ __all__ = [
     "alpha_from_counts",
     "slotted_counts",
     "estimate_alpha",
-    "corrected_histograms",
     "corrected_histograms_from_counts",
     "worked_example",
     "slot_labels",

@@ -9,7 +9,9 @@ paper's fix:
    latency into 10 ms bins.
 2. For each slot ``T`` and bin ``L``: let ``c[T, L]`` be the action count
    and ``f[T, L]`` the fraction of slot time at that latency, estimated
-   from the slot's unbiased distribution ``U_T``.
+   from the slot's unbiased distribution ``U_T``. ``U_T`` comes from the
+   one Voronoi kernel of :mod:`repro.core.unbiased`, with the window cut
+   at every slot boundary and one row per slot.
 3. The temporal action rate is ``c[T, L] / f[T, L]``; relative to a
    reference slot ``r``, ``α[T, L] = (c[T,L]/f[T,L]) / (c[r,L]/f[r,L])``.
 4. ``α[T]`` is the average of ``α[T, L]`` over latency bins (the paper
@@ -29,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.obs as obs
+from repro.core.unbiased import _voronoi_tensor, _window
 from repro.errors import ConfigError, EmptyDataError, InsufficientDataError
 from repro.runtime.deadline import check_deadline
 from repro.stats.histogram import Histogram1D, HistogramBins
@@ -149,37 +152,10 @@ class SlottedCounts:
         return [int(self.slot_ids[i]) for i in order[:k]]
 
 
-def _rows_in_slots(slot_ids: np.ndarray, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(row_index, member_mask): position of each slot id in sorted ``slot_ids``.
-
-    ``row_index`` is only meaningful where ``member_mask`` is true; slots
-    not present in ``slot_ids`` are masked out (they get row 0, masked).
-    """
-    n = slot_ids.size
-    pos = np.searchsorted(slot_ids, slots)
-    pos_clipped = np.minimum(pos, n - 1)
-    member = (pos < n) & (slot_ids[pos_clipped] == slots)
-    return pos_clipped, member
-
-
-def _count_tensor(
-    rows: np.ndarray,
-    bin_idx: np.ndarray,
-    n_slots: int,
-    n_bins: int,
-    weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Dense ``(n_slots, n_bins)`` count tensor in one vectorized pass.
-
-    Fuses (slot row, latency bin) into a single flat index and lets
-    ``np.bincount`` do one sweep over all samples — replacing the former
-    per-slot Python loop (one full-array mask per slot). Accumulation
-    order per cell equals input order, so weighted sums are bit-identical
-    to the masked ``np.add.at`` formulation it replaces.
-    """
-    flat = rows * n_bins + bin_idx
-    counts = np.bincount(flat, weights=weights, minlength=n_slots * n_bins)
-    return counts.astype(float, copy=False).reshape(n_slots, n_bins)
+def _rows_in_slots(slot_ids: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Position of each slot id in sorted ``slot_ids``; -1 where absent."""
+    pos = np.minimum(np.searchsorted(slot_ids, slots), slot_ids.size - 1)
+    return np.where(slot_ids[pos] == slots, pos, -1)
 
 
 def _slot_cuts(lo: float, hi: float, tz: float) -> np.ndarray:
@@ -208,65 +184,26 @@ def _exact_unbiased_tensor(
     """The (n_slots, n_bins) expectation of the paper's unbiased draw, and
     the seconds of ``[first, last]`` sample time in each slot.
 
-    A uniform query over ``[first, last]`` sample time selects the sample
-    whose Voronoi cell — the stretch of time nearer to it than to any other
-    sample — contains it, and lands in the slot of the query time under the
-    slice's median timezone ``tz``. So each cell is cut at every slot
-    boundary, and each piece adds its length to (slot of the piece, bin of
-    the sample). Samples sharing a timestamp split their cell equally (the
-    draw's uniform tie-break). Pieces in slots without actions and samples
-    off the bin grid are dropped, as the draw rejects those queries.
+    A query lands in the slot of the query time under the slice's median
+    timezone ``tz``, so the window is cut at every slot boundary and each
+    stretch between cuts goes to its slot's row of the one Voronoi kernel
+    (:func:`repro.core.unbiased._voronoi_tensor`). Stretches in slots
+    without actions are dropped, as the draw rejects those queries.
 
-    A slot's seconds add up its stretches between slot boundaries: they sum
-    to ``last − first`` when every stretch's slot holds an action.
+    A slot's seconds add up its stretches: they sum to ``last − first``
+    when every stretch's slot holds an action.
     """
-    n = sorted_times.size
-    lo, hi = float(sorted_times[0]), float(sorted_times[-1])
-    instant = hi <= lo
-    if instant:  # the draw still needs a window to query
-        hi = lo + 1.0
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    np.not_equal(sorted_times[1:], sorted_times[:-1], out=new_run[1:])
-    run_start = np.flatnonzero(new_run)
-    run_len = np.diff(np.append(run_start, n))
-    distinct = sorted_times[run_start]
-    edges = np.concatenate(([lo], 0.5 * (distinct[1:] + distinct[:-1]), [hi]))
-
-    # Merge the slot boundaries ("cuts") into the cell edges. Every point of
-    # the merged axis opens a piece: it belongs to the cell of the last edge
-    # at or before it, and to the stretch between consecutive cuts after
-    # the last cut at or before it — one slot per stretch.
-    cuts = _slot_cuts(lo, hi, tz)
-    is_cut = np.zeros(edges.size + cuts.size, dtype=bool)
-    is_cut[np.searchsorted(edges, cuts, side="right") + np.arange(cuts.size)] = True
-    points = np.empty(is_cut.size)
-    points[is_cut] = cuts
-    points[~is_cut] = edges
-    lengths = np.diff(points)
-    owner = (np.cumsum(~is_cut) - 1)[:-1]
-    stretch = np.cumsum(is_cut)[:-1]
-    bounds = np.concatenate(([lo], cuts, [hi]))
-    stretch_rows, stretch_member = _rows_in_slots(
+    lo, hi = _window(sorted_times)
+    bounds = np.concatenate(([lo], _slot_cuts(lo, hi, tz), [hi]))
+    rows = _rows_in_slots(
         slot_ids, slot_of_times(0.5 * (bounds[1:] + bounds[:-1]), scheme, tz))
-    stretch_s = np.zeros(bounds.size - 1) if instant else np.diff(bounds)
-    seconds = np.bincount(stretch_rows[stretch_member],
-                          weights=stretch_s[stretch_member], minlength=slot_ids.size)
-    rows, member = stretch_rows[stretch], stretch_member[stretch]
-
-    if distinct.size == n:
-        sample = owner
-    else:  # spread each piece equally over the samples of its run
-        reps = run_len[owner]
-        first = np.cumsum(reps) - reps
-        sample = np.repeat(run_start[owner] - first, reps) + np.arange(int(reps.sum()))
-        lengths = np.repeat(lengths / reps, reps)
-        rows = np.repeat(rows, reps)
-        member = np.repeat(member, reps)
-    bin_idx = sample_bin_idx[sample]
-    keep = member & (bin_idx >= 0)
-    u = _count_tensor(
-        rows[keep], bin_idx[keep], slot_ids.size, n_bins, weights=lengths[keep])
+    # A window padded round one instant covers no sample time.
+    stretch_s = np.diff(np.minimum(bounds, sorted_times[-1]))
+    member = rows >= 0
+    seconds = np.bincount(rows[member], weights=stretch_s[member],
+                          minlength=slot_ids.size)
+    u = _voronoi_tensor(sorted_times, sample_bin_idx, bounds, rows,
+                        (slot_ids.size, n_bins))
     return u, seconds
 
 
@@ -302,13 +239,16 @@ def slotted_counts(
     slot_ids = _distinct(action_slots)
     n_slots = slot_ids.size
 
-    # c[T, L] — biased counts per slot, one fused-index bincount pass over
-    # all actions (every action's slot is in slot_ids by construction).
+    # c[T, L] — biased counts per slot, one bincount pass over all actions
+    # on the fused (slot row, bin) index (every action's slot is in
+    # slot_ids by construction).
     with obs.span("slotted_counts.biased", n_slots=n_slots):
         bin_idx = bins.index_of(logs.latencies_ms)
         in_grid = bin_idx >= 0
-        action_rows = np.searchsorted(slot_ids, action_slots)
-        c = _count_tensor(action_rows[in_grid], bin_idx[in_grid], n_slots, bins.count)
+        flat = (np.searchsorted(slot_ids, action_slots)[in_grid] * bins.count
+                + bin_idx[in_grid])
+        c = np.bincount(flat, minlength=n_slots * bins.count).astype(float)
+        c = c.reshape(n_slots, bins.count)
 
     # f[T, L] — time fraction per slot at each latency. Queries are slotted
     # under the slice's median timezone; the slot seconds they cover are
@@ -457,10 +397,6 @@ def corrected_histograms_from_counts(
     This is what lets :meth:`repro.core.pipeline.AutoSens.preference_curve`
     evaluate *any* reference slot without rescanning the telemetry: the
     tensor is computed once and every reference is a cheap reweighting.
-
-    Numerically equivalent to :func:`corrected_histograms` on the rows the
-    tensor was built from (the tensor is the sufficient statistic; only
-    float summation order differs).
     """
     if counts.bins != alpha.bins:
         raise ConfigError("counts and alpha must share one bin grid")
@@ -472,33 +408,6 @@ def corrected_histograms_from_counts(
 
         biased = Histogram1D(counts.bins)
         biased.add_counts(pooled_biased)
-    return biased, _pooled_unbiased(alpha)
-
-
-def corrected_histograms(
-    logs: LogStore,
-    bins: HistogramBins,
-    alpha: AlphaEstimate,
-) -> Tuple[Histogram1D, Histogram1D]:
-    """Pool slot data into (B, U) with counts normalized by α.
-
-    ``B`` gets each action weighted by ``1/α[slot]``; ``U`` pools the
-    per-slot time fractions with equal slot weights (slots cover equal
-    time under the hour-of-day and period schemes).
-
-    This is the per-sample formulation — it rescans every action. The
-    pipeline's hot path uses :func:`corrected_histograms_from_counts`
-    instead; this version remains the reference for equivalence tests and
-    for callers holding raw rows but no tensor.
-    """
-    if logs.is_empty:
-        raise EmptyDataError("cannot build corrected histograms from empty logs")
-    action_slots = slot_of_times(logs.times, alpha.scheme, logs.tz_offsets)
-    rows, member = _rows_in_slots(alpha.slot_ids, action_slots)
-    weights = np.where(member, _inverse_alpha(alpha.alpha_by_slot)[rows], 0.0)
-
-    biased = Histogram1D(bins)
-    biased.add(logs.latencies_ms, weights=weights)
     return biased, _pooled_unbiased(alpha)
 
 

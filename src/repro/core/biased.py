@@ -8,28 +8,15 @@ against the unbiased distribution ``U``.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.errors import EmptyDataError
 from repro.stats.histogram import Histogram1D, HistogramBins
 from repro.telemetry.log_store import LogStore
 
 
-def biased_histogram(
-    logs: LogStore,
-    bins: HistogramBins,
-    weights: Optional[np.ndarray] = None,
-) -> Histogram1D:
-    """Histogram of observed action latencies.
-
-    ``weights`` (one per row) supports the time-confounder correction,
-    where each action's count is divided by its time slot's activity
-    factor α before pooling.
-    """
+def biased_histogram(logs: LogStore, bins: HistogramBins) -> Histogram1D:
+    """Histogram of observed action latencies."""
     if logs.is_empty:
         raise EmptyDataError("cannot build a biased distribution from empty logs")
     hist = Histogram1D(bins)
-    hist.add(logs.latencies_ms, weights=weights)
+    hist.add(logs.latencies_ms)
     return hist

@@ -11,12 +11,13 @@ so the paper approximates ``U`` by repeatedly:
 Because step 2 reuses *observed* samples, ``U`` is an approximation; it is
 good wherever actions are dense relative to the latency level's correlation
 time. The draw's expectation has a closed form: each sample is selected
-with probability equal to its Voronoi cell length (:func:`voronoi_weights`)
-over the window. The engine computes that limit exactly
-(:func:`unbiased_histogram` here, and the slot-clipped per-slot version in
-:func:`repro.core.alpha.slotted_counts`); :func:`draw_unbiased_samples` is
-the paper's draw itself, kept as the plain reference for Figure 3(a) and
-the convergence tests.
+with probability equal to its Voronoi cell length over the window. One
+kernel, :func:`_voronoi_tensor`, computes that limit exactly for every
+path: :func:`unbiased_histogram` calls it with one row and no cuts, and
+:func:`repro.core.alpha.slotted_counts` with its slot boundaries as cuts
+and one row per slot. :func:`draw_unbiased_samples` is the paper's draw
+itself, kept as the plain reference for Figure 3(a) and the convergence
+tests.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ def draw_unbiased_samples(
     logs: LogStore,
     n_samples: Optional[int] = None,
     rng: SeedLike = None,
-    time_range: Optional[Tuple[float, float]] = None,
 ) -> UnbiasedDraw:
     """Run the random-time / nearest-sample procedure and keep the pieces."""
     if logs.is_empty:
@@ -70,12 +70,7 @@ def draw_unbiased_samples(
     order = np.argsort(logs.times, kind="mergesort")
     times = logs.times[order]
     generator = spawn_rng(rng)
-    if time_range is None:
-        lo, hi = float(times[0]), float(times[-1])
-        if hi <= lo:  # all samples at one instant
-            hi = lo + 1.0
-    else:
-        lo, hi = time_range
+    lo, hi = _window(times)
     if n_samples is None:
         n_samples = int(np.ceil(DEFAULT_OVERSAMPLE * times.size))
     queries = random_times(lo, hi, n_samples, rng=generator)
@@ -87,75 +82,90 @@ def draw_unbiased_samples(
     )
 
 
-def unbiased_histogram(
-    logs: LogStore,
-    bins: HistogramBins,
-    time_range: Optional[Tuple[float, float]] = None,
-) -> Histogram1D:
+def unbiased_histogram(logs: LogStore, bins: HistogramBins) -> Histogram1D:
     """Estimate ``U`` as a histogram over the shared latency bin grid.
 
     Each sample is weighted by its Voronoi cell length — the paper's draw
-    in the limit of infinitely many queries, with no sampling noise. The
-    weights are rescaled to a total mass of ``UNBIASED_MASS_PER_ACTION``
-    per action, so the stability threshold (``min_unbiased_count``) means
-    what it means for a draw of that size.
+    in the limit of infinitely many queries, with no sampling noise: the
+    one-row, uncut case of :func:`_voronoi_tensor`. The weights are
+    rescaled to a total mass of ``UNBIASED_MASS_PER_ACTION`` per action
+    over the ``[first, last]`` window, so the stability threshold
+    (``min_unbiased_count``) means what it means for a draw of that size.
     """
     if logs.is_empty:
         raise EmptyDataError("cannot estimate the unbiased distribution from empty logs")
     order = np.argsort(logs.times, kind="mergesort")
     times = logs.times[order]
-    weights = voronoi_weights(times, time_range=time_range)
-    total = weights.sum()
-    if total > 0:
-        weights = weights * (UNBIASED_MASS_PER_ACTION * times.size / total)
+    lo, hi = _window(times)
+    u = _voronoi_tensor(times, bins.index_of(logs.latencies_ms[order]),
+                        np.array([lo, hi]), np.zeros(1, dtype=np.intp), (1, bins.count))
     hist = Histogram1D(bins)
-    hist.add(logs.latencies_ms[order], weights=weights)
+    hist.add_counts(u[0] * (UNBIASED_MASS_PER_ACTION * times.size / (hi - lo)))
     return hist
 
 
-def voronoi_weights(
-    sorted_times: np.ndarray,
-    time_range: Optional[Tuple[float, float]] = None,
-) -> np.ndarray:
-    """Per-sample weights equal to each sample's share of the time axis.
+def _window(sorted_times: np.ndarray) -> Tuple[float, float]:
+    """The draw's query window, ``[first, last]`` sample time.
 
-    As the number of random draws in the paper's estimator goes to
-    infinity, the probability that a given sample is selected converges to
-    the length of its 1-D Voronoi cell — the interval of times closer to
-    it than to any neighbour — divided by the window length. Weighting
-    samples by their cell lengths therefore computes the estimator's exact
-    expectation with no Monte Carlo noise. Samples sharing one timestamp
-    split their cell equally (the paper's random tie-break, in
-    expectation).
-
-    Returns weights normalized to sum to the window length.
+    Samples all at one instant still need a window to query: one second.
     """
-    times = np.asarray(sorted_times, dtype=float)
-    if times.size == 0:
-        raise EmptyDataError("no samples to weight")
-    if times.size > 1 and np.any(np.diff(times) < 0):
-        raise EmptyDataError("sorted_times must be sorted ascending")
-    if time_range is None:
-        lo, hi = float(times[0]), float(times[-1])
-        if hi <= lo:
-            hi = lo + 1.0
-    else:
-        lo, hi = time_range
+    lo, hi = float(sorted_times[0]), float(sorted_times[-1])
+    return lo, (hi if hi > lo else lo + 1.0)
 
-    # Each cell runs from the midpoint to the previous sample to the
-    # midpoint to the next one, clipped to the window.
-    midpoints = 0.5 * (times[1:] + times[:-1])
-    left_edges = np.maximum(np.concatenate([[lo], midpoints]), lo)
-    right_edges = np.minimum(np.concatenate([midpoints, [hi]]), hi)
-    weights = np.clip(right_edges - left_edges, 0.0, None)
 
-    # Equal split across duplicate timestamps: a run of k identical times
-    # shares one Voronoi cell; each member gets cell/k.
-    if times.size > 1:
-        run_start = np.searchsorted(times, times, side="left")
-        run_end = np.searchsorted(times, times, side="right")
-        run_len = (run_end - run_start).astype(float)
-        if np.any(run_len > 1):
-            run_sums = np.bincount(run_start, weights=weights, minlength=times.size)
-            weights = run_sums[run_start] / run_len
-    return weights
+def _voronoi_tensor(
+    sorted_times: np.ndarray,
+    sample_bin_idx: np.ndarray,
+    bounds: np.ndarray,
+    stretch_rows: np.ndarray,
+    shape: Tuple[int, int],
+) -> np.ndarray:
+    """The ``shape = (n_rows, n_bins)`` expectation of the paper's unbiased
+    draw, in seconds of query time.
+
+    A uniform query over the window ``[bounds[0], bounds[-1]]`` selects the
+    sample whose Voronoi cell — the stretch of time nearer to it than to any
+    other sample — contains it. The inner ``bounds`` cut the window into
+    stretches; a query in stretch ``i`` lands in row ``stretch_rows[i]``,
+    and the draw rejects it when that row is -1. So each cell is cut at
+    every bound, and each piece adds its length to (row of its stretch, bin
+    of the sample). Samples sharing a timestamp split their cell equally
+    (the draw's uniform tie-break). Samples off the bin grid (bin -1) are
+    dropped, as the draw rejects those queries too.
+    """
+    n = sorted_times.size
+    cuts = bounds[1:-1]
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    np.not_equal(sorted_times[1:], sorted_times[:-1], out=new_run[1:])
+    run_start = np.flatnonzero(new_run)
+    run_len = np.diff(np.append(run_start, n))
+    distinct = sorted_times[run_start]
+    edges = np.concatenate(([bounds[0]], 0.5 * (distinct[1:] + distinct[:-1]), [bounds[-1]]))
+
+    # Merge the cuts into the cell edges. Every point of the merged axis
+    # opens a piece: it belongs to the cell of the last edge at or before
+    # it, and to the stretch after the last cut at or before it.
+    is_cut = np.zeros(edges.size + cuts.size, dtype=bool)
+    is_cut[np.searchsorted(edges, cuts, side="right") + np.arange(cuts.size)] = True
+    points = np.empty(is_cut.size)
+    points[is_cut] = cuts
+    points[~is_cut] = edges
+    lengths = np.diff(points)
+    owner = (np.cumsum(~is_cut) - 1)[:-1]
+    rows = stretch_rows[np.cumsum(is_cut)[:-1]]
+
+    if distinct.size == n:
+        sample = owner
+    else:  # spread each piece equally over the samples of its run
+        reps = run_len[owner]
+        first = np.cumsum(reps) - reps
+        sample = np.repeat(run_start[owner] - first, reps) + np.arange(int(reps.sum()))
+        lengths = np.repeat(lengths / reps, reps)
+        rows = np.repeat(rows, reps)
+    bin_idx = sample_bin_idx[sample]
+    keep = (rows >= 0) & (bin_idx >= 0)
+    n_rows, n_bins = shape
+    u = np.bincount(rows[keep] * n_bins + bin_idx[keep], weights=lengths[keep],
+                    minlength=n_rows * n_bins)
+    return u.reshape(n_rows, n_bins)

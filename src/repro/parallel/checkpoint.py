@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import repro.obs as obs
-from repro.parallel.executor import Executor, _task_name
+from repro.parallel.executor import Executor, _Positioned, _task_name
 
 __all__ = ["CheckpointJournal", "JournaledExecutor"]
 
@@ -128,6 +128,8 @@ class _Journaled:
         self.__module__ = getattr(fn, "__module__", "")
 
     def __call__(self, item: Any) -> Any:
+        if isinstance(item, _Positioned):  # an inner executor outside _run_tasks
+            item = item.item
         value = self.fn(item)
         self.journal.put(_task_key(self.journal, self.fn, item), value)
         return value
@@ -140,7 +142,8 @@ class JournaledExecutor:
     and, when tracing is on, opens a zero-work ``task`` span stamped
     ``cached=True`` under the key the cold run used, so a resumed run's
     trace shows it under the *same* span id. Every other task counts a
-    ``miss`` and runs on ``inner``.
+    ``miss`` and runs on ``inner`` as a :class:`_Positioned` item, so its
+    span is keyed by its index in the whole sweep, as on the cold run.
     """
 
     def __init__(self, inner: Executor, journal: CheckpointJournal) -> None:
@@ -172,8 +175,8 @@ class JournaledExecutor:
                     pass
         if pending:
             fresh = self.inner.map_ordered(
-                _Journaled(fn, self.journal), [items[i] for i in pending],
-                chunk_size=chunk_size)
+                _Journaled(fn, self.journal),
+                [_Positioned(i, items[i]) for i in pending], chunk_size=chunk_size)
             for i, value in zip(pending, fresh):
                 results[i] = value
         return results

@@ -39,7 +39,8 @@ unchanged.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Union
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Protocol,
+                    Sequence, Union)
 
 import repro.obs as obs
 from repro.errors import ConfigError
@@ -81,15 +82,24 @@ def _task_name(fn: Callable[[Any], Any]) -> str:
     return getattr(fn, "__qualname__", type(fn).__name__)
 
 
+class _Positioned(NamedTuple):
+    """An item that runs apart from its sweep, with its index in the sweep."""
+
+    index: int
+    item: Any
+
+
 def _run_tasks(fn: Callable[[Any], Any], items: Sequence[Any],
                base: int = 0, retry: Optional[RetryPolicy] = None) -> List[Any]:
     """The one in-process task loop, shared by every backend.
 
     Each task first passes a deadline checkpoint. When tracing is on it
-    runs under a ``task`` span keyed ``{fn qualname}[{base + index}]`` — a
-    pure function of the task's position, so the same task carries the
-    same span id on the serial backend, in a process worker, and on a
-    checkpoint resume. ``retry`` marks a lost chunk re-executed in-process:
+    runs under a ``task`` span keyed ``{fn qualname}[{index}]``, where the
+    index is the task's position in the sweep: ``base`` plus its position
+    in ``items``, or the index a :class:`_Positioned` item carries (the
+    pending tasks of a checkpoint resume run as a shorter list). So the
+    same task carries the same span id on the serial backend, in a process
+    worker, and on a checkpoint resume. ``retry`` marks a lost chunk re-executed in-process:
     each task then goes through :func:`call_with_retry`, guarded by the
     ambient supervisor's circuit breaker if it has one, and its span
     carries ``recovered=True``.
@@ -103,9 +113,12 @@ def _run_tasks(fn: Callable[[Any], Any], items: Sequence[Any],
         breaker = supervisor.breaker if supervisor is not None else None
     out: List[Any] = []
     for i, item in enumerate(items):
-        key = f"{name}[{base + i}]"
+        index = base + i
+        if isinstance(item, _Positioned):
+            index, item = item
+        key = f"{name}[{index}]"
         check_deadline(f"task {key}")
-        span = (obs.span("task", key=key, task=name, index=base + i, **extra)
+        span = (obs.span("task", key=key, task=name, index=index, **extra)
                 if traced else obs.NOOP_SPAN)
         with span:
             out.append(fn(item) if retry is None else

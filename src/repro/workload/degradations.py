@@ -21,9 +21,9 @@ Design rules, pinned by ``tests/workload/test_degradations.py``:
   (monotone nesting) and tuning one knob never reshuffles another's
   selections.
 - **Per-spec derived streams.** :class:`DegradationPlan` seeds each spec
-  from ``(seed, position, spec name)`` like
-  :class:`~repro.faults.FaultPlan`, so adding a spec to a plan never moves
-  another spec's draws.
+  from ``(seed, position, spec name)`` like the chaos harness's
+  ``FaultPlan`` (``tests/faults/specs.py``), so adding a spec to a plan
+  never moves another spec's draws.
 
 The chaos sweep applies these operators, not row-level copies of them,
 to an ingested and quarantined store of syntactically corrupted
@@ -198,7 +198,7 @@ class HeavyUserSkew(DegradationSpec):
 class DegradationPlan:
     """An ordered, seeded composition of degradation specs.
 
-    Mirrors :class:`~repro.faults.FaultPlan`: ``apply`` derives one
+    Mirrors the chaos harness's ``FaultPlan``: ``apply`` derives one
     independent stream per spec from ``(seed, position, spec name)``, so
     the plan's output is a pure function of its inputs and adding a spec
     never moves another's draws. Stream names deliberately exclude the

@@ -13,12 +13,13 @@ harness (:mod:`repro.analysis.recovery`) can ask "did the estimator survive
 
 Specs compose through :class:`IncidentPlan`, which derives one independent
 random stream per spec from ``(seed, position, spec name)`` — the same
-pure-stream scheme as :class:`repro.faults.FaultPlan` — so adding, removing
-or reordering incidents never perturbs the draws of the others.
+pure-stream scheme as the chaos harness's ``FaultPlan``
+(``tests/faults/specs.py``) — so adding, removing or reordering incidents
+never perturbs the draws of the others.
 
 The chaos sweep drives these specs directly: it generates queue-backed
 telemetry under each incident, corrupts it with a syntactic
-:class:`~repro.faults.FaultPlan`, and ingests it
+``FaultPlan``, and ingests it
 (``tests/faults/test_chaos_pipeline.py``).
 """
 
@@ -334,7 +335,7 @@ class IncidentPlan:
 
     ``build`` derives one independent stream per spec from
     ``(seed, position, spec name)`` — mirroring
-    :class:`repro.faults.FaultPlan` — and returns the composed profile plus
+    the chaos harness's ``FaultPlan`` — and returns the composed profile plus
     ground-truth windows. A plan is a pure function of its inputs.
     """
 

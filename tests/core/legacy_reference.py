@@ -6,11 +6,14 @@ per-slot / per-sample Python loops. They stay
 here, in the test tree, as the reference the shipped fast paths are
 checked against (``test_tensor_equivalence.py``) and as the Monte Carlo
 reversion the perf gate must catch (``tests/obs/test_perf_gate.py``).
+:func:`voronoi_weights` is the per-sample Voronoi cell the shipped kernel
+(``repro.core.unbiased._voronoi_tensor``) replaced; it stays as the
+reference for the uncorrected path (``test_voronoi.py``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -96,6 +99,72 @@ def _legacy_draw_unbiased_samples(logs, n_samples=None, rng=None):
     )
 
 
+def voronoi_weights(
+    sorted_times: np.ndarray,
+    time_range: Optional[Tuple[float, float]] = None,
+) -> np.ndarray:
+    """Per-sample weights equal to each sample's share of the time axis.
+
+    As the number of random draws in the paper's estimator goes to
+    infinity, the probability that a given sample is selected converges to
+    the length of its 1-D Voronoi cell — the interval of times closer to
+    it than to any neighbour — divided by the window length. Weighting
+    samples by their cell lengths therefore computes the estimator's exact
+    expectation with no Monte Carlo noise. Samples sharing one timestamp
+    split their cell equally (the paper's random tie-break, in
+    expectation).
+
+    Returns weights normalized to sum to the window length.
+    """
+    times = np.asarray(sorted_times, dtype=float)
+    if times.size == 0:
+        raise EmptyDataError("no samples to weight")
+    if times.size > 1 and np.any(np.diff(times) < 0):
+        raise EmptyDataError("sorted_times must be sorted ascending")
+    if time_range is None:
+        lo, hi = float(times[0]), float(times[-1])
+        if hi <= lo:
+            hi = lo + 1.0
+    else:
+        lo, hi = time_range
+
+    # Each cell runs from the midpoint to the previous sample to the
+    # midpoint to the next one, clipped to the window.
+    midpoints = 0.5 * (times[1:] + times[:-1])
+    left_edges = np.maximum(np.concatenate([[lo], midpoints]), lo)
+    right_edges = np.minimum(np.concatenate([midpoints, [hi]]), hi)
+    weights = np.clip(right_edges - left_edges, 0.0, None)
+
+    # Equal split across duplicate timestamps: a run of k identical times
+    # shares one Voronoi cell; each member gets cell/k.
+    if times.size > 1:
+        run_start = np.searchsorted(times, times, side="left")
+        run_end = np.searchsorted(times, times, side="right")
+        run_len = (run_end - run_start).astype(float)
+        if np.any(run_len > 1):
+            run_sums = np.bincount(run_start, weights=weights, minlength=times.size)
+            weights = run_sums[run_start] / run_len
+    return weights
+
+
+def _legacy_unbiased_histogram(logs: LogStore, bins: HistogramBins) -> Histogram1D:
+    """The old ``unbiased_histogram``: per-sample :func:`voronoi_weights`,
+    rescaled to ``UNBIASED_MASS_PER_ACTION`` per action by their sum."""
+    from repro.core.unbiased import UNBIASED_MASS_PER_ACTION
+
+    if logs.is_empty:
+        raise EmptyDataError("cannot estimate the unbiased distribution from empty logs")
+    order = np.argsort(logs.times, kind="mergesort")
+    times = logs.times[order]
+    weights = voronoi_weights(times)
+    total = weights.sum()
+    if total > 0:
+        weights = weights * (UNBIASED_MASS_PER_ACTION * times.size / total)
+    hist = Histogram1D(bins)
+    hist.add(logs.latencies_ms[order], weights=weights)
+    return hist
+
+
 def _legacy_period_slots(
     times: np.ndarray, tz_offset_hours: Union[np.ndarray, float] = 0.0
 ) -> np.ndarray:
@@ -143,8 +212,6 @@ def _legacy_slotted_counts(
     tz = float(np.median(logs.tz_offsets)) if len(logs) else 0.0
     u = np.zeros((n_slots, bins.count), dtype=float)
     if estimator == "voronoi":
-        from repro.core.unbiased import voronoi_weights
-
         order = np.argsort(logs.times, kind="mergesort")
         sorted_times = logs.times[order]
         sorted_latencies = logs.latencies_ms[order]

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError, EmptyDataError
 from repro.core.alpha import (
     alpha_from_counts,
-    corrected_histograms,
+    corrected_histograms_from_counts,
     estimate_alpha,
     slot_labels,
     slot_of_times,
@@ -168,10 +168,9 @@ class TestCorrectedHistograms:
         """The full-pipeline version of Table 1: corrected B must undo the
         inversion. Activity here depends on the hour only, so both latency
         regimes come out equally preferred."""
-        logs = _two_regime_logs()
-        bins = HistogramBins(0.0, 1000.0, 100.0)
-        alpha = estimate_alpha(logs, bins, scheme="hour-of-day")
-        biased, unbiased = corrected_histograms(logs, bins, alpha)
+        counts = slotted_counts(_two_regime_logs(), HistogramBins(0.0, 1000.0, 100.0))
+        biased, unbiased = corrected_histograms_from_counts(
+            counts, alpha_from_counts(counts))
         ratio = biased.ratio_to(unbiased)
         # bin 1 = 100 ms regime, bin 5 = 500 ms regime
         assert ratio[1] == pytest.approx(ratio[5], rel=0.05)
@@ -189,16 +188,13 @@ class TestCorrectedHistograms:
         assert ratio[5] > ratio[1]
 
     def test_total_mass_positive(self):
-        logs = _two_regime_logs()
-        bins = HistogramBins(0.0, 1000.0, 100.0)
-        alpha = estimate_alpha(logs, bins)
-        biased, unbiased = corrected_histograms(logs, bins, alpha)
+        counts = slotted_counts(_two_regime_logs(), HistogramBins(0.0, 1000.0, 100.0))
+        biased, unbiased = corrected_histograms_from_counts(
+            counts, alpha_from_counts(counts))
         assert biased.total > 0
         assert unbiased.total > 0
 
     def test_empty_rejected(self):
-        logs = _two_regime_logs()
-        bins = HistogramBins(0.0, 1000.0, 100.0)
-        alpha = estimate_alpha(logs, bins)
+        """Empty logs are refused before any tensor is contracted."""
         with pytest.raises(EmptyDataError):
-            corrected_histograms(LogStore.from_records([]), bins, alpha)
+            slotted_counts(LogStore.from_records([]), HistogramBins(0.0, 1000.0, 100.0))

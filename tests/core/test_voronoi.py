@@ -8,49 +8,67 @@ import pytest
 from repro.errors import EmptyDataError
 from repro.core import AutoSens, AutoSensConfig, curve_from_counts
 from repro.core.alpha import slot_of_times, slotted_counts
-from repro.core.unbiased import draw_unbiased_samples, unbiased_histogram, voronoi_weights
+from repro.core.biased import biased_histogram
+from repro.core.unbiased import (
+    UNBIASED_MASS_PER_ACTION,
+    draw_unbiased_samples,
+    unbiased_histogram,
+)
 from repro.stats.histogram import Histogram1D, HistogramBins, latency_bins
 from repro.telemetry import LogStore
 from repro.workload import global_scenario, owa_scenario
+from tests.core.legacy_reference import _legacy_unbiased_histogram
+
+
+def _cells(times):
+    """Each sample's Voronoi cell in seconds, read off ``unbiased_histogram``.
+
+    Sample ``i`` gets latency bin ``i`` of its own, so U's bins are the
+    per-sample weights; undoing the rescale to ``UNBIASED_MASS_PER_ACTION``
+    per action over the ``[first, last]`` window gives seconds back.
+    """
+    times = np.asarray(times, dtype=float)
+    n = times.size
+    logs = LogStore.from_arrays(times=times, latencies_ms=10.0 * np.arange(n) + 5.0,
+                                actions=["a"] * n)
+    u = unbiased_histogram(logs, HistogramBins(0.0, 10.0 * n, 10.0))
+    window = max(float(np.ptp(times)), 1.0)
+    assert u.total == pytest.approx(UNBIASED_MASS_PER_ACTION * n, rel=1e-12)
+    return u.counts * window / (UNBIASED_MASS_PER_ACTION * n)
 
 
 class TestVoronoiWeights:
     def test_uniform_spacing_equal_weights(self):
-        times = np.arange(10.0)
-        weights = voronoi_weights(times)
+        weights = _cells(np.arange(10.0))
         # interior points get 1.0; edges get 0.5 each
         assert np.allclose(weights[1:-1], 1.0)
         assert np.allclose(weights[[0, -1]], 0.5)
 
     def test_weights_sum_to_window(self):
         rng = np.random.default_rng(0)
-        times = np.sort(rng.uniform(0, 100, 57))
-        weights = voronoi_weights(times, time_range=(0.0, 100.0))
-        assert np.isclose(weights.sum(), 100.0)
+        times = rng.uniform(0, 100, 57)  # unsorted: the estimator sorts
+        weights = _cells(times)
+        assert np.isclose(weights.sum(), np.ptp(times))
+        order = np.argsort(times)
+        assert np.array_equal(weights[order], _cells(times[order]))
 
     def test_isolated_sample_gets_big_cell(self):
-        times = np.array([0.0, 1.0, 2.0, 100.0])
-        weights = voronoi_weights(times)
+        weights = _cells([0.0, 1.0, 2.0, 100.0])
         assert weights[3] > 10 * weights[1]
 
     def test_duplicates_split_evenly(self):
-        times = np.array([0.0, 5.0, 5.0, 10.0])
-        weights = voronoi_weights(times)
+        weights = _cells([0.0, 5.0, 5.0, 10.0])
         assert np.isclose(weights[1], weights[2])
         # the two duplicates together own the middle cell
         assert np.isclose(weights[1] + weights[2], 5.0)
 
     def test_single_sample(self):
-        weights = voronoi_weights(np.array([3.0]), time_range=(0.0, 10.0))
-        assert np.isclose(weights[0], 10.0)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(EmptyDataError):
-            voronoi_weights(np.array([2.0, 1.0]))
+        # One instant still gets a one-second window to query.
+        assert np.allclose(_cells([3.0]), 1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataError):
-            voronoi_weights(np.array([]))
+            unbiased_histogram(LogStore.from_records([]), HistogramBins(0.0, 10.0, 10.0))
 
     def test_matches_monte_carlo_expectation(self):
         """Voronoi is the infinite-draw limit of the sampling estimator."""
@@ -203,3 +221,33 @@ class TestVoronoiPipeline:
         ]
         for probe in (500.0, 900.0):
             assert abs(float(curves[0].at(probe)) - float(curves[1].at(probe))) < 0.05
+
+
+class TestUncorrectedPath:
+    """``time_correction=False`` against the per-sample ``voronoi_weights``
+    it replaced, on every action slice of small OWA stores.
+
+    The one kernel sums the same cells in another order, so U agrees to
+    rounding rather than bitwise (1.1e-15 relative measured).
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_legacy_voronoi_weights(self, seed):
+        config = AutoSensConfig(time_correction=False)
+        bins = config.bins()
+        engine = AutoSens(config)
+        logs = owa_scenario(seed=seed, duration_days=3.0, n_users=120).generate().logs
+        for action in logs.action_names():
+            sliced = logs.where(action=action)
+            u = unbiased_histogram(sliced, bins).counts
+            legacy = _legacy_unbiased_histogram(sliced, bins)
+            np.testing.assert_allclose(u, legacy.counts, rtol=1e-12, atol=0.0)
+            stable = u >= config.min_unbiased_count
+            assert np.array_equal(stable, legacy.counts >= config.min_unbiased_count)
+            if len(sliced) < config.min_actions:
+                continue
+            nlp = engine.preference_curve(logs, action=action).nlp
+            expected = config.computer().compute(
+                biased_histogram(sliced, bins), legacy, n_actions=len(sliced)).nlp
+            assert np.array_equal(np.isnan(nlp), np.isnan(expected)), action
+            np.testing.assert_allclose(nlp, expected, rtol=0.0, atol=1e-12)

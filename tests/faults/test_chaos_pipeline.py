@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import AutoSens, AutoSensConfig, DegradePolicy
 from repro.errors import ReproError
-from repro.faults import DEFAULT_FAULT_SPECS, FaultPlan, corrupt_jsonl
+from tests.faults import DEFAULT_FAULT_SPECS, FaultPlan, corrupt_jsonl
 from repro.telemetry import IngestPolicy, read_jsonl, write_jsonl
 from repro.workload import (
     DEFAULT_INCIDENT_SPECS,

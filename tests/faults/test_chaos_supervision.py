@@ -12,7 +12,7 @@ import pytest
 
 import repro.obs as obs
 from repro.core import AutoSens, AutoSensConfig, DegradePolicy
-from repro.faults import MemoryHog, StalledTask
+from tests.faults import MemoryHog, StalledTask
 from repro.parallel import ProcessExecutor, SerialExecutor
 from repro.runtime import MemoryGovernor, Supervisor, Watchdog
 from repro.workload import owa_scenario

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.faults import (
+from tests.faults import (
     DEFAULT_FAULT_SPECS,
     ClockSkew,
     DropFields,

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.faults import MemoryHog, StalledTask
+from tests.faults import MemoryHog, StalledTask
 
 
 def _double(x):
@@ -100,7 +100,7 @@ class TestMemoryHog:
 
 class TestFaultsExports:
     def test_package_exports_task_faults(self):
-        import repro.faults as faults
+        import tests.faults as faults
 
         assert "StalledTask" in faults.__all__
         assert "MemoryHog" in faults.__all__

@@ -133,8 +133,11 @@ class TestNumericalEdges:
         assert curve.biased_counts[0] > 0  # the zero bin is real data
 
     def test_voronoi_on_degenerate_times(self):
-        from repro.core.unbiased import voronoi_weights
+        from repro.core.unbiased import UNBIASED_MASS_PER_ACTION, unbiased_histogram
+        from repro.stats.histogram import HistogramBins
 
-        weights = voronoi_weights(np.zeros(5))
-        assert np.isclose(weights.sum(), 1.0)  # window padded to length 1
-        assert np.allclose(weights, 0.2)
+        # Five samples at one instant, one latency bin each: the window is
+        # padded to one second and split equally among them.
+        logs = LogStore.from_arrays(np.zeros(5), 10.0 * np.arange(5) + 5.0, ["a"] * 5)
+        u = unbiased_histogram(logs, HistogramBins(0.0, 50.0, 10.0))
+        assert np.allclose(u.counts, UNBIASED_MASS_PER_ACTION)

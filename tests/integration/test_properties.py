@@ -4,10 +4,26 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alpha import SlottedCounts, alpha_from_counts
+from repro.core.alpha import (
+    SLOT_SCHEMES,
+    SlottedCounts,
+    _exact_unbiased_tensor,
+    _slot_cuts,
+    alpha_from_counts,
+    slot_of_times,
+)
 from repro.core.streaming import merge_slotted_counts
-from repro.core.unbiased import voronoi_weights
+from repro.core.unbiased import _voronoi_tensor, _window
 from repro.stats.histogram import HistogramBins
+
+
+def _uncut(sorted_times):
+    """The one-row, uncut Voronoi tensor with one bin per sample: each
+    sample's whole cell, in seconds."""
+    n = sorted_times.size
+    lo, hi = _window(sorted_times)
+    return _voronoi_tensor(sorted_times, np.arange(n), np.array([lo, hi]),
+                           np.zeros(1, dtype=np.intp), (1, n))[0]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
@@ -15,10 +31,37 @@ from repro.stats.histogram import HistogramBins
 def test_voronoi_weights_partition_window(times):
     """Property: Voronoi cells partition the window exactly."""
     times = np.sort(np.asarray(times))
-    lo, hi = float(times[0]) - 1.0, float(times[-1]) + 1.0
-    weights = voronoi_weights(times, time_range=(lo, hi))
+    lo, hi = _window(times)
+    weights = _uncut(times)
     assert np.all(weights >= 0)
     assert np.isclose(weights.sum(), hi - lo)
+
+
+@given(
+    scheme=st.sampled_from(SLOT_SCHEMES),
+    tz=st.sampled_from([0.0, 5.5, -7.0, 5.75]),
+    start=st.floats(0.0, 2e9),
+    span=st.floats(1.0, 4 * 86400.0),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=80),
+    n_dup=st.integers(0, 20),
+)
+@settings(max_examples=80, deadline=None)
+def test_slot_rows_sum_to_the_uncut_cells(scheme, tz, start, span, fractions, n_dup):
+    """Property: cutting the cells at slot boundaries only splits them.
+
+    With one action in every stretch between slot boundaries, no query is
+    rejected, so the slot-clipped tensor's rows add up to the uncut
+    one-row tensor — duplicate timestamps included.
+    """
+    fractions = np.asarray([0.0, 1.0] + fractions)
+    times = start + span * np.concatenate((fractions, fractions[:n_dup]))
+    lo, hi = float(times.min()), float(times.max())
+    bounds = np.concatenate(([lo], _slot_cuts(lo, hi, tz), [hi]))
+    times = np.sort(np.concatenate((times, 0.5 * (bounds[1:] + bounds[:-1]))))
+    slot_ids = np.unique(slot_of_times(times, scheme, tz))
+    clipped, _ = _exact_unbiased_tensor(times, np.arange(times.size), slot_ids,
+                                        times.size, scheme, tz)
+    np.testing.assert_allclose(clipped.sum(axis=0), _uncut(times), rtol=1e-12, atol=0.0)
 
 
 @given(

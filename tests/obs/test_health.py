@@ -1,7 +1,7 @@
 """Health-report composition, serialization, and the faulted-run guarantee.
 
 The acceptance property pinned at the end: a run whose slices are starved
-(injected via :mod:`repro.faults` corruption plus a degrade policy) can
+(injected via :mod:`tests.faults` corruption plus a degrade policy) can
 never report a clean bill of health — every recorded degradation becomes a
 ``warn`` finding on the synthetic ``runtime`` stage.
 """
@@ -13,7 +13,7 @@ from repro.analysis.base import SMALL
 from repro.analysis.experiments import run_experiment
 from repro.core import AutoSens, AutoSensConfig, DegradePolicy
 from repro.errors import ReproError, SchemaError
-from repro.faults import DEFAULT_FAULT_SPECS, FaultPlan, corrupt_jsonl
+from tests.faults import DEFAULT_FAULT_SPECS, FaultPlan, corrupt_jsonl
 from repro.obs.health import (
     HealthReport,
     build_health_report,
@@ -133,7 +133,7 @@ class TestEndToEnd:
         assert manifest["health"]["verdict"] == "ok"
 
     def test_faulted_run_never_reports_clean(self, tmp_path):
-        """Starved slices injected via repro.faults must surface as
+        """Starved slices injected via tests.faults must surface as
         warn/fail findings — the report cannot say ``ok``."""
         result = owa_scenario(
             seed=7, duration_days=1.0, n_users=30,

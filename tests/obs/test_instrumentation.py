@@ -74,6 +74,30 @@ class TestTaskSpanIdentity:
         assert all(t["attrs"].get("cached") is True for t in tasks)
         assert hits.value(outcome="hit") == 4.0
 
+    @pytest.mark.parametrize("inner", [
+        SerialExecutor(), ProcessExecutor(max_workers=2, chunk_size=1)])
+    def test_partial_resume_keys_fresh_tasks_by_sweep_index(self, tmp_path, inner):
+        """A resume that recomputes items 2 and 3 of [1, 2, 3] keys their
+        spans ``_double[1]`` and ``_double[2]``, as the cold run did, not
+        by their positions in the pending list."""
+        journal = CheckpointJournal(tmp_path, namespace="sweep")
+        with obs.session(enabled=True, run_id="res", deterministic=True):
+            JournaledExecutor(SerialExecutor(), journal).map_ordered(
+                _double, [1, 2, 3])
+            cold = {r["attrs"]["index"]: r["id"] for r in obs.trace_records()
+                    if r["name"] == "task"}
+        journal.clear()
+        JournaledExecutor(SerialExecutor(), journal).map_ordered(_double, [1])
+        with obs.session(enabled=True, run_id="res", deterministic=True):
+            assert JournaledExecutor(inner, journal).map_ordered(
+                _double, [1, 2, 3]) == [2, 4, 6]
+            tasks = [r for r in obs.trace_records() if r["name"] == "task"]
+        ids = [t["id"] for t in tasks]
+        assert len(ids) == len(set(ids)) == 3
+        fresh = [t for t in tasks if not t["attrs"].get("cached")]
+        assert sorted(t["attrs"]["index"] for t in fresh) == [1, 2]
+        assert all(t["id"] == cold[t["attrs"]["index"]] for t in fresh)
+
     def test_cold_run_counts_misses(self, tmp_path):
         journal = CheckpointJournal(tmp_path, namespace="sweep")
         with obs.session(enabled=True, run_id="res") as ctx:

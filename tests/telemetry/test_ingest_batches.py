@@ -21,7 +21,7 @@ import repro.obs as obs
 import repro.telemetry.ingest as ingest
 import repro.telemetry.jsonl as jsonl
 from repro.errors import ReproError
-from repro.faults import DEFAULT_FAULT_SPECS, FaultPlan, write_corrupted
+from tests.faults import DEFAULT_FAULT_SPECS, FaultPlan, write_corrupted
 from repro.telemetry import (
     ActionRecord,
     IngestCollector,

@@ -46,15 +46,8 @@ SHIPPED_DIRS = ("perfbench", "benchmarks", "examples", "tools")
 #: Modules run as programs: the console script and ``python -m repro``.
 ENTRY_MODULES = ("repro.cli.main", "repro.__main__")
 
-_FAULTS = ("chaos harness only tests import; moving under tests/ is its "
-           "own ROADMAP item")
 #: Modules kept without a shipped importer, each with its reason.
-MODULE_ALLOWLIST = {
-    "repro.faults": _FAULTS,
-    "repro.faults.inject": _FAULTS,
-    "repro.faults.specs": _FAULTS,
-    "repro.faults.tasks": _FAULTS,
-}
+MODULE_ALLOWLIST: Dict[str, str] = {}
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -20,7 +20,7 @@ PACKAGES = [
     "repro.viz",
     "repro.obs",
     "repro.parallel",
-    "repro.faults",
+    "tests.faults",
     "repro.runtime",
 ]
 
