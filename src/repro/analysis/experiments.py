@@ -10,6 +10,7 @@ its randomness purely from its payload.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
@@ -63,51 +64,6 @@ def _resolve_scale(scale: Union[Scale, str]) -> Scale:
     return scale
 
 
-def _experiment_manifest(
-    experiment_id: str,
-    seed: int | None,
-    scale: Scale,
-    manifest_out: Union[str, Path],
-    cached: bool,
-    supervisor: Optional[Supervisor] = None,
-    health: Optional[Dict[str, object]] = None,
-) -> Path:
-    """Build and atomically write the run manifest next to the outputs."""
-    ctx = obs.current()
-    scale_fingerprint = (
-        ("experiment", experiment_id),
-        ("seed", seed),
-        ("duration_days", scale.duration_days),
-        ("n_users", scale.n_users),
-        ("candidates_per_user_day", scale.candidates_per_user_day),
-    )
-    ingest_totals: Dict[str, object] = {}
-    snapshot = ctx.metrics.snapshot() if ctx.enabled else {}
-    rows = snapshot.get("autosens_ingest_rows_total", {}).get("series", {})
-    if rows:
-        ingest_totals["rows"] = rows
-    extra: Dict[str, object] = {"outcome_cached": cached}
-    if supervisor is not None and supervisor.enabled:
-        extra["supervision"] = supervisor.summary()
-    if health is not None:
-        extra["health"] = health
-    if ctx.enabled and ctx.tracer.enabled:
-        span_timings = obs.aggregate_span_timings(ctx.tracer.finished())
-        if span_timings:
-            extra["span_timings"] = span_timings
-    manifest = obs.build_manifest(
-        experiment_id=experiment_id,
-        seed=seed if seed is not None else -1,
-        config_fingerprint=scale_fingerprint,
-        degradations=ctx.degradations,
-        ingest=ingest_totals,
-        metrics=snapshot,
-        deterministic=ctx.deterministic,
-        extra=extra,
-    )
-    return obs.write_manifest(manifest, manifest_out)
-
-
 def run_experiment(
     experiment_id: str,
     seed: int | None = None,
@@ -138,10 +94,11 @@ def run_experiment(
     spills lands in the run manifest under ``extra.supervision`` plus the
     regular degradations list.
 
-    The run is wrapped in one root span per experiment, and with
-    ``manifest_out`` a provenance manifest (seed, config fingerprint,
-    versions, degradations, metric totals) is written atomically there
-    after the outcome lands — see :mod:`repro.obs.manifest`.
+    The run is wrapped in one root span per experiment. With observability
+    on, the run's manifest (seed, scale fingerprint, versions,
+    degradations, metric totals, health report) is built once after the
+    outcome lands, and ``manifest_out`` writes it atomically — see
+    :func:`repro.obs.manifest.run_manifest`.
     """
     if experiment_id not in EXPERIMENTS:
         raise ConfigError(
@@ -151,6 +108,9 @@ def run_experiment(
     scale = _resolve_scale(scale)
     driver = EXPERIMENTS[experiment_id]
 
+    # A run that raises must not leave an earlier run's manifest behind
+    # for the CLI to record as its own.
+    obs.current().manifest = None
     with obs.span("experiment", key=f"experiment:{experiment_id}:{seed}",
                   experiment=experiment_id, seed=seed) as root:
         journal: Optional[CheckpointJournal] = None
@@ -176,30 +136,23 @@ def run_experiment(
             if journal is not None:
                 executor = JournaledExecutor(resolve_executor(executor), journal)
 
-            kwargs = {}
-            if seed is not None:
-                kwargs["seed"] = seed
-            kwargs["scale"] = scale
+            kwargs = {"scale": scale} if seed is None else {"seed": seed, "scale": scale}
             if executor is not None and _accepts_executor(driver):
                 kwargs["executor"] = executor
-            if supervisor is not None:
-                with supervisor.scope():
-                    outcome = driver(**kwargs)
-            else:
+            with supervisor.scope() if supervisor is not None else contextlib.nullcontext():
                 outcome = driver(**kwargs)
             if journal is not None:
                 journal.put(outcome_key, outcome)
 
-    health: Optional[Dict[str, object]] = None
-    if obs.current().enabled:
-        health = obs.build_health_report().to_dict()
-        # Attribute defensively: cached outcomes may predate the field.
-        try:
-            outcome.health = health
-        except AttributeError:  # pragma: no cover - frozen/odd outcome types
-            pass
-    if manifest_out is not None:
-        _experiment_manifest(experiment_id, seed, scale, manifest_out,
-                             cached=cached_hit, supervisor=supervisor,
-                             health=health)
+    if obs.current().enabled or manifest_out is not None:
+        extra: Dict[str, object] = {"outcome_cached": cached_hit}
+        if supervisor is not None and supervisor.enabled:
+            extra["supervision"] = supervisor.summary()
+        fingerprint = (("experiment", experiment_id), ("seed", seed),
+                       ("duration_days", scale.duration_days), ("n_users", scale.n_users),
+                       ("candidates_per_user_day", scale.candidates_per_user_day))
+        manifest = obs.run_manifest(experiment_id, seed, fingerprint, extra=extra)
+        outcome.health = manifest["health"]
+        if manifest_out is not None:
+            obs.write_manifest(manifest, manifest_out)
     return outcome

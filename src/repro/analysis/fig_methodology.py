@@ -8,10 +8,44 @@ from repro.analysis.base import FULL, ExperimentOutcome, Scale
 from repro.core import AutoSens, AutoSensConfig, draw_unbiased_samples, worked_example
 from repro.core.biased import biased_histogram
 from repro.core.preference import PreferenceComputer
-from repro.core.unbiased import unbiased_histogram
-from repro.stats.histogram import latency_bins
+from repro.core.unbiased import UNBIASED_MASS_PER_ACTION, _voronoi_tensor, _window
+from repro.stats.histogram import Histogram1D, HistogramBins, latency_bins
+from repro.telemetry.log_store import LogStore
+from repro.telemetry.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.viz.ascii_plot import line_plot
 from repro.workload import owa_scenario
+
+#: The hours of day Figure 3 keeps, ``[open, close)``.
+BUSINESS_HOURS = (10.0, 16.0)
+
+
+def business_hours_unbiased(logs: LogStore, bins: HistogramBins) -> Histogram1D:
+    """``U`` of actions kept to :data:`BUSINESS_HOURS`, queried in those
+    hours only.
+
+    The window is cut at each day's opening and closing, and the stretches
+    outside the hours (which hold no action, so no draw lands there) are
+    dropped. Otherwise each overnight gap would be one Voronoi cell, owned
+    by the two actions at its ends. The mass is scaled to
+    ``UNBIASED_MASS_PER_ACTION`` per action over the kept seconds.
+    """
+    open_h, close_h = BUSINESS_HOURS
+    order = np.argsort(logs.times, kind="mergesort")
+    times = logs.times[order]
+    lo, hi = _window(times)
+    days = SECONDS_PER_DAY * np.arange(np.floor(lo / SECONDS_PER_DAY),
+                                       np.floor(hi / SECONDS_PER_DAY) + 1.0)
+    edges = np.sort(np.concatenate([days + open_h * SECONDS_PER_HOUR,
+                                    days + close_h * SECONDS_PER_HOUR]))
+    bounds = np.concatenate(([lo], edges[(edges > lo) & (edges < hi)], [hi]))
+    hours = (0.5 * (bounds[1:] + bounds[:-1]) % SECONDS_PER_DAY) / SECONDS_PER_HOUR
+    rows = np.where((hours >= open_h) & (hours < close_h), 0, -1)
+    u = _voronoi_tensor(times, bins.index_of(logs.latencies_ms[order]), bounds,
+                        rows, (1, bins.count))
+    kept_s = float(np.diff(bounds)[rows == 0].sum())
+    hist = Histogram1D(bins)
+    hist.add_counts(u[0] * (UNBIASED_MASS_PER_ACTION * times.size / kept_s))
+    return hist
 
 
 def run_fig3(seed: int = 11, scale: Scale = FULL) -> ExperimentOutcome:
@@ -22,13 +56,15 @@ def run_fig3(seed: int = 11, scale: Scale = FULL) -> ExperimentOutcome:
         n_users=scale.n_users,
         candidates_per_user_day=scale.candidates_per_user_day,
     ).generate()
-    # Restrict the illustration to business hours (10:00-16:00 local): the
-    # activity factor is nearly constant there, so the raw B-vs-U contrast
-    # shows the preference effect rather than the time confounder (which
-    # the full pipeline removes via alpha; see fig4+).
+    # Restrict the illustration to business hours (10:00-16:00 local), and
+    # query U only inside them: the activity factor is nearly constant
+    # there, so the raw B-vs-U contrast shows the preference effect rather
+    # than the time confounder (which the full pipeline removes via alpha;
+    # see fig4+).
     all_logs = result.logs.where(action="SelectMail")
-    hours = (all_logs.times % 86400.0) / 3600.0
-    logs = all_logs.filter((hours >= 10.0) & (hours < 16.0))
+    hours = (all_logs.times % SECONDS_PER_DAY) / SECONDS_PER_HOUR
+    open_h, close_h = BUSINESS_HOURS
+    logs = all_logs.filter((hours >= open_h) & (hours < close_h))
     bins = latency_bins(3000.0, 10.0)
 
     outcome = ExperimentOutcome(
@@ -67,7 +103,7 @@ def run_fig3(seed: int = 11, scale: Scale = FULL) -> ExperimentOutcome:
 
     # (b) B and U PDFs.
     biased = biased_histogram(logs, bins)
-    unbiased = unbiased_histogram(logs, bins)
+    unbiased = business_hours_unbiased(logs, bins)
     b_pdf = biased.pdf()
     u_pdf = unbiased.pdf()
     centers = bins.centers

@@ -126,18 +126,10 @@ def _configure_obs(args: argparse.Namespace) -> bool:
     # (e.g. `runs --runs-dir`) never mean "instrument this invocation".
     if args.command in ("obs", "doctor", "top", "runs", "watch", "list"):
         return False
-    wants = bool(
-        getattr(args, "log_level", None)
-        or getattr(args, "trace_out", None)
-        or getattr(args, "metrics_out", None)
-        or getattr(args, "manifest_out", None)
-        or getattr(args, "deterministic_trace", False)
-        or getattr(args, "health_out", None)
-        or getattr(args, "profile_out", None)
-        or getattr(args, "serve_obs", None)
-        or getattr(args, "runs_dir", None)
-    )
-    if not wants:
+    flags = ("log_level", "trace_out", "metrics_out", "manifest_out",
+             "deterministic_trace", "health_out", "profile_out", "serve_obs",
+             "runs_dir")
+    if not any(getattr(args, flag, None) for flag in flags):
         return False
     seed = getattr(args, "seed", None)
     run_id = f"{args.command}:{seed if seed is not None else 'default'}"
@@ -152,64 +144,10 @@ def _configure_obs(args: argparse.Namespace) -> bool:
     return True
 
 
-def _export_obs(args: argparse.Namespace) -> None:
-    """Write the trace/metrics artifacts the obs flags requested."""
-    import repro.obs as obs
-
-    ctx = obs.current()
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        records = ctx.tracer.finished()
-        if Path(trace_out).suffix == ".jsonl":
-            n = obs.write_trace_jsonl(records, trace_out)
-        else:
-            n = obs.write_chrome_trace(records, trace_out,
-                                       trace_id=ctx.run_id or "autosens")
-        print(f"trace: {n} spans written to {trace_out}", file=sys.stderr)
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        if Path(metrics_out).suffix == ".json":
-            obs.write_metrics_json(ctx.metrics, metrics_out)
-        else:
-            obs.write_metrics_prometheus(ctx.metrics, metrics_out)
-        print(f"metrics: {len(ctx.metrics)} instruments written to "
-              f"{metrics_out}", file=sys.stderr)
-    manifest_out = getattr(args, "manifest_out", None)
-    if manifest_out and args.command != "experiment":
-        # The experiment runtime writes its own (richer) manifest; every
-        # other command gets a generic one describing this invocation.
-        seed = getattr(args, "seed", None)
-        manifest = obs.build_manifest(
-            experiment_id=args.command,
-            seed=seed if seed is not None else -1,
-            config_fingerprint=ctx.run_id,
-            degradations=ctx.degradations,
-            metrics=ctx.metrics.snapshot(),
-            deterministic=ctx.deterministic,
-        )
-        obs.write_manifest(manifest, manifest_out)
-        print(f"manifest written to {manifest_out}", file=sys.stderr)
-    health_out = getattr(args, "health_out", None)
-    if health_out:
-        report = obs.build_health_report()
-        obs.write_health_report(report, health_out)
-        print(f"health: verdict {report.verdict} "
-              f"({len(report.findings)} findings) written to {health_out}",
-              file=sys.stderr)
-    profile_out = getattr(args, "profile_out", None)
-    if profile_out:
-        payload = obs.build_profile(
-            obs.profiler(), records=ctx.tracer.finished(),
-            run_id=ctx.run_id or "autosens")
-        obs.write_profile(payload, profile_out)
-        print(f"profile: {len(payload['spans'])} spans written to "
-              f"{profile_out}", file=sys.stderr)
-
-
 def _start_obs_services(args: argparse.Namespace) -> dict:
     """Start the live telemetry plane this invocation asked for.
 
-    Returns a services dict consumed by :func:`_finalize_obs_services`.
+    Returns a services dict consumed by :func:`_finish_obs`.
     The server reads the already-configured context; a bad
     ``--serve-obs`` address is a :class:`~repro.errors.ConfigError`
     (exit 2) like any other bad flag.
@@ -232,12 +170,15 @@ def _start_obs_services(args: argparse.Namespace) -> dict:
     return services
 
 
-def _finalize_obs_services(args: argparse.Namespace, services: dict,
-                           status: int) -> None:
-    """Stop the obs server and record the run into ``--runs-dir``.
+def _finish_obs(args: argparse.Namespace, services: dict,
+                status: int) -> None:
+    """Stop the obs server and write every artifact the obs flags asked for.
 
-    Recording happens even for failed runs — a registry that only holds
-    successes cannot show when a regression started.
+    The run has one manifest: the one ``run_experiment`` built, or else
+    one built here for this invocation. ``--manifest-out``, ``--health-out``
+    and ``--runs-dir`` all write from it. Recording happens even for failed
+    runs — a registry that only holds successes cannot show when a
+    regression started.
     """
     import json
     import time
@@ -246,34 +187,53 @@ def _finalize_obs_services(args: argparse.Namespace, services: dict,
 
     ctx = obs.current()
     server = services.get("server")
-    final_state = "done" if status == 0 else "failed"
     if server is not None:
-        server.tracker.finish(final_state)
+        server.tracker.finish("done" if status == 0 else "failed")
         server.close()
-    runs_dir = getattr(args, "runs_dir", None)
-    if not runs_dir:
+    if args.trace_out:
+        records = ctx.tracer.finished()
+        if Path(args.trace_out).suffix == ".jsonl":
+            n = obs.write_trace_jsonl(records, args.trace_out)
+        else:
+            n = obs.write_chrome_trace(records, args.trace_out,
+                                       trace_id=ctx.run_id or "autosens")
+        print(f"trace: {n} spans written to {args.trace_out}", file=sys.stderr)
+    if args.metrics_out:
+        if Path(args.metrics_out).suffix == ".json":
+            obs.write_metrics_json(ctx.metrics, args.metrics_out)
+        else:
+            obs.write_metrics_prometheus(ctx.metrics, args.metrics_out)
+        print(f"metrics: {len(ctx.metrics)} instruments written to "
+              f"{args.metrics_out}", file=sys.stderr)
+    manifest = ctx.manifest
+    if manifest is None:
+        logs = getattr(args, "logs", None)
+        manifest = obs.run_manifest(
+            args.command, getattr(args, "seed", None), ctx.run_id,
+            inputs=[logs] if logs and Path(logs).is_file() else ())
+        if args.manifest_out:
+            obs.write_manifest(manifest, args.manifest_out)
+            print(f"manifest written to {args.manifest_out}", file=sys.stderr)
+    report = obs.HealthReport(manifest["health"]["findings"])
+    if args.health_out:
+        obs.write_health_report(report, args.health_out)
+        print(f"health: verdict {report.verdict} ({len(report.findings)} "
+              f"findings) written to {args.health_out}", file=sys.stderr)
+    if args.profile_out:
+        payload = obs.build_profile(
+            obs.profiler(), records=ctx.tracer.finished(),
+            run_id=ctx.run_id or "autosens")
+        obs.write_profile(payload, args.profile_out)
+        print(f"profile: {len(payload['spans'])} spans written to "
+              f"{args.profile_out}", file=sys.stderr)
+    if not args.runs_dir:
         return
     from repro.obs.registry import RunRegistry
 
-    registry = RunRegistry(runs_dir)
+    registry = RunRegistry(args.runs_dir)
     run_dir = registry.new_run_dir(ctx.run_id or args.command)
-    report = obs.build_health_report()
-    manifest = obs.build_manifest(
-        experiment_id=args.command,
-        seed=(getattr(args, "seed", None)
-              if getattr(args, "seed", None) is not None else -1),
-        config_fingerprint=ctx.run_id,
-        degradations=ctx.degradations,
-        metrics=ctx.metrics.snapshot(),
-        deterministic=ctx.deterministic,
-        extra={
-            "health": report.to_dict(),
-            "span_timings": obs.aggregate_span_timings(
-                ctx.tracer.finished()),
-            "exit_status": status,
-        },
-    )
-    obs.write_manifest(manifest, run_dir / "manifest.json")
+    obs.write_manifest({**manifest, "exit_status": status},
+                       run_dir / "manifest.json")
     obs.write_metrics_prometheus(ctx.metrics, run_dir / "metrics.prom")
     if server is not None:
         (run_dir / "progress.json").write_text(
@@ -831,9 +791,9 @@ def _resolve_doctor_source(run: Path):
         return load_health_report(payload), None
     if "health" not in payload:
         raise SchemaError(
-            f"{run} carries no health report; rerun the experiment with an "
-            "observability flag (e.g. --manifest-out) so probes run, or "
-            "pass a --health-out artifact")
+            f"{run} carries no health report, so no autosens command wrote "
+            "it (every manifest they write has one); pass a --health-out "
+            "artifact or a manifest from --manifest-out/--runs-dir")
     return load_health_report(payload["health"]), payload
 
 
@@ -1204,8 +1164,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             import repro.obs as obs
 
             try:
-                _finalize_obs_services(args, services, status)
-                _export_obs(args)
+                _finish_obs(args, services, status)
             finally:
                 obs.disable()
 

@@ -13,9 +13,10 @@ good wherever actions are dense relative to the latency level's correlation
 time. The draw's expectation has a closed form: each sample is selected
 with probability equal to its Voronoi cell length over the window. One
 kernel, :func:`_voronoi_tensor`, computes that limit exactly for every
-path: :func:`unbiased_histogram` calls it with one row and no cuts, and
+path: :func:`unbiased_histogram` calls it with one row and no cuts,
 :func:`repro.core.alpha.slotted_counts` with its slot boundaries as cuts
-and one row per slot. :func:`draw_unbiased_samples` is the paper's draw
+and one row per slot, and Figure 3 with each day's business-hours edges as
+cuts (:func:`repro.analysis.fig_methodology.business_hours_unbiased`). :func:`draw_unbiased_samples` is the paper's draw
 itself, kept as the plain reference for Figure 3(a) and the convergence
 tests.
 """

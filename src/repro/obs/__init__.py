@@ -48,6 +48,7 @@ from repro.obs.manifest import (
     file_digest,
     load_manifest,
     manifest_rows,
+    run_manifest,
     write_manifest,
 )
 from repro.obs.metrics import (
@@ -127,6 +128,7 @@ __all__ = [
     "write_diff",
     "aggregate_span_timings",
     "build_manifest",
+    "run_manifest",
     "write_manifest",
     "load_manifest",
     "manifest_rows",

@@ -37,13 +37,15 @@ class ObsContext:
     ``findings`` accumulates estimator-health probe results
     (:mod:`repro.obs.probes`) for the health report. ``progress`` is the
     :class:`~repro.obs.progress.ProgressTracker` a live server installed,
-    or ``None`` when nothing serves ``/progress``.
+    or ``None`` when nothing serves ``/progress``. ``manifest`` is the last
+    run manifest :func:`repro.obs.manifest.run_manifest` built, which every
+    copy of that run's record is written from.
     """
 
     __slots__ = (
         "enabled", "level_no", "log_json", "log_stream",
         "tracer", "metrics", "deterministic", "run_id", "degradations",
-        "findings", "progress",
+        "findings", "progress", "manifest",
     )
 
     def __init__(
@@ -74,6 +76,7 @@ class ObsContext:
         self.degradations: List[Dict[str, Any]] = []
         self.findings: List[Dict[str, Any]] = []
         self.progress: Optional[Any] = None
+        self.manifest: Optional[Dict[str, Any]] = None
 
 
 #: The do-nothing context active unless :func:`repro.obs.configure` ran.

@@ -20,15 +20,18 @@ import json
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SchemaError
 from repro.obs import _schema
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
+    "run_manifest",
     "write_manifest",
     "load_manifest",
     "load_summary",
@@ -52,10 +55,7 @@ def file_digest(path: Union[str, Path], chunk_size: int = 1 << 20) -> str:
     """sha256 hex digest of a file's bytes, streamed."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(chunk_size)
-            if not chunk:
-                break
+        for chunk in iter(lambda: fh.read(chunk_size), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -92,9 +92,9 @@ def build_manifest(
     """Assemble a manifest dict (pure; writing is separate).
 
     ``run_id`` is derived from ``(experiment_id, seed, config)`` so the same
-    logical run always carries the same identity — it doubles as the
-    trace id that seeds deterministic span ids. ``ingest`` takes the
-    ``IngestReport`` summary dict; ``metrics`` a registry snapshot.
+    logical run always carries the same identity. It is not the trace id,
+    which the CLI sets to ``<command>:<seed>``. ``ingest`` takes the totals
+    :func:`run_manifest` derives; ``metrics`` a registry snapshot.
     """
     config_hash = _fingerprint_config(config_fingerprint)
     run_id = hashlib.sha256(
@@ -118,12 +118,65 @@ def build_manifest(
         "metrics": dict(metrics) if metrics else {},
     }
     if not deterministic:
-        import time
-
         manifest["created_at"] = time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     if extra:
         manifest.update(extra)
+    return manifest
+
+
+def _ingest_totals(metrics: MetricsRegistry) -> Dict[str, Any]:
+    """Rows seen and rejected, from the counters every read flushes once.
+
+    ``n_rows`` counts rows seen (``n_good + n_bad``), unlike
+    ``IngestReport.n_rows``, which counts rows accepted.
+    """
+    rows = metrics.series("autosens_ingest_rows_total")
+    if not rows:
+        return {}
+    n_rows = int(sum(rows.values()))
+    n_good = int(sum(v for key, v in rows.items() if ("outcome", "read") in key))
+    totals: Dict[str, Any] = {
+        "mode": ",".join(sorted({dict(key)["mode"] for key in rows})),
+        "n_rows": n_rows, "n_good": n_good, "n_bad": n_rows - n_good}
+    reasons: Dict[str, int] = {}
+    for key, count in metrics.series("autosens_ingest_rejects_total").items():
+        reason = dict(key)["reason"]
+        reasons[reason] = reasons.get(reason, 0) + int(count)
+    if reasons:
+        totals["reasons"] = dict(sorted(reasons.items()))
+    return totals
+
+
+def run_manifest(experiment_id: str, seed: Optional[int],
+                 config_fingerprint: Any,
+                 inputs: Iterable[Union[str, Path]] = (),
+                 extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    """The active run's manifest, built from the observability context.
+
+    The context supplies what it accumulated: degradations, the metrics
+    snapshot, the one health report, span timings and ingest totals. The
+    caller names the run and adds what the context cannot know
+    (``extra``: supervision, ``outcome_cached``, ...). The manifest is kept
+    on the context, so every copy a CLI invocation writes is this one.
+    """
+    from repro.obs import _runtime
+    from repro.obs.health import build_health_report
+    from repro.obs.trace import aggregate_span_timings
+
+    ctx = _runtime.current()
+    manifest = build_manifest(
+        experiment_id, seed if seed is not None else -1, config_fingerprint,
+        inputs=inputs, degradations=ctx.degradations,
+        ingest=_ingest_totals(ctx.metrics),
+        metrics=ctx.metrics.snapshot() if ctx.enabled else {},
+        deterministic=ctx.deterministic,
+        extra={"health": build_health_report().to_dict(), **(extra or {})})
+    span_timings = aggregate_span_timings(ctx.tracer.finished())
+    if span_timings:
+        manifest["span_timings"] = span_timings
+    if ctx.enabled:
+        ctx.manifest = manifest
     return manifest
 
 

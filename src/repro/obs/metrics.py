@@ -140,6 +140,12 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(name, "gauge", lambda: Gauge(name, help))
 
+    def series(self, name: str) -> Dict[LabelKey, float]:
+        """``name``'s values by label tuple; empty, and nothing registered,
+        when no instrument of that name exists."""
+        metric = self._metrics.get(name)
+        return dict(metric.series) if metric is not None else {}
+
     # -- convenience write paths (used by repro.obs facade) -------------------
 
     def inc(self, name: str, amount: float = 1.0, help: str = "",

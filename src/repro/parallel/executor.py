@@ -202,6 +202,19 @@ def _merge_bundle(bundle: tuple, parent_id: Optional[str], tid: int) -> None:
     ctx.findings.extend(findings)
 
 
+def _drop_pool(pool) -> None:
+    """Shut ``pool`` down without waiting, and end its workers.
+
+    A worker stuck in a dropped chunk would otherwise keep running, and the
+    interpreter waits for it at exit. Python 3.11 has no public way to kill
+    a pool's workers, so this reads the pool's process table.
+    """
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        worker.terminate()
+
+
 class ProcessExecutor:
     """Fan tasks out over worker processes, preserving input order.
 
@@ -323,10 +336,13 @@ class ProcessExecutor:
                                               retry=self.retry))
         except BaseException:
             # Chunks may still be queued or running: drop them, don't wait.
-            pool.shutdown(wait=False, cancel_futures=True)
+            _drop_pool(pool)
             raise
-        # After a timeout a worker may still be running; don't block on it.
-        pool.shutdown(wait=not recovered, cancel_futures=recovered)
+        if recovered:
+            # After a timeout a worker may still be running; don't block on it.
+            _drop_pool(pool)
+        else:
+            pool.shutdown(wait=True)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,7 +5,11 @@ import pytest
 
 from repro.analysis import EXPERIMENTS, SMALL, Scale, run_experiment
 from repro.analysis.base import ExperimentOutcome, nlp_rows
+from repro.analysis.fig_methodology import business_hours_unbiased
+from repro.core.unbiased import UNBIASED_MASS_PER_ACTION, unbiased_histogram
 from repro.errors import ConfigError
+from repro.stats.histogram import latency_bins
+from repro.telemetry import LogStore
 
 #: Slightly bigger than SMALL so qualitative checks are stable under seeds.
 TEST_SCALE = Scale(duration_days=4.0, n_users=250, candidates_per_user_day=100.0)
@@ -81,6 +85,26 @@ class TestFig3:
         outcome = run_experiment("fig3", seed=11, scale=TEST_SCALE)
         assert outcome.passed, outcome.render(include_plots=False)
         assert {"fig3a", "fig3b", "fig3c"} <= set(outcome.series)
+
+
+    def test_passes_at_small_scale_seed_7(self):
+        outcome = run_experiment("fig3", seed=7, scale="small")
+        assert outcome.passed, outcome.render(include_plots=False)
+
+    def test_overnight_gaps_carry_no_unbiased_mass(self):
+        """Two days of one action a minute in business hours, each on its own
+        latency bin: U stays near-uniform over the actions, where one
+        [first, last] window hands each overnight gap to two of them."""
+        day = 10 * 3600.0 + 60.0 * np.arange(360)
+        times = np.concatenate([day, day + 86400.0])
+        logs = LogStore.from_arrays(times, 10.0 * np.arange(times.size) + 5.0,
+                                    ["SelectMail"] * times.size)
+        bins = latency_bins(10.0 * times.size, 10.0)
+        u = business_hours_unbiased(logs, bins).counts
+        assert u.sum() == pytest.approx(UNBIASED_MASS_PER_ACTION * times.size)
+        assert u.max() / u.sum() < 0.01
+        uncut = unbiased_histogram(logs, bins).counts
+        assert uncut.max() / uncut.sum() > 0.1
 
 
 class TestBottleneck:

@@ -34,7 +34,6 @@ from repro.telemetry import LogStore
 from tests.core.legacy_reference import (
     _legacy_alpha_from_counts,
     _legacy_corrected_histograms,
-    _legacy_corrected_histograms as corrected_histograms,
     _legacy_period_slots,
     _legacy_slotted_counts,
 )
@@ -266,20 +265,13 @@ class TestAlphaArithmetic:
 
 class TestCorrectedHistograms:
     def test_contraction_matches_per_sample_rescan(self, owa_logs):
-        """B from the tensor contraction == B from rescanning every action."""
+        """B and U from the tensor contraction == the kept per-sample
+        reference, which rescans every action."""
         counts, alpha = _counts_and_alpha(owa_logs)
         b_new, u_new = corrected_histograms_from_counts(counts, alpha)
         b_old, u_old = _legacy_corrected_histograms(owa_logs, BINS, alpha)
         np.testing.assert_allclose(b_new.counts, b_old.counts, rtol=1e-9, atol=1e-9)
         assert np.array_equal(u_new.counts, u_old.counts)
-
-    def test_contraction_matches_kept_reference_impl(self, owa_logs):
-        """The in-tree per-sample reference stayed equivalent too."""
-        counts, alpha = _counts_and_alpha(owa_logs)
-        b_new, u_new = corrected_histograms_from_counts(counts, alpha)
-        b_ref, u_ref = corrected_histograms(owa_logs, BINS, alpha)
-        np.testing.assert_allclose(b_new.counts, b_ref.counts, rtol=1e-9, atol=1e-9)
-        assert np.array_equal(u_new.counts, u_ref.counts)
 
     def test_every_reference_slot_agrees(self, owa_logs):
         counts, _ = _counts_and_alpha(owa_logs)

@@ -7,9 +7,14 @@ value. That is exactly the recovery contract: pure tasks give bit-identical
 results no matter which process finally ran them.
 """
 
+import contextlib
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +87,31 @@ class TestProcessExecutorCrashRecovery:
             _serial(items)
         # The hung workers must not be waited for on shutdown.
         assert time.monotonic() - start < 25.0
+
+    def test_timed_out_worker_does_not_hold_the_interpreter(self):
+        """A map whose chunks time out returns, and the process then exits
+        without waiting for the still-sleeping workers."""
+        root = Path(__file__).resolve().parents[2]
+        script = (
+            "from repro.parallel import ProcessExecutor, RetryPolicy\n"
+            "from tests.parallel.test_resilient import _square_slow_in_worker\n"
+            "executor = ProcessExecutor(max_workers=2, chunk_size=1,\n"
+            "                           retry=RetryPolicy(timeout_s=0.5))\n"
+            "assert executor.map_ordered(_square_slow_in_worker, [1, 2]) == [1, 4]\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        start = time.monotonic()
+        proc = subprocess.Popen([sys.executable, "-c", script], cwd=root,
+                                env=env, start_new_session=True)
+        try:
+            assert proc.wait(timeout=10.0) == 0
+        finally:
+            # On failure the sleeping workers outlive the map: end them too.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert time.monotonic() - start < 3.0
 
     def test_data_errors_propagate_unchanged(self):
         def sparse(_):
