@@ -87,12 +87,11 @@ def run_experiment(
 
     ``supervisor`` (a :class:`~repro.runtime.supervisor.Supervisor`) puts
     the whole run under supervision by entering its scope: its deadline
-    becomes ambient for every cooperative checkpoint, its watchdog
-    supervises process-backend workers, its circuit breaker guards the
-    process backend's lost-chunk recovery, and its memory governor bounds
-    sweep working sets. Everything supervision sheds, trips, kills or
-    spills lands in the run manifest under ``extra.supervision`` plus the
-    regular degradations list.
+    becomes ambient for every cooperative checkpoint, its circuit breaker
+    guards the process backend's lost-chunk recovery, and its memory
+    governor admits and bounds sweep working sets. Everything supervision
+    sheds or trips lands in the run manifest under ``supervision`` plus
+    the regular degradations list.
 
     The run is wrapped in one root span per experiment. With observability
     on, the run's manifest (seed, scale fingerprint, versions,
@@ -109,8 +108,10 @@ def run_experiment(
     driver = EXPERIMENTS[experiment_id]
 
     # A run that raises must not leave an earlier run's manifest behind
-    # for the CLI to record as its own.
+    # for the CLI to record as its own, and its manifest records only what
+    # happened since it began.
     obs.current().manifest = None
+    since = obs.run_mark()
     with obs.span("experiment", key=f"experiment:{experiment_id}:{seed}",
                   experiment=experiment_id, seed=seed) as root:
         journal: Optional[CheckpointJournal] = None
@@ -151,7 +152,8 @@ def run_experiment(
         fingerprint = (("experiment", experiment_id), ("seed", seed),
                        ("duration_days", scale.duration_days), ("n_users", scale.n_users),
                        ("candidates_per_user_day", scale.candidates_per_user_day))
-        manifest = obs.run_manifest(experiment_id, seed, fingerprint, extra=extra)
+        manifest = obs.run_manifest(experiment_id, seed, fingerprint,
+                                    extra=extra, since=since)
         outcome.health = manifest["health"]
         if manifest_out is not None:
             obs.write_manifest(manifest, manifest_out)

@@ -265,9 +265,9 @@ def _runtime_parent() -> argparse.ArgumentParser:
              "and other stages stop with exit code 8")
     group.add_argument(
         "--memory-budget-mb", type=float, default=None,
-        help="memory budget for sweep working sets; completed slices past "
-             "the budget spill to disk, and a single slice that cannot fit "
-             "at all stops with exit code 10")
+        help="memory budget for sweep working sets; a sweep runs as many "
+             "slices at once as the budget holds, and a single slice that "
+             "cannot fit at all stops with exit code 10")
     group.add_argument(
         "--breaker", action="store_true",
         help="guard ingestion and the process backend's lost-chunk "

@@ -33,7 +33,7 @@ import numpy as np
 import repro.obs as obs
 from repro.core.unbiased import _voronoi_tensor, _window
 from repro.errors import ConfigError, EmptyDataError, InsufficientDataError
-from repro.runtime.deadline import check_deadline
+from repro.runtime.supervisor import check_deadline
 from repro.stats.histogram import Histogram1D, HistogramBins
 from repro.telemetry.log_store import LogStore
 from repro.telemetry import timeutil

@@ -27,9 +27,8 @@ from repro.errors import (
     InsufficientDataError,
 )
 from repro.parallel import SerialExecutor, resolve_executor
-from repro.runtime.deadline import check_deadline
-from repro.runtime.memory import estimate_counts_bytes, estimate_nbytes
-from repro.runtime.supervisor import active_supervisor
+from repro.runtime.memory import estimate_counts_bytes
+from repro.runtime.supervisor import active_supervisor, check_deadline
 from repro.stats.histogram import HistogramBins, latency_bins
 from repro.stats.rng import RngFactory
 from repro.core.alpha import (
@@ -553,10 +552,8 @@ class AutoSens:
         yet run (a single task inline, a whole wave on a pool), recording a
         ``deadline_exceeded`` degradation per task, or raises
         :class:`DeadlineExceededError` under ``on_over_budget="raise"``.
-        Completed results are held by the governor, which spills the
-        least-recently-finished ones to disk past its soft limit; spilled
-        results reload bit-identically before the sweep returns. Without a
-        supervisor nothing is shed and a deadline error propagates.
+        Without a supervisor nothing is shed and a deadline error
+        propagates.
         """
         supervisor = active_supervisor()
         if supervisor is not None and not supervisor.enabled:
@@ -621,24 +618,9 @@ class AutoSens:
                         # whole — partial pool results are not recoverable
                         # without exceeding the budget further.
                         done = [shed(start + j) for j in range(len(wave))]
-                for idx, (value, notes) in enumerate(done, start):
+                for value, notes in done:
                     self.degradations.extend(notes)
-                    if governor is not None and isinstance(
-                        value, PreferenceResult
-                    ):
-                        governor.hold(
-                            ("sweep", idx), value, nbytes=estimate_nbytes(value)
-                        )
                     results.append(value)
-            if governor is not None:
-                # Reload anything the governor spilled (pickled NumPy arrays
-                # round-trip bit-identically) and release the sweep's keys so
-                # consecutive sweeps never accumulate accounting state.
-                for idx in range(len(results)):
-                    hit, value = governor.fetch(("sweep", idx))
-                    if hit:
-                        results[idx] = value
-                    governor.release(("sweep", idx))
         out: List[Optional[PreferenceResult]] = []
         for result in results:
             if isinstance(result, _StarvedSlice):

@@ -21,7 +21,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.errors import ConfigError, InsufficientDataError
-from repro.runtime.deadline import check_deadline
+from repro.runtime.supervisor import check_deadline
 from repro.stats.histogram import Histogram1D
 from repro.stats.savgol import SavitzkyGolay
 from repro.core.result import PreferenceResult

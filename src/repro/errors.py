@@ -163,7 +163,7 @@ class MemoryBudgetError(ReproError):
     """The memory governor cannot admit an allocation within its budget.
 
     Raised when a single working set is estimated to exceed the hard
-    memory budget — spilling cannot help, the tensor simply does not fit.
+    memory budget — the tensor simply does not fit.
     """
 
     def __init__(self, message: str, requested_bytes: Optional[int] = None,

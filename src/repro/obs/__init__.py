@@ -49,6 +49,7 @@ from repro.obs.manifest import (
     load_manifest,
     manifest_rows,
     run_manifest,
+    run_mark,
     write_manifest,
 )
 from repro.obs.metrics import (
@@ -129,6 +130,7 @@ __all__ = [
     "aggregate_span_timings",
     "build_manifest",
     "run_manifest",
+    "run_mark",
     "write_manifest",
     "load_manifest",
     "manifest_rows",

@@ -70,7 +70,7 @@ _VERDICT_RANK = {"ok": 0, "warn": 1, "fail": 2}
 _HIGHER_BETTER = ("hit",)
 _LOWER_BETTER = (
     "miss", "evict", "degrad", "bad", "skip", "reject", "error", "crash",
-    "retr", "trip", "kill", "spill",
+    "retr", "trip", "kill",
 )
 
 

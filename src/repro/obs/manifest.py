@@ -31,6 +31,7 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
+    "run_mark",
     "run_manifest",
     "write_manifest",
     "load_manifest",
@@ -148,31 +149,49 @@ def _ingest_totals(metrics: MetricsRegistry) -> Dict[str, Any]:
     return totals
 
 
+def run_mark() -> Tuple[int, int, int]:
+    """Where a run starts in the active observability context: how many
+    degradations, findings and finished spans it already holds. Pass it to
+    :func:`run_manifest` as ``since`` to record only what the run added."""
+    from repro.obs import _runtime
+
+    ctx = _runtime.current()
+    return (len(ctx.degradations), len(ctx.findings),
+            len(ctx.tracer.finished()))
+
+
 def run_manifest(experiment_id: str, seed: Optional[int],
                  config_fingerprint: Any,
                  inputs: Iterable[Union[str, Path]] = (),
-                 extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+                 extra: Optional[Dict[str, Any]] = None,
+                 since: Tuple[int, int, int] = (0, 0, 0)) -> Dict[str, Any]:
     """The active run's manifest, built from the observability context.
 
     The context supplies what it accumulated: degradations, the metrics
-    snapshot, the one health report, span timings and ingest totals. The
-    caller names the run and adds what the context cannot know
-    (``extra``: supervision, ``outcome_cached``, ...). The manifest is kept
-    on the context, so every copy a CLI invocation writes is this one.
+    snapshot, the one health report, span timings and ingest totals. With
+    ``since`` (a :func:`run_mark`) the degradations, health findings and
+    span timings are only those recorded after the mark; the metrics stay
+    the context's totals. The caller names the run and adds what the
+    context cannot know (``extra``: supervision, ``outcome_cached``, ...).
+    The manifest is kept on the context, so every copy a CLI invocation
+    writes is this one.
     """
     from repro.obs import _runtime
     from repro.obs.health import build_health_report
     from repro.obs.trace import aggregate_span_timings
 
     ctx = _runtime.current()
+    n_degradations, n_findings, n_spans = since
+    degradations = ctx.degradations[n_degradations:]
+    health = build_health_report(ctx.findings[n_findings:], degradations)
     manifest = build_manifest(
         experiment_id, seed if seed is not None else -1, config_fingerprint,
-        inputs=inputs, degradations=ctx.degradations,
+        inputs=inputs, degradations=degradations,
         ingest=_ingest_totals(ctx.metrics),
         metrics=ctx.metrics.snapshot() if ctx.enabled else {},
         deterministic=ctx.deterministic,
-        extra={"health": build_health_report().to_dict(), **(extra or {})})
-    span_timings = aggregate_span_timings(ctx.tracer.finished())
+        extra={"health": health.to_dict(), **(extra or {})})
+    span_timings = aggregate_span_timings(ctx.tracer.finished()[n_spans:])
     if span_timings:
         manifest["span_timings"] = span_timings
     if ctx.enabled:
@@ -244,7 +263,7 @@ def manifest_rows(manifest: Dict[str, Any]) -> List[Tuple[str, Any]]:
     for path, digest in sorted(manifest.get("inputs", {}).items()):
         rows.append((f"input[{path}]", digest[:12]))
     ingest = manifest.get("ingest") or {}
-    for key in ("n_rows", "n_good", "n_bad", "quarantine_path"):
+    for key in ("mode", "n_rows", "n_good", "n_bad"):
         if key in ingest:
             rows.append((f"ingest {key}", ingest[key]))
     for reason, count in sorted((ingest.get("reasons") or {}).items()):
@@ -266,9 +285,7 @@ def manifest_rows(manifest: Dict[str, Any]) -> List[Tuple[str, Any]]:
             rows.append((f"  health[{stage}]", verdict))
     supervisor_gauges = (
         "autosens_breaker_state",
-        "autosens_memory_governor_bytes",
         "autosens_deadline_remaining_s",
-        "autosens_watchdog_requeues",
     )
     for name in supervisor_gauges:
         metric = (manifest.get("metrics") or {}).get(name)

@@ -15,8 +15,7 @@ The fault-tolerant layer keeps that invariant under partial failure.
 re-executing a lost chunk in-process through the same task loop, under a
 :class:`RetryPolicy` (exponential backoff, per-task timeouts); that is the
 only recovery loop, and the ambient
-:class:`~repro.runtime.supervisor.Supervisor`'s breaker and watchdog plug
-into it. :class:`CheckpointJournal` makes interrupted sweeps resumable,
+:class:`~repro.runtime.supervisor.Supervisor`'s breaker plugs into it. :class:`CheckpointJournal` makes interrupted sweeps resumable,
 and :class:`JournaledExecutor` puts one in front of any backend.
 """
 

@@ -30,10 +30,10 @@ The process backend is additionally *crash-tolerant*: a chunk whose worker
 dies (``BrokenProcessPool``) or exceeds the retry policy's per-task timeout
 is re-executed by the same loop in-process, with retries — pure per-task
 seeding makes the recovered results bit-identical to an undisturbed run.
-This is the only recovery loop; the ambient
-:class:`~repro.runtime.supervisor.Supervisor` lends it its circuit breaker
-and its watchdog. Task-raised exceptions (data errors) still propagate
-unchanged.
+This is the only recovery loop, and a hung worker reaches it the same way
+as a slow one: through the chunk timeout. The ambient
+:class:`~repro.runtime.supervisor.Supervisor` lends it its circuit breaker.
+Task-raised exceptions (data errors) still propagate unchanged.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Protocol,
 import repro.obs as obs
 from repro.errors import ConfigError
 from repro.parallel.retry import RetryPolicy, call_with_retry
-from repro.runtime.deadline import active_deadline, check_deadline
-from repro.runtime.supervisor import active_supervisor
+from repro.runtime.supervisor import active_supervisor, check_deadline
 
 __all__ = [
     "Executor",
@@ -226,19 +225,15 @@ class ProcessExecutor:
     ``retry`` (a :class:`~repro.parallel.retry.RetryPolicy`) bounds each
     chunk's wall-clock via ``timeout_s`` and governs the serial re-execution
     of chunks lost to worker crashes or timeouts. The default policy
-    recovers crashes but applies no timeout.
+    recovers crashes but applies no timeout. A worker that hangs without
+    dying is caught by that timeout: its chunk is recomputed in-process
+    (bit-identically) and the pool is dropped with its workers ended.
 
     Supervision is ambient. Inside a
-    :class:`~repro.runtime.supervisor.Supervisor` scope with a watchdog,
-    every task is wrapped in a heartbeat shim and a worker whose heartbeat
-    stalls is killed — breaking the pool, which lands the lost chunks on
-    the same in-process recovery loop as a crash, so the requeued results
-    stay bit-identical. The supervisor's breaker guards that loop (see
-    :func:`_run_tasks`).
-
-    An ambient :class:`~repro.runtime.deadline.Deadline` (see
-    :func:`repro.runtime.deadline.deadline_scope`) additionally bounds
-    every blocking wait on a chunk: an over-budget map raises
+    :class:`~repro.runtime.supervisor.Supervisor` scope, the supervisor's
+    breaker guards the recovery loop (see :func:`_run_tasks`) and its
+    deadline additionally bounds every blocking wait on a chunk: an
+    over-budget map raises
     :class:`~repro.errors.DeadlineExceededError` at the next chunk
     boundary, or as soon as the budget ends a wait, and drops the pool
     with its queued chunks instead of waiting out a stuck pool.
@@ -290,13 +285,8 @@ class ProcessExecutor:
             bases.append(base)
             base += len(chunk)
         timeout = self.retry.timeout_s
-        deadline = active_deadline()
         supervisor = active_supervisor()
-        work_fn = fn
-        if supervisor is not None and supervisor.watchdog is not None:
-            # Heartbeat shim: the supervisor's watchdog thread kills a
-            # live-but-stuck worker, breaking the pool onto the recovery loop.
-            work_fn = supervisor.watchdog.wrap(fn)
+        deadline = supervisor.deadline if supervisor is not None else None
         out: List[Any] = []
         recovered = False
         chunk_span = obs.span("pool_map", n_items=len(items),
@@ -305,7 +295,7 @@ class ProcessExecutor:
         pool = ProcessPoolExecutor(max_workers=min(self.max_workers, len(chunks)))
         try:
             with chunk_span:
-                futures = [pool.submit(_apply_chunk, (work_fn, chunk, b, spec))
+                futures = [pool.submit(_apply_chunk, (fn, chunk, b, spec))
                            for chunk, b in zip(chunks, bases)]
                 for future, chunk, b in zip(futures, chunks, bases):  # input order
                     if deadline is not None:

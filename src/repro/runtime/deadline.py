@@ -10,10 +10,11 @@ pipeline checks between units of work and stops cleanly — either raising
 remaining work as recorded ``deadline_exceeded`` degradations (under a
 :class:`~repro.core.pipeline.DegradePolicy`).
 
-The active deadline is ambient, like the observability context: installing
-one with :func:`deadline_scope` makes every :func:`check_deadline` call in
-the process observe it without threading a parameter through dozens of
-signatures. With no deadline installed a checkpoint costs one list lookup.
+The active deadline is the entered
+:class:`~repro.runtime.supervisor.Supervisor`'s: inside its scope every
+:func:`~repro.runtime.supervisor.check_deadline` call in the process
+observes it without threading a parameter through dozens of signatures.
+With no supervisor entered a checkpoint costs one list lookup.
 
 The clock is injectable so tests can drive expiry without sleeping.
 """
@@ -21,17 +22,11 @@ The clock is injectable so tests can drive expiry without sleeping.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Optional
 
 from repro.errors import ConfigError, DeadlineExceededError
 
-__all__ = [
-    "Deadline",
-    "deadline_scope",
-    "active_deadline",
-    "check_deadline",
-]
+__all__ = ["Deadline"]
 
 
 class Deadline:
@@ -94,39 +89,3 @@ class Deadline:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Deadline(budget_s={self.budget_s}, "
                 f"remaining={self.remaining():.3g}s)")
-
-
-#: Stack of installed deadlines; the innermost one governs checkpoints.
-_ACTIVE: List[Deadline] = []
-
-
-def active_deadline() -> Optional[Deadline]:
-    """The innermost installed deadline, or ``None`` outside any scope."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def deadline_scope(deadline: Optional[Deadline]) -> Iterator[Optional[Deadline]]:
-    """Install ``deadline`` as the ambient deadline for a block.
-
-    ``None`` is accepted and installs nothing, so call sites can write
-    ``with deadline_scope(maybe_deadline):`` unconditionally.
-    """
-    if deadline is None:
-        yield None
-        return
-    _ACTIVE.append(deadline)
-    try:
-        yield deadline
-    finally:
-        _ACTIVE.pop()
-
-
-def check_deadline(where: str = "") -> None:
-    """Cooperative cancellation checkpoint against the ambient deadline.
-
-    A no-op (one list lookup) when no deadline is installed — safe to call
-    from hot loops on unsupervised runs.
-    """
-    if _ACTIVE:
-        _ACTIVE[-1].check(where)

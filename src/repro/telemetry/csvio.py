@@ -26,7 +26,7 @@ from repro.telemetry.ingest import (
     ingest_batch,
     validate_record,
 )
-from repro.telemetry.jsonl import _column_batches, _resolve_policy
+from repro.telemetry.jsonl import _column_batches
 from repro.telemetry.log_store import ColumnBuilder, Columns, LogStore
 from repro.telemetry.record import ActionRecord
 
@@ -131,7 +131,6 @@ def _row_record(lineno: int, fieldnames: List[str], cells: List[str],
 
 def iter_csv(
     path: PathLike,
-    strict: bool = True,
     policy: PolicyLike = None,
     collector: Optional[IngestCollector] = None,
 ) -> Iterator[ActionRecord]:
@@ -144,7 +143,7 @@ def iter_csv(
     path = Path(path)
     own_collector = collector is None
     if collector is None:
-        collector = IngestCollector(_resolve_policy(strict, policy), source=path)
+        collector = IngestCollector(IngestPolicy.of(policy), source=path)
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
         fieldnames = _header(reader, path)
@@ -212,7 +211,6 @@ def _csv_columns(batch: List[Row], fieldnames: List[str]) -> Tuple[Columns, np.n
 
 def read_csv(
     path: PathLike,
-    strict: bool = True,
     policy: PolicyLike = None,
 ) -> LogStore:
     """Read a whole CSV file into a :class:`LogStore`.
@@ -230,7 +228,7 @@ def read_csv(
     :class:`~repro.errors.ConfigError` when the file does not exist.
     """
     path = Path(path)
-    collector = IngestCollector(_resolve_policy(strict, policy), source=path)
+    collector = IngestCollector(IngestPolicy.of(policy), source=path)
     builder = ColumnBuilder()
     fallback = 0
     with obs.span("ingest", format="csv") as span, _open_csv(path) as fh:

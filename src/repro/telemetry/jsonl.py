@@ -145,13 +145,6 @@ def write_jsonl(records: Union[LogStore, Iterable[ActionRecord]],
     return count
 
 
-def _resolve_policy(strict: bool, policy: PolicyLike) -> IngestPolicy:
-    """The legacy ``strict`` flag maps onto the policy modes."""
-    if policy is not None:
-        return IngestPolicy.of(policy)
-    return IngestPolicy(mode="strict" if strict else "lenient", max_bad_share=1.0)
-
-
 def _lines(fh) -> Iterator[Tuple[int, str]]:
     """Non-blank lines, stripped, with their 1-based line numbers."""
     for lineno, line in enumerate(fh, start=1):
@@ -183,22 +176,20 @@ def _row_record(lineno: int, line: str,
 
 def iter_jsonl(
     path: PathLike,
-    strict: bool = True,
     policy: PolicyLike = None,
     collector: Optional[IngestCollector] = None,
 ) -> Iterator[ActionRecord]:
     """Stream records from a JSONL file, one line at a time.
 
     ``policy`` (an :class:`~repro.telemetry.ingest.IngestPolicy` or mode
-    name) supersedes the legacy ``strict`` flag; ``strict=False`` alone is
-    equivalent to a lenient policy with an unlimited error budget. Pass a
+    name; strict by default) decides what a bad row does. Pass a
     ``collector`` to receive per-row accounting — or use :func:`read_jsonl`,
     which does so and attaches the report to the store.
     """
     path = Path(path)
     own_collector = collector is None
     if collector is None:
-        collector = IngestCollector(_resolve_policy(strict, policy), source=path)
+        collector = IngestCollector(IngestPolicy.of(policy), source=path)
     with _open_text(path, "r") as fh:
         for lineno, line in _lines(fh):
             record = _row_record(lineno, line, collector)
@@ -372,7 +363,6 @@ def _split(linenos: Sequence[int], texts: List[str], at: List[int]) -> list:
 
 def read_jsonl(
     path: PathLike,
-    strict: bool = True,
     policy: PolicyLike = None,
 ) -> LogStore:
     """Read a whole JSONL file into a :class:`LogStore`.
@@ -391,7 +381,7 @@ def read_jsonl(
     :class:`~repro.errors.ConfigError` when the file does not exist.
     """
     path = Path(path)
-    collector = IngestCollector(_resolve_policy(strict, policy), source=path)
+    collector = IngestCollector(IngestPolicy.of(policy), source=path)
     builder = ColumnBuilder()
     fallback = 0
     with obs.span("ingest", format="jsonl") as span, _open_text(path, "r") as fh:

@@ -1,13 +1,13 @@
 """Task-level fault injection: workers that hang or eat memory.
 
 The row-stream specs in :mod:`tests.faults.specs` corrupt *data*. The
-wrappers here corrupt *execution*, reproducing the two runtime failure
-modes PR 4's supervision layer exists for:
+wrappers here corrupt *execution*, reproducing two runtime failure modes
+the executor and the supervision layer exist for:
 
 - :class:`StalledTask` — the wrapped task sleeps instead of finishing on
   selected items: a live-but-stuck worker that crash recovery alone can
-  never see (the process stays healthy, the heartbeat stops). The
-  watchdog's job is to kill it.
+  never see (the process stays healthy, its chunk never returns). The
+  retry policy's chunk timeout catches it.
 - :class:`MemoryHog` — the wrapped task allocates a bounded ballast of
   memory (in chunks, up to ``ballast_mb``) while computing selected
   items, simulating a slice whose working set balloons. The result is
@@ -17,12 +17,12 @@ modes PR 4's supervision layer exists for:
 Both wrappers are picklable (they ship to process workers), select items
 through a picklable ``selector`` predicate so the injection is a pure
 function of the payload, and mirror the wrapped function's identity the
-way the checkpoint/heartbeat shims do, keeping span keys stable.
+way the checkpoint shim does, keeping span keys stable.
 
 :class:`StalledTask` only stalls inside a *worker* process by default
 (the spawning pid is recorded at construction): the serial recovery path
-in the parent then completes normally, which is exactly the requeue
-semantics the watchdog relies on.
+in the parent then completes normally, which is exactly the recovery
+semantics the chunk timeout relies on.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class StalledTask:
     """Wrap a task so selected items hang instead of completing.
 
     ``selector(item)`` decides which items stall; ``stall_s`` bounds the
-    sleep (a safety net — the watchdog should kill the worker long before
-    it elapses). With ``only_in_worker=True`` (the default) the stall
+    sleep (a safety net — the chunk timeout should give up on the worker
+    long before it elapses). With ``only_in_worker=True`` (the default) the stall
     happens only in a process other than the one that built the wrapper,
     so a serial re-execution of the same item in the parent succeeds.
     """

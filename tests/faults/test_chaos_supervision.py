@@ -1,10 +1,11 @@
-"""Chaos tests for the supervision layer (PR 4).
+"""Chaos tests for the supervision layer.
 
 The contract: a run with an injected stalled worker and an injected
 memory-hogged, memory-pressured sweep still *completes*, every slice that
-survives is byte-identical to a clean run's, and each intervention —
-watchdog kill, memory spill — is recorded as a degradation for the run
-manifest. Supervision degrades visibly; it never corrupts.
+survives is byte-identical to a clean run's, and each intervention is
+visible: the stalled chunk is counted as a timeout recovery, and the
+memory budget bounds the sweep's waves and refuses what cannot fit.
+Supervision degrades visibly; it never corrupts.
 """
 
 import numpy as np
@@ -12,14 +13,15 @@ import pytest
 
 import repro.obs as obs
 from repro.core import AutoSens, AutoSensConfig, DegradePolicy
+from repro.errors import MemoryBudgetError
 from tests.faults import MemoryHog, StalledTask
-from repro.parallel import ProcessExecutor, SerialExecutor
-from repro.runtime import MemoryGovernor, Supervisor, Watchdog
+from repro.parallel import ProcessExecutor, RetryPolicy, SerialExecutor
+from repro.runtime import MemoryGovernor, Supervisor, estimate_counts_bytes
 from repro.workload import owa_scenario
 
 
 def _kernel(seed):
-    """A deterministic per-item task, heavy enough to be worth killing."""
+    """A deterministic per-item task, heavy enough to be worth recovering."""
     return np.random.default_rng(int(seed)).normal(size=512)
 
 
@@ -41,51 +43,66 @@ def _clean_curves(logs):
     return engine.curves_by_period(logs)
 
 
+def _stalled_map(items):
+    """Map ``_kernel`` with item 3 hung in its pool worker; the chunk
+    timeout gives up on it and the parent recomputes it."""
+    # Item 3 hangs — but only inside a pool worker, so the serial
+    # recovery in the parent completes it.
+    stalled = StalledTask(_kernel, _is_item_three, stall_s=60.0)
+    executor = ProcessExecutor(max_workers=2, chunk_size=1,
+                               retry=RetryPolicy(timeout_s=1.0))
+    return executor.map_ordered(stalled, items)
+
+
+class _WaveRecorder:
+    """A serial executor that records the size of every map it runs."""
+
+    def __init__(self):
+        self.waves = []
+
+    def map_ordered(self, fn, items, chunk_size=None):
+        self.waves.append(len(items))
+        return SerialExecutor().map_ordered(fn, items)
+
+
 class TestStalledWorkerChaos:
-    def test_watchdog_kills_and_requeue_is_bit_identical(self, tmp_path):
+    def test_chunk_timeout_requeue_is_bit_identical(self):
         items = list(range(8))
         expected = [_kernel(i) for i in items]
 
-        # Item 3 hangs — but only inside a pool worker, so the serial
-        # requeue in the parent completes it.
-        stalled = StalledTask(_kernel, _is_item_three, stall_s=60.0)
-        watchdog = Watchdog(
-            tmp_path / "hb", stall_timeout_s=1.0, poll_interval_s=0.2,
-        )
-        supervisor = Supervisor(watchdog=watchdog, workdir=tmp_path)
-        executor = ProcessExecutor(max_workers=2, chunk_size=1)
         with obs.session(enabled=True) as ctx:
-            with supervisor.scope():
-                got = executor.map_ordered(stalled, items)
+            with Supervisor(deadline_s=600).scope():
+                got = _stalled_map(items)
 
-        # The run completed and every result — including the requeued
+        # The run completed and every result — including the recovered
         # stalled item — matches the clean computation bit for bit.
         assert len(got) == len(items)
         for result, clean in zip(got, expected):
             np.testing.assert_array_equal(result, clean)
-        # The intervention happened and was recorded, not silent.
-        assert watchdog.kills, "the stalled worker was never killed"
-        kinds = [d["kind"] for d in ctx.degradations]
-        assert "watchdog_kill" in kinds
+        # The intervention happened once and was counted, not silent.
+        recoveries = ctx.metrics.counter("autosens_executor_recoveries_total")
+        assert recoveries.value(reason="timeout") == 1.0
+        assert recoveries.value(reason="crash") == 0.0
 
 
 class TestMemoryChaos:
-    def test_pressured_sweep_spills_and_stays_identical(self, chaos_logs,
-                                                        tmp_path):
+    def test_pressured_sweep_bounds_waves_and_stays_identical(self,
+                                                              chaos_logs):
         clean = _clean_curves(chaos_logs)
 
-        governor = MemoryGovernor(
-            soft_limit_bytes=1024, hard_limit_bytes=1 << 30,
-            spill_dir=tmp_path / "spill",
-        )
-        supervisor = Supervisor(memory_budget_mb=governor, workdir=tmp_path)
-        engine = AutoSens(AutoSensConfig(seed=5), degrade=DegradePolicy(),
-                          executor=SerialExecutor())
-        with obs.session(enabled=True) as ctx:
-            with supervisor.scope():
-                pressured = engine.curves_by_period(chaos_logs)
+        # A soft limit of two working sets cuts the four periods into two
+        # waves; the hard limit admits every slice.
+        config = AutoSensConfig(seed=5)
+        per_task = estimate_counts_bytes(len(chaos_logs), config.bins().count)
+        governor = MemoryGovernor(soft_limit_bytes=2 * per_task,
+                                  hard_limit_bytes=1 << 30)
+        recorder = _WaveRecorder()
+        engine = AutoSens(config, degrade=DegradePolicy(), executor=recorder)
+        with Supervisor(memory_budget_mb=governor).scope():
+            pressured = engine.curves_by_period(chaos_logs)
 
-        assert governor.n_spills > 0, "the soft limit never forced a spill"
+        assert recorder.waves == [2, 2]
+        assert governor.n_refused == 0
         assert set(pressured) == set(clean)
         for period in clean:
             np.testing.assert_array_equal(
@@ -94,8 +111,16 @@ class TestMemoryChaos:
             np.testing.assert_array_equal(
                 pressured[period].latencies, clean[period].latencies
             )
-        kinds = [d["kind"] for d in ctx.degradations]
-        assert "memory_spill" in kinds
+
+        # A hard limit below one slice's working set admits nothing.
+        tight = MemoryGovernor(soft_limit_bytes=1024)
+        with obs.session(enabled=True) as ctx:
+            with Supervisor(memory_budget_mb=tight).scope():
+                with pytest.raises(MemoryBudgetError):
+                    engine.curves_by_period(chaos_logs)
+        assert tight.n_refused == 1
+        refusals = ctx.metrics.counter("autosens_memory_refusals_total")
+        assert refusals.value() == 1.0
 
     def test_memory_hogged_slice_result_is_unchanged(self, chaos_logs):
         engine = AutoSens(AutoSensConfig(seed=5), degrade=DegradePolicy())
@@ -112,47 +137,39 @@ class TestMemoryChaos:
 
 
 class TestCombinedChaos:
-    def test_full_chaos_run_records_every_intervention(self, chaos_logs,
-                                                       tmp_path):
+    def test_full_chaos_run_records_every_intervention(self, chaos_logs):
         """One obs session, both fault classes: a stalled pool worker and
-        a memory-pressured sweep. The run completes, survivors match the
-        clean run, and the manifest-bound degradation list names both
-        interventions."""
+        a memory-pressured sweep under a deadline. The run completes,
+        survivors match the clean run, the stall is counted as a timeout
+        recovery, and the supervision summary accounts for the run."""
         clean = _clean_curves(chaos_logs)
         items = list(range(6))
         expected = [_kernel(i) for i in items]
 
-        watchdog = Watchdog(
-            tmp_path / "hb", stall_timeout_s=1.0, poll_interval_s=0.2,
-        )
-        governor = MemoryGovernor(
-            soft_limit_bytes=1024, hard_limit_bytes=1 << 30,
-            spill_dir=tmp_path / "spill",
-        )
-        supervisor = Supervisor(
-            deadline_s=600.0, watchdog=watchdog,
-            memory_budget_mb=governor, workdir=tmp_path,
-        )
-        stalled = StalledTask(_kernel, _is_item_three, stall_s=60.0)
-        executor = ProcessExecutor(max_workers=2, chunk_size=1)
+        governor = MemoryGovernor(soft_limit_bytes=1024,
+                                  hard_limit_bytes=1 << 30)
+        supervisor = Supervisor(deadline_s=600.0, memory_budget_mb=governor)
+        recorder = _WaveRecorder()
         engine = AutoSens(AutoSensConfig(seed=5), degrade=DegradePolicy(),
-                          executor=SerialExecutor())
+                          executor=recorder)
 
         with obs.session(enabled=True) as ctx:
             with supervisor.scope():
-                mapped = executor.map_ordered(stalled, items)
+                mapped = _stalled_map(items)
                 curves = engine.curves_by_period(chaos_logs)
 
         for result, clean_item in zip(mapped, expected):
             np.testing.assert_array_equal(result, clean_item)
+        assert recorder.waves == [1, 1, 1, 1]
         assert set(curves) == set(clean)
         for period in clean:
             np.testing.assert_array_equal(
                 curves[period].nlp, clean[period].nlp
             )
-        kinds = {d["kind"] for d in ctx.degradations}
-        assert {"watchdog_kill", "memory_spill"} <= kinds
+        recoveries = ctx.metrics.counter("autosens_executor_recoveries_total")
+        assert recoveries.value(reason="timeout") == 1.0
+        # Nothing was shed, so supervision recorded no degradation.
+        assert supervisor.shed_log == []
         summary = supervisor.summary()
-        assert summary["watchdog_kills"] >= 1
-        assert summary["memory"]["n_spills"] >= 1
+        assert summary["memory"]["n_refused"] == 0
         assert summary["deadline_elapsed_s"] < 600.0

@@ -93,10 +93,12 @@ class TestLenient:
         assert report.reasons["schema"] == 1
         assert [b.lineno for b in report.sample] == [21, 22, 23]
 
-    def test_legacy_strict_false_still_skips(self, dirty_jsonl):
-        logs = read_jsonl(dirty_jsonl, strict=False)
+    def test_unlimited_error_budget_skips(self, dirty_jsonl):
+        logs = read_jsonl(
+            dirty_jsonl, policy=IngestPolicy(mode="lenient", max_bad_share=1.0)
+        )
         assert len(logs) == 20
-        # The satellite fix: the skip count is no longer silently lost.
+        # The skip count is reported, not silently lost.
         assert logs.n_skipped_rows == 3
 
     def test_error_budget_enforced(self, dirty_jsonl):

@@ -21,7 +21,7 @@ from repro.core import AutoSens, AutoSensConfig, DegradePolicy, SubsamplePolicy
 from repro.core.preference import PreferenceComputer
 from repro.errors import DeadlineExceededError, InsufficientDataError
 from repro.parallel import ProcessExecutor, SerialExecutor
-from repro.runtime import Deadline, MemoryGovernor, Supervisor, deadline_scope
+from repro.runtime import Deadline, MemoryGovernor, Supervisor
 from repro.runtime.memory import estimate_counts_bytes
 from repro.types import ALL_DAY_PERIODS
 from repro.workload import owa_scenario
@@ -48,6 +48,26 @@ class _StarvedReferenceConfig(AutoSensConfig):
 
     def computer(self) -> PreferenceComputer:
         return _StarveSecondReference(
+            smoothing_window=self.smoothing_window,
+            smoothing_degree=self.smoothing_degree,
+            reference_ms=self.reference_ms,
+            min_unbiased_count=self.min_unbiased_count,
+        )
+
+
+class _OverBudgetComputer(PreferenceComputer):
+    """Reports a spent deadline from inside every curve."""
+
+    def compute(self, *args, **kwargs):
+        raise DeadlineExceededError("injected: budget spent in a task")
+
+
+@dataclass(frozen=True)
+class _OverBudgetConfig(AutoSensConfig):
+    """A picklable config whose curves each raise a deadline error."""
+
+    def computer(self) -> PreferenceComputer:
+        return _OverBudgetComputer(
             smoothing_window=self.smoothing_window,
             smoothing_degree=self.smoothing_degree,
             reference_ms=self.reference_ms,
@@ -172,15 +192,13 @@ def _assert_shed_once(supervisor, ctx, engine, tasks):
 
 
 class TestDeadlineShedding:
-    def test_serial_sweep_sheds_only_unrun_tasks(self, logs, monkeypatch,
-                                                 tmp_path):
+    def test_serial_sweep_sheds_only_unrun_tasks(self, logs, monkeypatch):
         config = AutoSensConfig(seed=3)
         clean = AutoSens(config).curves_by_period(logs)
         assert list(clean) == PERIODS
 
         clock = _Clock()
-        supervisor = Supervisor(deadline_s=Deadline(10.0, clock=clock),
-                                workdir=tmp_path)
+        supervisor = Supervisor(deadline_s=Deadline(10.0, clock=clock))
         engine = AutoSens(config, degrade=DegradePolicy())
         _expire_after_curves(monkeypatch, clock, 2)
         with obs.session(enabled=True, deterministic=True) as ctx:
@@ -190,8 +208,7 @@ class TestDeadlineShedding:
         _assert_curves_identical(got, {p: clean[p] for p in PERIODS[:2]})
         _assert_shed_once(supervisor, ctx, engine, [2, 3])
 
-    def test_process_sweep_sheds_the_whole_wave(self, logs, monkeypatch,
-                                                tmp_path):
+    def test_process_sweep_sheds_the_whole_wave(self, logs, monkeypatch):
         config = AutoSensConfig(seed=3)
         clean = AutoSens(config).curves_by_period(logs)
 
@@ -201,7 +218,7 @@ class TestDeadlineShedding:
                                   hard_limit_bytes=1 << 40)
         clock = _Clock()
         supervisor = Supervisor(deadline_s=Deadline(10.0, clock=clock),
-                                memory_budget_mb=governor, workdir=tmp_path)
+                                memory_budget_mb=governor)
         engine = AutoSens(config, executor=ProcessExecutor(max_workers=2),
                           degrade=DegradePolicy())
         _expire_on_pool_map(monkeypatch, clock, 2)
@@ -213,10 +230,9 @@ class TestDeadlineShedding:
         _assert_shed_once(supervisor, ctx, engine, [2, 3])
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_raise_policy_raises(self, logs, monkeypatch, tmp_path, backend):
+    def test_raise_policy_raises(self, logs, monkeypatch, backend):
         clock = _Clock()
-        supervisor = Supervisor(deadline_s=Deadline(10.0, clock=clock),
-                                workdir=tmp_path)
+        supervisor = Supervisor(deadline_s=Deadline(10.0, clock=clock))
         engine = AutoSens(AutoSensConfig(seed=3),
                           executor=BACKENDS[backend](),
                           degrade=DegradePolicy(on_over_budget="raise"))
@@ -231,13 +247,10 @@ class TestDeadlineShedding:
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_unsupervised_deadline_propagates(self, logs, backend):
-        """A bare deadline scope never sheds: the sweep raises."""
-        clock = _Clock()
-        deadline = Deadline(10.0, clock=clock)
-        clock.expire()
-        engine = AutoSens(AutoSensConfig(seed=3),
+        """Without a supervisor nothing is shed: a deadline error a task
+        raises leaves the sweep, even under a shedding degrade policy."""
+        engine = AutoSens(_OverBudgetConfig(seed=3),
                           executor=BACKENDS[backend](),
                           degrade=DegradePolicy())
-        with deadline_scope(deadline):
-            with pytest.raises(DeadlineExceededError):
-                engine.curves_by_period(logs)
+        with pytest.raises(DeadlineExceededError):
+            engine.curves_by_period(logs)

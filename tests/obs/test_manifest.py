@@ -81,15 +81,15 @@ class TestRows:
         manifest = build_manifest(
             "fig4", 7, deterministic=True,
             degradations=[{"kind": "starved_slice", "detail": "too few"}],
-            ingest={"n_rows": 100, "n_bad": 2,
-                    "quarantine_path": "/tmp/q.jsonl",
-                    "reasons": {"json-decode": 2}},
+            ingest={"mode": "lenient", "n_rows": 100, "n_good": 98,
+                    "n_bad": 2, "reasons": {"json-decode": 2}},
         )
         rows = dict(manifest_rows(manifest))
         assert rows["experiment"] == "fig4"
         assert rows["seed"] == 7
         assert rows["degradations"] == 1
         assert rows["  starved_slice"] == "too few"
-        assert rows["ingest quarantine_path"] == "/tmp/q.jsonl"
+        assert rows["ingest mode"] == "lenient"
+        assert rows["ingest n_good"] == 98
         assert rows["ingest rejected[json-decode]"] == 2
         assert "package[numpy]" in rows

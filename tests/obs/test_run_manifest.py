@@ -90,3 +90,36 @@ def test_ingest_keys_match_the_registry_fixtures(logs, tmp_path):
                  "--runs-dir", str(runs_dir)]) == 0
     fixture = json.loads(FIXTURE.read_text())["ingest"]
     assert set(_recorded(runs_dir)["ingest"]) == set(fixture)
+
+
+def test_obs_summary_shows_the_ingest_mode(logs, tmp_path, capsys):
+    _, dirty = logs
+    runs_dir = tmp_path / "R"
+    assert main(["analyze", str(dirty), "--on-bad-rows", "lenient",
+                 "--max-bad-share", "0.2", "--runs-dir", str(runs_dir)]) == 0
+    (path,) = runs_dir.glob("0001-*/manifest.json")
+    capsys.readouterr()
+    assert main(["obs", "summary", str(path), "--format", "json"]) == 0
+    rows = dict(json.loads(capsys.readouterr().out))
+    assert rows["ingest mode"] == "lenient"
+
+
+def test_each_experiment_manifest_holds_only_its_own_records(tmp_path, capsys):
+    """Two ids in one invocation: the second id's manifest carries none of
+    the first id's health findings or spans; metrics stay cumulative."""
+    manifest = tmp_path / "m.json"
+    assert main(["experiment", "fig3", "table1", "--scale", "small",
+                 "--seed", "7", "--no-plots",
+                 "--manifest-out", str(manifest)]) == 0
+    capsys.readouterr()
+    fig3 = json.loads((tmp_path / "m.fig3.json").read_text())
+    table1 = json.loads(manifest.read_text())
+    assert fig3["health"]["findings"], "fig3 must record findings"
+    assert "preference_compute" in fig3["span_timings"]
+    assert table1["experiment_id"] == "table1"
+    assert table1["health"]["findings"] == []
+    assert table1["degradations"] == []
+    assert set(table1["span_timings"]) == {"experiment"}
+    # Metrics are the invocation's totals: fig3's findings still count.
+    assert (table1["metrics"]["autosens_health_findings_total"]
+            == fig3["metrics"]["autosens_health_findings_total"])

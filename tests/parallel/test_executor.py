@@ -16,7 +16,7 @@ from repro.parallel import (
     task_seeds,
     task_streams,
 )
-from repro.runtime import Deadline, deadline_scope
+from repro.runtime import Deadline, Supervisor
 
 
 def _square(x):
@@ -91,7 +91,7 @@ class TestDeadline:
     def test_expired_deadline_raises_before_any_task(self, executor):
         clock = iter([0.0] + [1e6] * 100)
         deadline = Deadline(budget_s=1.0, clock=lambda: next(clock))
-        with deadline_scope(deadline):
+        with Supervisor(deadline_s=deadline).scope():
             with pytest.raises(DeadlineExceededError):
                 executor.map_ordered(_square, [1, 2, 3])
 

@@ -32,7 +32,7 @@ from repro.parallel import (
     RetryPolicy,
     SerialExecutor,
 )
-from repro.runtime import CircuitBreaker, Deadline, Supervisor, deadline_scope
+from repro.runtime import CircuitBreaker, Deadline, Supervisor
 
 
 def _in_worker() -> bool:
@@ -139,9 +139,8 @@ class TestProcessExecutorCrashRecovery:
                     if line.startswith("# TYPE") and "recover" in line}
         assert families == {"autosens_executor_recoveries_total"}
 
-    def test_breaker_guards_the_recovery_loop(self, tmp_path):
-        supervisor = Supervisor(
-            breaker=CircuitBreaker(failure_threshold=1), workdir=tmp_path)
+    def test_breaker_guards_the_recovery_loop(self):
+        supervisor = Supervisor(breaker=CircuitBreaker(failure_threshold=1))
         with supervisor.scope():
             with pytest.raises(CircuitOpenError):
                 ProcessExecutor(max_workers=2).map_ordered(
@@ -157,7 +156,7 @@ class TestProcessExecutorDeadline:
         counted as recovered."""
         items = list(range(6))
         with obs.session(enabled=True) as ctx:
-            with deadline_scope(Deadline(0.5)):
+            with Supervisor(deadline_s=0.5).scope():
                 start = time.monotonic()
                 with pytest.raises(DeadlineExceededError):
                     ProcessExecutor(max_workers=2, chunk_size=1).map_ordered(
@@ -183,7 +182,7 @@ class TestProcessExecutorDeadline:
         monkeypatch.setattr(obs, "report_progress", expire_after_a_chunk)
         executor = ProcessExecutor(max_workers=2, chunk_size=1)
         start = time.monotonic()
-        with deadline_scope(Deadline(10.0, clock=lambda: now[0])):
+        with Supervisor(deadline_s=Deadline(10.0, clock=lambda: now[0])).scope():
             with pytest.raises(DeadlineExceededError, match="pool_map"):
                 executor.map_ordered(_square_slow_after_zero, range(6))
         assert time.monotonic() - start < 1.5

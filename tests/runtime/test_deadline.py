@@ -5,9 +5,9 @@ import pytest
 from repro.errors import ConfigError, DeadlineExceededError
 from repro.runtime import (
     Deadline,
-    active_deadline,
+    Supervisor,
+    active_supervisor,
     check_deadline,
-    deadline_scope,
 )
 
 
@@ -64,34 +64,42 @@ class TestDeadline:
         assert deadline.timeout_or(3.0) == pytest.approx(1.0)
 
 
+def _ambient_deadline():
+    supervisor = active_supervisor()
+    return supervisor.deadline if supervisor is not None else None
+
+
 class TestAmbientScope:
+    """The ambient deadline is the innermost entered supervisor's."""
+
     def test_no_deadline_installed(self):
-        assert active_deadline() is None
+        assert _ambient_deadline() is None
         check_deadline("anywhere")  # no-op, must not raise
 
     def test_scope_installs_and_uninstalls(self):
         deadline = Deadline(60.0)
-        with deadline_scope(deadline) as installed:
-            assert installed is deadline
-            assert active_deadline() is deadline
-        assert active_deadline() is None
+        with Supervisor(deadline_s=deadline).scope() as installed:
+            assert installed.deadline is deadline
+            assert _ambient_deadline() is deadline
+        assert _ambient_deadline() is None
 
     def test_none_scope_is_a_noop(self):
-        with deadline_scope(None) as installed:
-            assert installed is None
-            assert active_deadline() is None
+        """A supervisor without a deadline installs none."""
+        with Supervisor().scope():
+            assert _ambient_deadline() is None
+            check_deadline("anywhere")  # must not raise
 
     def test_scopes_nest_innermost_wins(self):
         outer, inner = Deadline(60.0), Deadline(30.0)
-        with deadline_scope(outer):
-            with deadline_scope(inner):
-                assert active_deadline() is inner
-            assert active_deadline() is outer
-        assert active_deadline() is None
+        with Supervisor(deadline_s=outer).scope():
+            with Supervisor(deadline_s=inner).scope():
+                assert _ambient_deadline() is inner
+            assert _ambient_deadline() is outer
+        assert _ambient_deadline() is None
 
     def test_checkpoint_observes_ambient_expiry(self):
         clock = FakeClock()
-        with deadline_scope(Deadline(1.0, clock=clock)):
+        with Supervisor(deadline_s=Deadline(1.0, clock=clock)).scope():
             check_deadline("stage")
             clock.advance(1.5)
             with pytest.raises(DeadlineExceededError):
@@ -99,6 +107,6 @@ class TestAmbientScope:
 
     def test_scope_pops_even_on_error(self):
         with pytest.raises(RuntimeError):
-            with deadline_scope(Deadline(60.0)):
+            with Supervisor(deadline_s=Deadline(60.0)).scope():
                 raise RuntimeError("boom")
-        assert active_deadline() is None
+        assert _ambient_deadline() is None

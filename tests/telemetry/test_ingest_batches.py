@@ -33,7 +33,6 @@ from repro.telemetry import (
     read_jsonl,
     write_csv,
 )
-from repro.telemetry.jsonl import _resolve_policy
 
 MODES = ("strict", "lenient", "quarantine")
 
@@ -71,7 +70,7 @@ def _policy(mode, sink):
 
 
 def _reference_read(path, policy, iterate):
-    collector = IngestCollector(_resolve_policy(True, policy), source=path)
+    collector = IngestCollector(IngestPolicy.of(policy), source=path)
     store = LogStore.from_records(iterate(path, policy=policy, collector=collector))
     store.ingest_report = collector.finish()
     return store

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.errors import SchemaError
 from repro.telemetry import (
     ActionRecord,
+    IngestPolicy,
     iter_jsonl,
     read_csv,
     read_jsonl,
@@ -19,6 +20,9 @@ from repro.telemetry import (
     write_jsonl,
 )
 from repro.telemetry.csvio import FIELDS
+
+#: Skip every bad row, however many.
+LENIENT = IngestPolicy(mode="lenient", max_bad_share=1.0)
 
 
 @pytest.fixture()
@@ -69,7 +73,7 @@ class TestJsonl:
         write_jsonl(records[:2], path)
         with open(path, "a") as fh:
             fh.write("{not json}\n")
-        assert len(read_jsonl(path, strict=False)) == 2
+        assert len(read_jsonl(path, policy=LENIENT)) == 2
 
     def test_iter_is_lazy(self, records, tmp_path):
         path = tmp_path / "logs.jsonl"
@@ -107,7 +111,7 @@ class TestCsv:
         write_csv(records[:1], path)
         with open(path, "a") as fh:
             fh.write("oops,SelectMail,xyz,,,1,0\n")
-        assert len(read_csv(path, strict=False)) == 1
+        assert len(read_csv(path, policy=LENIENT)) == 1
 
     def test_jsonl_csv_agree(self, records, tmp_path):
         jsonl_store = read_jsonl(

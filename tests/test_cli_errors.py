@@ -1,6 +1,7 @@
 """CLI error taxonomy: typed exit codes and the ingestion flags."""
 
 import json
+import tempfile
 
 import pytest
 
@@ -189,6 +190,18 @@ class TestSupervisionExits:
                        "--memory-budget-mb", "4096", "--breaker"])
         assert status == 0
         assert "NLP" in capsys.readouterr().out
+
+    def test_supervised_run_leaves_no_temp_directory(self, clean_log, tmp_path,
+                                                     monkeypatch, capsys):
+        scratch = tmp_path / "tmpdir"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        status = main(["analyze", str(clean_log), "--deadline-s", "600",
+                       "--memory-budget-mb", "4096", "--breaker"])
+        assert status == 0
+        assert list(scratch.iterdir()) == []
+        capsys.readouterr()
 
 
 def _boom():
