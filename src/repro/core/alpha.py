@@ -26,7 +26,7 @@ the pipeline averages over several references (Section 2.4.1, last note).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,13 +92,18 @@ def slot_labels(scheme: str, slot_ids: Sequence[int]) -> List[str]:
 
 @dataclass
 class AlphaEstimate:
-    """Per-slot activity factors and their per-bin decomposition."""
+    """Per-slot activity factors and their per-bin decomposition.
+
+    A stacked estimate (several references) carries a leading reference
+    axis; its methods read one-reference estimates only.
+    """
 
     scheme: str
     slot_ids: np.ndarray            # distinct slot ids, sorted
-    reference_slot: int
-    alpha_by_slot: np.ndarray       # one α per slot id
+    reference_slot: Union[int, List[int]]  # a list for a stack of references
+    alpha_by_slot: np.ndarray       # one α per slot id; (R, n_slots) for a stack
     alpha_matrix: np.ndarray        # (n_slots, n_bins): α[T, L]; NaN where undefined
+                                    # (R, n_slots, n_bins) for a stack
     biased_counts: np.ndarray       # (n_slots, n_bins): c[T, L]
     time_fractions: np.ndarray      # (n_slots, n_bins): f[T, L]
     bins: HistogramBins
@@ -270,7 +275,7 @@ def slotted_counts(
 
 def alpha_from_counts(
     counts: SlottedCounts,
-    reference_slot: Optional[int] = None,
+    reference_slot: Union[int, Sequence[int], None] = None,
     min_bin_count: float = 5.0,
     min_time_fraction: float = 1e-6,
     bin_average: str = "simple",
@@ -282,6 +287,12 @@ def alpha_from_counts(
     ``"simple"`` (the paper's plain mean over latency bins) or
     ``"weighted"`` (weights bins by their reference-slot counts — less
     noise on sparse data).
+
+    A sequence of R reference slots gives a stacked estimate: one row per
+    reference, with ``alpha_matrix`` of shape (R, n_slots, n_bins) and
+    ``alpha_by_slot`` of shape (R, n_slots). The rate ``c / f`` and its
+    validity mask are computed once and every reference is a broadcast
+    division of them; one reference is the one-row case.
     """
     check_deadline("alpha_from_counts")
     if bin_average not in ("simple", "weighted"):
@@ -295,19 +306,23 @@ def alpha_from_counts(
 
     if reference_slot is None:
         reference_slot = counts.busiest_slots(1)[0]
-    if int(reference_slot) not in slot_index:
-        raise ConfigError(f"reference slot {reference_slot} has no data")
-    ref_row = slot_index[int(reference_slot)]
+    stacked = not np.isscalar(reference_slot)
+    references = [int(r) for r in (reference_slot if stacked else [reference_slot])]
+    for reference in references:
+        if reference not in slot_index:
+            raise ConfigError(f"reference slot {reference} has no data")
+    ref_rows = np.array([slot_index[r] for r in references], dtype=np.int64)
+    reference_slot = references if stacked else references[0]
 
-    with obs.span("alpha", n_slots=n_slots, reference=int(reference_slot)):
+    with obs.span("alpha", n_slots=n_slots, reference=reference_slot):
         with np.errstate(invalid="ignore", divide="ignore"):
             rate = np.where(f > min_time_fraction, c / f, np.nan)
-        ref_rate = rate[ref_row]
-
-        valid = ((~np.isnan(ref_rate)) & (c[ref_row] >= min_bin_count)
-                 & (~np.isnan(rate)) & (c >= min_bin_count))
+        usable = ~np.isnan(rate) & (c >= min_bin_count)
+        # α[R, T, L]: bin L of slot T is defined where both T and the
+        # reference have a usable rate there.
+        valid = usable[ref_rows][:, None, :] & usable[None, :, :]
         with np.errstate(invalid="ignore", divide="ignore"):
-            alpha_matrix = np.where(valid, rate / ref_rate, np.nan)
+            alpha_matrix = np.where(valid, rate / rate[ref_rows][:, None, :], np.nan)
 
         # α[T] averages the defined bins of row T: a masked row sum over
         # the defined count (or, for "weighted", over the reference slot's
@@ -319,31 +334,32 @@ def alpha_from_counts(
         if bin_average == "simple":
             weights = ok.astype(float)
         else:
-            weights = np.where(ok, c[ref_row], 0.0)
+            weights = np.where(ok, c[ref_rows][:, None, :], 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            alpha_by_slot = (np.where(ok, alpha_matrix * weights, 0.0).sum(axis=1)
-                             / weights.sum(axis=1))
+            alpha_by_slot = (np.where(ok, alpha_matrix * weights, 0.0).sum(axis=-1)
+                             / weights.sum(axis=-1))
         # Slots with no overlapping valid bins: fall back to total-count ratio,
         # which is exact when α is truly flat across bins.
         totals = c.sum(axis=1)
-        ref_total = totals[ref_row]
-        if ref_total > 0:
-            alpha_by_slot = np.where(
-                np.isnan(alpha_by_slot), totals / ref_total, alpha_by_slot)
-        alpha_by_slot[ref_row] = 1.0
+        ref_totals = totals[ref_rows][:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            alpha_by_slot = np.where(np.isnan(alpha_by_slot) & (ref_totals > 0),
+                                     totals / ref_totals, alpha_by_slot)
+        alpha_by_slot[np.arange(ref_rows.size), ref_rows] = 1.0
 
     if obs.current().enabled:
         from repro.obs import probes
 
-        probes.emit(probes.probe_alpha_dispersion(
-            alpha_matrix, alpha_by_slot, int(reference_slot)))
+        for row, reference in enumerate(references):
+            probes.emit(probes.probe_alpha_dispersion(
+                alpha_matrix[row], alpha_by_slot[row], reference), row=row)
 
     return AlphaEstimate(
         scheme=counts.scheme,
         slot_ids=slot_ids,
-        reference_slot=int(reference_slot),
-        alpha_by_slot=alpha_by_slot,
-        alpha_matrix=alpha_matrix,
+        reference_slot=reference_slot,
+        alpha_by_slot=alpha_by_slot if stacked else alpha_by_slot[0],
+        alpha_matrix=alpha_matrix if stacked else alpha_matrix[0],
         biased_counts=c,
         time_fractions=f,
         bins=bins,
@@ -389,7 +405,7 @@ def _pooled_unbiased(alpha: AlphaEstimate) -> Histogram1D:
 def corrected_histograms_from_counts(
     counts: SlottedCounts,
     alpha: AlphaEstimate,
-) -> Tuple[Histogram1D, Histogram1D]:
+) -> Tuple[Union[Histogram1D, List[Histogram1D]], Histogram1D]:
     """(B, U) with α-normalized counts, derived purely from the count tensor.
 
     ``B[L] = Σ_T c[T, L] / α[T]`` — an ``O(n_slots × n_bins)`` contraction
@@ -397,18 +413,25 @@ def corrected_histograms_from_counts(
     This is what lets :meth:`repro.core.pipeline.AutoSens.preference_curve`
     evaluate *any* reference slot without rescanning the telemetry: the
     tensor is computed once and every reference is a cheap reweighting.
+
+    A stacked ``alpha`` (several references) gives every reference's B from
+    one product ``B[R, L] = (1/α)[R, T] @ c[T, L]``, returned as a list of
+    histograms, one per reference. U does not depend on the reference, so
+    there is one U either way.
     """
     if counts.bins != alpha.bins:
         raise ConfigError("counts and alpha must share one bin grid")
     if not np.array_equal(counts.slot_ids, alpha.slot_ids):
         raise ConfigError("counts and alpha must cover the same slots")
     with obs.span("corrected_histograms", reference=alpha.reference_slot):
-        inv = _inverse_alpha(alpha.alpha_by_slot)
-        pooled_biased = inv @ counts.biased_counts  # Σ_T c[T, :] / α[T]
-
-        biased = Histogram1D(counts.bins)
-        biased.add_counts(pooled_biased)
-    return biased, _pooled_unbiased(alpha)
+        inv = _inverse_alpha(np.atleast_2d(alpha.alpha_by_slot))
+        biased = []
+        for row in inv @ counts.biased_counts:  # Σ_T c[T, :] / α[T], per reference
+            histogram = Histogram1D(counts.bins)
+            histogram.add_counts(row)
+            biased.append(histogram)
+    stacked = np.ndim(alpha.alpha_by_slot) == 2
+    return (biased if stacked else biased[0]), _pooled_unbiased(alpha)
 
 
 # --- The paper's Table 1 worked example -----------------------------------

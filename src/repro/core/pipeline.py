@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 import repro.obs as obs
+from repro.obs import probes
 from repro.errors import (
     ConfigError,
     DeadlineExceededError,
@@ -264,7 +265,10 @@ def reference_averaged_curve(
     The one counts-to-curve path, shared by :class:`AutoSens`,
     :func:`repro.core.curve_from_counts` and
     :class:`repro.core.StreamingAutoSens`: one curve per each of the
-    ``config.n_reference_slots`` busiest reference slots, averaged. Under
+    ``config.n_reference_slots`` busiest reference slots, averaged. The
+    references are one stacked pass: one α broadcast, one U, one smoothing
+    of the (references, bins) ratio stack; only the normalization and the
+    starved check are per reference. Under
     ``degrade.on_starved_reference="skip"`` a reference that cannot support
     a curve is dropped and recorded in ``result.metadata["degradations"]``.
     ``n_actions`` defaults to the table's in-grid action count. A table
@@ -281,47 +285,51 @@ def reference_averaged_curve(
         )
     if n_actions is None:
         n_actions = int(counts.biased_counts.sum())
-    computer = config.computer()
     references = counts.busiest_slots(config.n_reference_slots)
     skip_references = degrade is not None and degrade.on_starved_reference == "skip"
-    per_reference = []
-    used_references = []
-    degraded: List[str] = []
-    for reference in references:
-        check_deadline(f"reference slot {int(reference)} [{slice_description}]")
+    check_deadline(f"reference slots {references} [{slice_description}]")
+    with probes.row_major(), obs.span("corrected_reference", slots=references):
+        alpha = alpha_from_counts(
+            counts,
+            reference_slot=references,
+            bin_average=config.alpha_bin_average,
+            min_bin_count=config.alpha_min_bin_count,
+        )
+        biased, unbiased = corrected_histograms_from_counts(counts, alpha)
         try:
-            with obs.span("corrected_reference", slot=int(reference)):
-                alpha = alpha_from_counts(
-                    counts,
-                    reference_slot=reference,
-                    bin_average=config.alpha_bin_average,
-                    min_bin_count=config.alpha_min_bin_count,
-                )
-                biased, unbiased = corrected_histograms_from_counts(counts, alpha)
-                per_reference.append(computer.compute(
-                    biased, unbiased,
-                    slice_description=slice_description, n_actions=n_actions,
-                ))
-            used_references.append(reference)
+            per_reference = config.computer().compute(
+                biased, unbiased,
+                slice_description=slice_description, n_actions=n_actions,
+            )
         except InsufficientDataError as exc:
+            # A failure shared by every reference (no stable bin in U).
             if not skip_references:
                 raise
-            degraded.append(
-                f"slice [{slice_description}]: reference slot {reference} "
-                f"skipped ({exc})"
-            )
-            obs.record_degradation(
-                "starved_reference", slice=slice_description,
-                reference_slot=int(reference), detail=str(exc))
-    if skip_references and len(per_reference) < degrade.min_references:
+            per_reference = [exc] * len(references)
+    kept = []
+    used_references = []
+    degraded: List[str] = []
+    for reference, row in zip(references, per_reference):
+        if not isinstance(row, InsufficientDataError):
+            kept.append(row)
+            used_references.append(reference)
+            continue
+        if not skip_references:
+            raise row
+        degraded.append(
+            f"slice [{slice_description}]: reference slot {reference} "
+            f"skipped ({row})"
+        )
+        obs.record_degradation(
+            "starved_reference", slice=slice_description,
+            reference_slot=int(reference), detail=str(row))
+    if skip_references and len(kept) < degrade.min_references:
         raise InsufficientDataError(
-            f"slice [{slice_description}]: only {len(per_reference)} of "
+            f"slice [{slice_description}]: only {len(kept)} of "
             f"{len(references)} reference slots usable; need at least "
             f"{degrade.min_references}"
         )
     if obs.current().enabled:
-        from repro.obs import probes
-
         probes.emit(probes.probe_slot_support(
             n_slots=int(counts.slot_ids.size),
             n_reference_slots=len(references),
@@ -332,8 +340,9 @@ def reference_averaged_curve(
             counts.biased_counts, counts.bins.centers,
             slice_description=slice_description,
         ))
-    result = average_results(per_reference, slice_description=slice_description)
+    result = average_results(kept, slice_description=slice_description)
     result.metadata["reference_slots"] = used_references
+    result.metadata["normalized_at_ms"] = [r.metadata["normalized_at_ms"] for r in kept]
     if degraded:
         result.metadata["degradations"] = degraded
     return result

@@ -16,6 +16,7 @@ confounders being equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -52,75 +53,106 @@ class PreferenceComputer:
 
     def compute(
         self,
-        biased: Histogram1D,
+        biased: Union[Histogram1D, Sequence[Histogram1D]],
         unbiased: Histogram1D,
         slice_description: str = "",
         n_actions: int | None = None,
-    ) -> PreferenceResult:
-        """Produce the full :class:`PreferenceResult` from B and U."""
+    ) -> Union[PreferenceResult, List[Union[PreferenceResult, InsufficientDataError]]]:
+        """Produce the full :class:`PreferenceResult` from B and U.
+
+        ``biased`` may also be a sequence of B histograms, one per α
+        reference, that share ``unbiased``. U, its stable-bin mask and the
+        smoother's normal equations depend on U alone, so the ratio stack
+        is smoothed in one call; only the normalization is per row. The
+        result is then a list with one entry per row: its
+        :class:`PreferenceResult`, or the :class:`InsufficientDataError`
+        that starved it, returned rather than raised so the caller decides
+        whether to skip that reference. A shared failure (no stable bin)
+        still raises. ``result.metadata["normalized_at_ms"]`` is the
+        latency the curve was normalized at: ``reference_ms``, or the
+        nearest valid bin's centre when the smoothed value there is NaN or
+        not positive, which also records an obs degradation.
+        """
         check_deadline("preference.compute")
-        if biased.bins != unbiased.bins:
+        stacked = not isinstance(biased, Histogram1D)
+        rows = list(biased) if stacked else [biased]
+        bins = unbiased.bins
+        if any(b.bins != bins for b in rows):
             raise ConfigError("B and U must share one bin grid")
-        bins = biased.bins
         ref_idx = bins.index_of(np.asarray([self.reference_ms]))[0]
         if ref_idx < 0:
             raise ConfigError(
                 f"reference latency {self.reference_ms} ms is outside the bin grid"
             )
 
-        b_counts = biased.counts
+        b_counts = np.stack([b.counts for b in rows])
         u_counts = unbiased.counts
-        raw = np.full(bins.count, np.nan)
         stable = u_counts >= self.min_unbiased_count
         if obs.current().enabled:
             # Estimator-health probes run on the pre-ratio intermediates so
             # a run that raises below still carries its fail findings.
             from repro.obs import probes
 
-            probes.emit(probes.probe_bin_occupancy(
-                b_counts, u_counts, self.min_unbiased_count, slice_description))
-            probes.emit(probes.probe_u_coverage(
-                b_counts, u_counts, self.min_unbiased_count, slice_description))
-            probes.emit(probes.probe_smoothing_edges(
-                stable, self.smoothing_window, slice_description))
+            for row, b_row in enumerate(b_counts):
+                probes.emit(probes.probe_bin_occupancy(
+                    b_row, u_counts, self.min_unbiased_count, slice_description),
+                    row=row)
+                probes.emit(probes.probe_u_coverage(
+                    b_row, u_counts, self.min_unbiased_count, slice_description),
+                    row=row)
+                probes.emit(probes.probe_smoothing_edges(
+                    stable, self.smoothing_window, slice_description), row=row)
         if not np.any(stable):
             raise InsufficientDataError(
                 "no latency bin has enough unbiased samples "
                 f"(min_unbiased_count={self.min_unbiased_count})"
             )
+        out: List[Union[PreferenceResult, InsufficientDataError]] = []
         with obs.span("preference_compute", slice=slice_description):
-            b_pdf = biased.pdf()
+            b_pdf = np.stack([b.pdf() for b in rows])
             u_pdf = unbiased.pdf()
-            raw[stable] = b_pdf[stable] / u_pdf[stable]
+            raw = np.full(b_counts.shape, np.nan)
+            raw[:, stable] = b_pdf[:, stable] / u_pdf[stable]
 
             smoother = SavitzkyGolay(self.smoothing_window, self.smoothing_degree)
             smoothed = smoother(raw)
             # Smoothing fills NaN gaps between stable bins; keep the curve
             # only where the ratio itself was defined.
-            smoothed[~stable] = np.nan
+            smoothed[:, ~stable] = np.nan
 
-            ref_value = smoothed[ref_idx]
-            if np.isnan(ref_value) or ref_value <= 0:
-                # Fall back to the nearest valid bin to the reference.
-                valid_idx = np.flatnonzero(~np.isnan(smoothed) & (smoothed > 0))
-                if valid_idx.size == 0:
-                    raise InsufficientDataError(
-                        "smoothed preference has no valid bins")
-                nearest = valid_idx[np.argmin(np.abs(valid_idx - ref_idx))]
-                ref_value = smoothed[nearest]
-            nlp = smoothed / ref_value
-
-        return PreferenceResult(
-            bins=bins,
-            biased_counts=b_counts,
-            unbiased_counts=u_counts,
-            raw_ratio=raw,
-            smoothed_ratio=smoothed,
-            nlp=nlp,
-            reference_ms=self.reference_ms,
-            slice_description=slice_description,
-            n_actions=int(biased.total if n_actions is None else n_actions),
-        )
+            for row, b in enumerate(rows):
+                curve = smoothed[row]
+                at_idx, normalized_at = ref_idx, self.reference_ms
+                if not curve[ref_idx] > 0:  # NaN or not positive
+                    # Fall back to the nearest valid bin to the reference.
+                    valid_idx = np.flatnonzero(curve > 0)
+                    if valid_idx.size == 0:
+                        out.append(InsufficientDataError(
+                            "smoothed preference has no valid bins"))
+                        continue
+                    at_idx = valid_idx[np.argmin(np.abs(valid_idx - ref_idx))]
+                    normalized_at = float(bins.centers[at_idx])
+                    obs.record_degradation(
+                        "reference_bin_fallback", slice=slice_description,
+                        reference_ms=self.reference_ms,
+                        normalized_at_ms=normalized_at)
+                out.append(PreferenceResult(
+                    bins=bins,
+                    biased_counts=b_counts[row],
+                    unbiased_counts=u_counts,
+                    raw_ratio=raw[row],
+                    smoothed_ratio=curve,
+                    nlp=curve / curve[at_idx],
+                    reference_ms=self.reference_ms,
+                    slice_description=slice_description,
+                    n_actions=int(b.total if n_actions is None else n_actions),
+                    metadata={"normalized_at_ms": normalized_at},
+                ))
+        if stacked:
+            return out
+        if isinstance(out[0], InsufficientDataError):
+            raise out[0]
+        return out[0]
 
 
 def _nan_column_mean(stack: np.ndarray) -> np.ndarray:

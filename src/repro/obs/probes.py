@@ -27,8 +27,10 @@ into a :class:`~repro.obs.health.HealthReport` at the end of the run.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "HealthFinding",
     "SEVERITIES",
     "emit",
+    "row_major",
     "probe_bin_occupancy",
     "probe_u_coverage",
     "probe_alpha_dispersion",
@@ -109,21 +112,52 @@ def _finite(x: Any, default: float = float("nan")) -> float:
     return v
 
 
-def emit(findings: Iterable[HealthFinding]) -> None:
+#: Findings held by the innermost :func:`row_major` block, by row.
+_HELD: ContextVar[Optional[Dict[int, List[HealthFinding]]]] = ContextVar(
+    "repro_probe_rows", default=None)
+
+
+def emit(findings: Iterable[HealthFinding], row: Optional[int] = None) -> None:
     """Record findings on the active observability context (no-op when off).
 
     Each finding is appended to the context and counted in
-    ``autosens_health_findings_total``.
+    ``autosens_health_findings_total``. Findings of one ``row`` of a
+    stacked computation are held until the enclosing :func:`row_major`
+    block ends; outside such a block ``row`` changes nothing.
     """
     from repro.obs import _runtime
 
     ctx = _runtime.current()
     if not ctx.enabled:
         return
+    held = _HELD.get()
+    if row is not None and held is not None:
+        held.setdefault(row, []).extend(findings)
+        return
     for finding in findings:
         ctx.findings.append(finding.to_dict())
         ctx.metrics.inc("autosens_health_findings_total", 1.0,
                         stage=finding.stage, severity=finding.severity)
+
+
+@contextmanager
+def row_major() -> Iterator[None]:
+    """Emit the per-row findings of a stacked computation row by row.
+
+    A stacked pass runs each stage once for all rows, so its stages emit
+    stage-major (every row's α finding, then every row's B/U findings).
+    Inside this block findings emitted with a ``row`` are held and, when
+    the block ends (also by an exception), emitted in row order: the
+    order one pass per row would have given.
+    """
+    held: Dict[int, List[HealthFinding]] = {}
+    token = _HELD.set(held)
+    try:
+        yield
+    finally:
+        _HELD.reset(token)
+        for row in sorted(held):
+            emit(held[row])
 
 
 # ---------------------------------------------------------------------------

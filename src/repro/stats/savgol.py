@@ -72,12 +72,19 @@ def savgol_smooth(values: np.ndarray, window: int = 101, degree: int = 3) -> np.
     The degree drops to ``n_valid − 1`` where the window holds too few valid
     points. A bin whose input is NaN stays NaN unless its window holds at
     least ``degree + 1`` valid points with some on each side of the bin.
+
+    ``values`` may also be a ``(k, n)`` stack whose rows share one NaN
+    pattern (anything else is a :class:`ConfigError`): the normal equations
+    depend only on that pattern, so they are built once and solved with
+    ``k`` right-hand sides. Each row then equals its own 1-D call up to the
+    last bits of the solve.
     """
     y = np.asarray(values, dtype=float)
-    if y.ndim != 1:
-        raise ConfigError("savgol_smooth expects a 1-D array")
-    n = y.size
-    if n == 0:
+    if y.ndim not in (1, 2):
+        raise ConfigError("savgol_smooth expects a 1-D array or a 2-D stack of rows")
+    stack = np.atleast_2d(y)
+    k, n = stack.shape
+    if n == 0 or k == 0:
         return y.copy()
     window = max(min(window, n if n % 2 == 1 else n - 1), 1)
     # Not enough points for the requested degree anywhere: fit the best
@@ -85,17 +92,19 @@ def savgol_smooth(values: np.ndarray, window: int = 101, degree: int = 3) -> np.
     degree = min(degree, window - 1)
     half = window // 2
 
-    valid = ~np.isnan(y)
+    valid = ~np.isnan(stack[0])
+    if np.any(np.isnan(stack[1:]) != ~valid):
+        raise ConfigError("the rows of a savgol_smooth stack must share one NaN pattern")
     mask = np.zeros(n + 2 * half)
     mask[half : half + n] = valid
-    masked = np.zeros(n + 2 * half)
-    masked[half : half + n] = np.where(valid, y, 0.0)
+    masked = np.zeros((k, n + 2 * half))
+    masked[:, half : half + n] = np.where(valid, stack, 0.0)
     mask_windows = sliding_window_view(mask, window)
 
     powers, rhs_powers, sides = _window_moments(window, degree)
     terms = np.arange(degree + 1)
     moments = mask_windows @ powers
-    rhs = sliding_window_view(masked, window) @ rhs_powers
+    rhs = sliding_window_view(masked, window, axis=-1) @ rhs_powers
     left, right = (mask_windows @ sides).T
 
     n_valid = moments[:, 0]
@@ -109,8 +118,10 @@ def savgol_smooth(values: np.ndarray, window: int = 101, degree: int = 3) -> np.
     normal *= used[:, :, None] & used[:, None, :]
     normal[:, terms, terms] += ~used
     rhs *= used
-    solution = np.linalg.solve(normal, rhs[:, :, None])[:, 0, 0]
-    return np.where(valid | gap_fill, solution, np.nan)
+    # One (d+1)x(d+1) system per bin, with the k rows as its right-hand sides.
+    solution = np.linalg.solve(normal, rhs.transpose(1, 2, 0))[:, 0, :].T
+    out = np.where(valid | gap_fill, solution, np.nan)
+    return out if y.ndim == 2 else out[0]
 
 
 class SavitzkyGolay:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.core.preference as preference
+import repro.obs as obs
 from repro.core import AutoSens, AutoSensConfig
 from repro.errors import ConfigError, InsufficientDataError
 from repro.core.preference import PreferenceComputer, average_results
@@ -90,6 +91,60 @@ class TestCompute:
                                       reference_ms=250.0, min_unbiased_count=10)
         result = computer.compute(biased, unbiased)
         assert np.nansum(result.nlp) > 0
+
+    def test_unstable_reference_bin_is_recorded(self):
+        """When the 300 ms bin is unstable the curve is normalized at the
+        nearest valid bin; the result says where, and an obs degradation
+        records the fallback."""
+        bins = HistogramBins(0.0, 3000.0, 10.0)
+        u = np.full(bins.count, 1000.0)
+        u[29:32] = 5.0  # 290-320 ms: below min_unbiased_count
+        b = 1000.0 * np.exp(-bins.centers / 1500.0)
+        computer = PreferenceComputer()
+        with obs.session(enabled=True, run_id="fallback") as ctx:
+            result = computer.compute(_histogram(bins, b), _histogram(bins, u),
+                                      slice_description="hand-built")
+            stacked = computer.compute([_histogram(bins, b), _histogram(bins, 2 * b)],
+                                       _histogram(bins, u))
+        assert result.metadata["normalized_at_ms"] == 285.0
+        assert np.isnan(result.nlp[30]) and result.nlp[28] == 1.0
+        assert [r.metadata["normalized_at_ms"] for r in stacked] == [285.0, 285.0]
+        assert ctx.degradations[0] == {
+            "kind": "reference_bin_fallback", "slice": "hand-built",
+            "reference_ms": 300.0, "normalized_at_ms": 285.0}
+        assert len(ctx.degradations) == 3
+
+    def test_stable_reference_bin_records_no_fallback(self):
+        bins = HistogramBins(0.0, 3000.0, 10.0)
+        flat = _histogram(bins, np.full(bins.count, 1000.0))
+        with obs.session(enabled=True, run_id="no-fallback") as ctx:
+            result = PreferenceComputer().compute(flat, flat)
+        assert result.metadata["normalized_at_ms"] == 300.0
+        assert ctx.degradations == []
+
+    def test_stacked_rows_match_one_row_calls(self):
+        """B histograms sharing one U: each row of the stacked call is its
+        own one-row call, and a starved row comes back as its error."""
+        bins = HistogramBins(0.0, 3000.0, 10.0)
+        rng = np.random.default_rng(4)
+        u = _histogram(bins, np.where(bins.centers < 2000.0, 500.0, 1.0))
+        rows = [_histogram(bins, rng.poisson(200.0, bins.count)) for _ in range(3)]
+        starved = np.zeros(bins.count)
+        starved[-1] = 1.0  # all its mass sits on unstable bins
+        rows.append(_histogram(bins, starved))
+        computer = PreferenceComputer()
+        stacked = computer.compute(rows, u, slice_description="s", n_actions=7)
+        assert isinstance(stacked[3], InsufficientDataError)
+        with pytest.raises(InsufficientDataError):
+            computer.compute(rows[3], u)
+        for row, got in zip(rows[:3], stacked):
+            want = computer.compute(row, u, slice_description="s", n_actions=7)
+            assert got.n_actions == 7 and got.slice_description == "s"
+            np.testing.assert_array_equal(got.biased_counts, want.biased_counts)
+            for field in ("raw_ratio", "smoothed_ratio", "nlp"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert np.array_equal(np.isnan(a), np.isnan(b))
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -10,8 +10,7 @@ finished curves stay bitwise, each shed task is recorded once, and
 around the curve and the pool map, so no test sleeps or races.
 """
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -29,17 +28,13 @@ from repro.workload import owa_scenario
 PERIODS = [period.value for period in ALL_DAY_PERIODS]
 
 
-@dataclass(frozen=True)
 class _StarveSecondReference(PreferenceComputer):
     """Refuses the second reference slot of every curve it computes."""
 
-    calls: List[int] = field(default_factory=list, compare=False)
-
     def compute(self, *args, **kwargs):
-        self.calls.append(1)
-        if len(self.calls) == 2:
-            raise InsufficientDataError("injected: reference slot starved")
-        return super().compute(*args, **kwargs)
+        rows = super().compute(*args, **kwargs)
+        rows[1] = InsufficientDataError("injected: reference slot starved")
+        return rows
 
 
 @dataclass(frozen=True)

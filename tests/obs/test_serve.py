@@ -1,6 +1,7 @@
 """The obs HTTP server: endpoints, verdict codes, and tracker hygiene."""
 
 import json
+import threading
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -8,7 +9,10 @@ from collections import Counter
 import pytest
 
 import repro.obs as obs
+from repro.obs.health import load_health_report
+from repro.obs.metrics import load_metrics_prometheus
 from repro.obs.probes import HealthFinding, emit
+from repro.obs.progress import load_progress
 from repro.obs.serve import ObsServer, parse_serve_addr
 
 
@@ -181,3 +185,74 @@ class TestServedSweep:
         assert frame["spans"] == {
             name: entry["count"] for name, entry
             in obs.aggregate_span_timings(records).items()}
+
+
+class TestMidRunScrape:
+    """What a live scrape sees while a run is still going.
+
+    The sweep's first curve finishes, then the run blocks on an event until
+    a scraper has fetched and validated ``/metrics`` (which must already
+    hold an ``autosens`` metric family), ``/progress`` and ``/healthz``. No
+    scrape can race the end of the run.
+    """
+
+    def test_scrapes_mid_run_see_live_state(self, tmp_path, monkeypatch):
+        from repro.core import AutoSens
+        from repro.workload import owa_scenario
+
+        logs = owa_scenario(seed=3, duration_days=2.0,
+                            n_users=40).generate().logs
+        mid_run, scraped = threading.Event(), threading.Event()
+        seen = {}
+
+        def scrape(url):
+            try:
+                mid_run.wait(timeout=60)
+                _, text = _get(url + "/metrics")
+                (tmp_path / "mid.prom").write_text(text)
+                seen["families"] = [line for line in text.splitlines()
+                                    if line.startswith("# TYPE autosens")]
+                seen["metrics"] = load_metrics_prometheus(tmp_path / "mid.prom")
+                seen["progress"] = load_progress(
+                    json.loads(_get(url + "/progress")[1]))
+                try:
+                    status, body = _get(url + "/healthz")
+                except urllib.error.HTTPError as exc:  # 503 on a fail verdict
+                    status, body = exc.code, exc.read().decode("utf-8")
+                seen["health"] = (status, load_health_report(json.loads(body)))
+            except Exception as exc:  # re-raised by the test thread
+                seen["error"] = exc
+            finally:
+                scraped.set()
+
+        original = AutoSens.preference_curve
+        finished = []
+
+        def curve_then_wait(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            finished.append(1)
+            if len(finished) == 1:
+                mid_run.set()
+                seen["waited"] = scraped.wait(timeout=60)
+            return result
+
+        monkeypatch.setattr(AutoSens, "preference_curve", curve_then_wait)
+        with obs.session(enabled=True, deterministic=True, run_id="mid-run"):
+            with ObsServer("127.0.0.1", 0) as srv:
+                scraper = threading.Thread(target=scrape, args=(srv.url,))
+                scraper.start()
+                curves = AutoSens().curves_by_action(logs)
+                scraper.join(timeout=60)
+
+        assert not scraper.is_alive()
+        if "error" in seen:
+            raise seen["error"]
+        assert seen["waited"] and len(curves) == len(finished) > 1
+        assert seen["families"] and seen["metrics"]
+        progress = seen["progress"]
+        assert progress["run_id"] == "mid-run"
+        stage = progress["stages"]["_curve_task"]
+        assert stage["done"] < stage["total"] == len(curves)
+        status, report = seen["health"]
+        assert status == (503 if report.verdict == "fail" else 200)
+        assert report.findings

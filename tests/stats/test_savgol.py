@@ -21,8 +21,11 @@ def reference_smooth(values, window=101, degree=3):
     is NaN when its window has no valid point, or when its own input is NaN
     and its window has fewer than ``degree + 1`` valid points; unlike
     :func:`savgol_smooth` it also extrapolates NaN bins from one side.
+    A 2-D stack is smoothed row by row.
     """
     y = np.asarray(values, dtype=float)
+    if y.ndim == 2:
+        return np.array([reference_smooth(row, window, degree) for row in y])
     n = y.size
     if n == 0:
         return y.copy()
@@ -59,6 +62,20 @@ def _one_sided(values, window):
         and not (valid[max(0, i - half):i].any() and valid[i + 1:i + half + 1].any())
         for i in range(y.size)
     ], dtype=bool)
+
+
+def _assert_stack_rows_match(rng, y, window, degree, k=3):
+    """A (k, n) stack sharing ``y``'s NaN pattern smooths each row as its
+    own 1-D call does, to 1e-12 of the data's scale."""
+    stack = np.vstack([y] + [y * rng.normal(1.0, 0.2) + rng.normal(0.0, 0.1, y.size)
+                             for _ in range(k - 1)])
+    stacked = savgol_smooth(stack, window=window, degree=degree)
+    assert stacked.shape == stack.shape
+    scale = max(1.0, np.nanmax(np.abs(stack))) if (~np.isnan(y)).any() else 1.0
+    for row, smoothed in zip(stack, stacked):
+        single = savgol_smooth(row, window=window, degree=degree)
+        assert np.array_equal(np.isnan(smoothed), np.isnan(single))
+        np.testing.assert_allclose(smoothed, single, rtol=0, atol=1e-12 * scale)
 
 
 def _random_curve(rng, n, gap_share, head, tail):
@@ -134,10 +151,23 @@ class TestSmooth:
 
     def test_empty_input(self):
         assert savgol_smooth(np.array([]), 5, 2).size == 0
+        assert savgol_smooth(np.empty((2, 0)), 5, 2).shape == (2, 0)
+        assert savgol_smooth(np.empty((0, 7)), 5, 2).shape == (0, 7)
 
     def test_rejects_2d(self):
+        """A 2-D input is accepted only as a stack of rows that share one
+        NaN pattern; other shapes are rejected too."""
+        stack = np.ones((3, 9))
+        stack[1, 4] = np.nan
         with pytest.raises(ConfigError):
-            savgol_smooth(np.ones((3, 3)), 3, 1)
+            savgol_smooth(stack, 3, 1)
+        stack[[0, 2], 4] = np.nan
+        assert savgol_smooth(stack, 3, 1).shape == (3, 9)
+        stack[2, 0] = np.nan
+        with pytest.raises(ConfigError):
+            savgol_smooth(stack, 3, 1)
+        with pytest.raises(ConfigError):
+            savgol_smooth(np.ones((2, 3, 3)), 3, 1)
 
     def test_callable_wrapper(self):
         smoother = SavitzkyGolay(window=5, degree=2)
@@ -218,6 +248,7 @@ def test_matches_reference_lstsq(seed, n, window, degree, gap_share, ends):
         scale = np.nanmax(np.abs(y))
         np.testing.assert_allclose(ours[~expected_nan], theirs[~expected_nan],
                                    rtol=1e-9, atol=1e-9 * scale)
+    _assert_stack_rows_match(rng, y, window, degree)
 
 
 def test_clustered_gaps_keep_valid_bins_exact():
@@ -243,3 +274,4 @@ def test_clustered_gaps_keep_valid_bins_exact():
                                    rtol=1e-9, atol=1e-9 * scale)
         fills = ~valid & ~np.isnan(ours)
         assert np.all(np.abs(ours[fills] - theirs[fills]) <= 1e-5 * scale)
+        _assert_stack_rows_match(rng, y, window, 3)
