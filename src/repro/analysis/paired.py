@@ -100,8 +100,8 @@ class PairedCell:
 
     The clean twin is an ungraded cell. ``error`` is ``"<ErrorType>:
     <message>"`` when the engine refused with a typed error (then
-    ``curve`` is ``None``); ``wall_seconds`` never reaches a gated
-    artifact.
+    ``curve`` is ``None``); ``wall_seconds`` and ``span_counts`` never
+    reach a gated artifact.
     """
 
     curve: Optional[PreferenceResult]

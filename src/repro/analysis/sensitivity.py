@@ -12,9 +12,10 @@ and the verdict rule (``robust`` / ``degraded-explained`` /
 ``silent-bias``), is :mod:`repro.analysis.paired`. Each fixture is a
 ladder of ``degrade`` or ``subsample`` perturbations, one cell per level,
 all against ONE clean twin per suite. A fixture's **frontier artifact**
-holds per-level NLP bias (L∞ and signed area), a CI-band-inflation proxy,
-paired probe verdicts and span counts; wall seconds go to an ungated
-``timings.json`` sidecar, so frontiers are byte-identical across backends.
+holds per-level NLP bias (L∞ and signed area), a CI-band-inflation proxy
+and paired probe verdicts. Instrumentation — wall seconds and span counts
+per cell — goes to an ungated ``timings.json`` sidecar, so frontiers are
+byte-identical across backends and a tracing change never moves them.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ CELL_FIELDS = ("level", "verdict", "gate_passed", "n_actions", "bias_linf",
 _SUBSAMPLE_AXES = ("event", "user", "time")
 
 #: Outcome fields kept out of the gated frontier: the curves, and runtime
-#: provenance that cannot be byte-stable across backends.
-_UNGATED = ("executor", "clean_curve", "cell_curves", "wall_seconds")
+#: provenance and instrumentation, which are not science.
+_UNGATED = ("executor", "clean_curve", "cell_curves", "timings")
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,10 @@ class SensitivityOutcome:
     cells: List[Dict[str, Any]]
     clean_curve: PreferenceResult
     cell_curves: Dict[float, Optional[PreferenceResult]]
-    #: Wall seconds per cell (and the clean twin) — *not* part of the
-    #: frontier artifact; written to the ungated timings sidecar only.
-    wall_seconds: Dict[str, float] = field(default_factory=dict)
+    #: Wall seconds and span counts per cell (and the clean twin) — *not*
+    #: part of the frontier artifact; written to the ungated timings
+    #: sidecar only.
+    timings: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     @property
     def gate_passed(self) -> bool:
@@ -273,8 +275,9 @@ def run_sensitivity_suite(
     ``out_dir`` receives, per fixture, the frontier
     (``<name>.frontier.json`` — ``obs diff`` sniffs it as a sensitivity
     artifact), plus ``summary.json`` for the matrix and a ``timings.json``
-    sidecar holding wall seconds (the only non-deterministic quantity,
-    kept out of every gated artifact).
+    sidecar holding each cell's wall seconds (the only non-deterministic
+    quantity) and span counts (instrumentation), both kept out of every
+    gated artifact.
     """
     fixtures = [resolve_fixture(SENSITIVITY_FIXTURES, name, "sensitivity")
                 for name in (names or DEFAULT_SENSITIVITY_NAMES)]
@@ -292,8 +295,7 @@ def run_sensitivity_suite(
             kind=fixture.kind, operator=fixture.operator,
             tolerance=fixture.tolerance, compare_max_ms=fixture.compare_max_ms,
             seed=seed, scale=scale, scenario=scenario, executor=executor,
-            clean={"n_actions": clean.n_actions, "health": clean.health,
-                   "span_counts": clean.span_counts},
+            clean={"n_actions": clean.n_actions, "health": clean.health},
             cells=[{
                 "level": float(level),
                 "verdict": cell.verdict,
@@ -302,17 +304,17 @@ def run_sensitivity_suite(
                 "error": cell.error,
                 "health": cell.health,
                 "probes": cell.probes,
-                "span_counts": cell.span_counts,
                 **bias_metrics(cell.curve, clean.curve, fixture.compare_max_ms),
             } for level, cell in zip(fixture.levels, ladder)],
             clean_curve=clean.curve,
             cell_curves={level: cell.curve
                          for level, cell in zip(fixture.levels, ladder)},
-            wall_seconds={
-                "clean": round(clean.wall_seconds, 6),
-                **{f"level_{level:g}": round(cell.wall_seconds, 6)
-                   for level, cell in zip(fixture.levels, ladder)},
-            },
+            timings={
+                key: {"wall_seconds": round(twin.wall_seconds, 6),
+                      "span_counts": twin.span_counts}
+                for key, twin in [("clean", clean)] + [
+                    (f"level_{level:g}", cell)
+                    for level, cell in zip(fixture.levels, ladder)]},
         )
     if out_dir is not None:
         artifacts: Dict[str, Any] = {
@@ -326,7 +328,7 @@ def run_sensitivity_suite(
             scale=scale)
         artifacts["timings.json"] = {
             "executor": executor,
-            **{name: dict(o.wall_seconds) for name, o in outcomes.items()},
+            **{name: dict(o.timings) for name, o in outcomes.items()},
         }
         write_artifacts(out_dir, artifacts)
     return outcomes

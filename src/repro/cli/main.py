@@ -433,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "of [field, value] pairs (default: table)")
     diff = obs_sub.add_parser(
         "diff", help="compare two run artifacts (manifest/metrics/curve/"
-                     "health) with tolerance classification")
+                     "health/sensitivity) with tolerance classification")
     diff.add_argument("a", help="baseline artifact (JSON file or run dir)")
     diff.add_argument("b", help="candidate artifact (JSON file or run dir)")
     diff.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
@@ -550,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--slo", default=None, metavar="PATH",
         help="SLO config as TOML ([[slo]] tables) or JSON; default: the "
              "built-in fleet SLO set (health, ingest rejects, span "
-             "stability, frontier bias)")
+             "stability)")
     watch.add_argument(
         "--last", type=int, default=0,
         help="only consider the last N recorded runs (default: all)")

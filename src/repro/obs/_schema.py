@@ -1,14 +1,17 @@
-"""Shared plumbing for the loaders that validate artifacts on read.
+"""Shared plumbing for the obs artifact writers and for the loaders that
+validate artifacts on read.
 
-A loader collects every violation, then raises one
-:class:`~repro.errors.SchemaError` carrying all of them.
+Every artifact is written by :func:`write_json`. A loader collects every
+violation, then raises one :class:`~repro.errors.SchemaError` carrying all
+of them.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SchemaError
 
@@ -78,3 +81,24 @@ def raise_if(errors: List[str]) -> None:
     """Raise one :class:`SchemaError` naming every violation, if any."""
     if errors:
         raise SchemaError("; ".join(errors), violations=errors)
+
+
+def write_json(payload: Any, path: Union[str, Path],
+               indent: Optional[int] = None,
+               default: Optional[Callable[[Any], Any]] = None) -> Path:
+    """Write ``payload`` atomically as key-sorted JSON and a newline:
+    compact, or indented by ``indent``. The payload is serialized before
+    any file is opened, and the temp file that replaces ``path`` is
+    removed if the write fails, so a failed write leaves nothing behind."""
+    path = Path(path)
+    text = json.dumps(payload, sort_keys=True, indent=indent, default=default,
+                      separators=None if indent else (",", ":")) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path

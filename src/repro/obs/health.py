@@ -15,7 +15,6 @@ a faulted run can never report clean.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
@@ -129,14 +128,7 @@ def _scalar(value: Any) -> Any:
 
 def write_health_report(report: HealthReport, path: Union[str, Path]) -> Path:
     """Serialize the report atomically (same discipline as the manifest)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    tmp.replace(path)
-    return path
+    return _schema.write_json(report.to_dict(), path, indent=2)
 
 
 FINDING_FIELDS = ("probe", "stage", "severity", "message")

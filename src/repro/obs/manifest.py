@@ -16,8 +16,6 @@ obs job asserts.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import platform
 import sys
 import time
@@ -202,14 +200,7 @@ def run_manifest(experiment_id: str, seed: Optional[int],
 def write_manifest(manifest: Dict[str, Any],
                    path: Union[str, Path]) -> Path:
     """Atomically write a manifest as key-sorted JSON; returns the path."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=None,
-                  separators=(",", ":"), default=str)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return path
+    return _schema.write_json(manifest, path, default=str)
 
 
 def load_manifest(source: Any) -> Dict[str, Any]:

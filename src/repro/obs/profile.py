@@ -17,7 +17,6 @@ input format consumed by ``flamegraph.pl`` / speedscope.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from pathlib import Path
@@ -209,14 +208,7 @@ def build_profile(profiler: Optional[SpanProfiler],
 
 def write_profile(payload: Dict[str, Any], path: Union[str, Path]) -> Path:
     """Serialize the profile artifact atomically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    tmp.replace(path)
-    return path
+    return _schema.write_json(payload, path, indent=2)
 
 
 PROFILE_SPAN_FIELDS = ("count", "cpu_self_s", "cpu_total_s", "wall_s",

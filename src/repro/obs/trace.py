@@ -292,9 +292,11 @@ def aggregate_span_timings(records: Iterable[Dict[str, Any]]
                            ) -> Dict[str, Dict[str, Any]]:
     """Per-span-name totals (``{name: {count, seconds}}``) from records.
 
-    The shape run manifests carry under ``span_timings``: ``obs diff``
-    compares it as shares of the total, and ``watch`` derives the
-    ``span_seconds[*]`` and ``span_share[*]`` series from it.
+    The shape run manifests carry under ``span_timings``. ``seconds`` is
+    inclusive: each record's whole duration, children included.
+    :func:`repro.obs.diff.series` derives the ``span_seconds[*]``,
+    ``span_share[*]`` and ``span_count[*]`` series that ``obs diff`` and
+    ``watch`` compare from it.
     """
     timings: Dict[str, Dict[str, Any]] = {}
     for record in records:

@@ -3,7 +3,11 @@
 ``autosens runs diff`` answers "did this pair of runs move?" with one
 ``obs diff``. This module answers the fleet question:
 *across the whole registry history, which series drifted, when, and does
-the fleet still meet its objectives?* Three layers, stdlib-only:
+the fleet still meet its objectives?* It reads the comparison engine of
+:mod:`repro.obs.diff`: each recorded manifest's
+:func:`~repro.obs.diff.series` (plus the index line's ``wall_s``), and
+:func:`~repro.obs.diff.worsened` for which way a move is for the worse.
+Three layers, stdlib-only:
 
 - **Rolling baselines** (:func:`robust_baseline`): per-series EWMA center
   plus a median/MAD robust envelope over registry history. MAD tolerates
@@ -20,7 +24,8 @@ the fleet still meet its objectives?* Three layers, stdlib-only:
   declarative ``slo.toml``/dict schema (objective, window, burn-rate
   threshold) evaluated against registry history. ``max``/``min``
   objectives gate on the share of breaching runs inside the window
-  (burn rate); ``stable`` objectives gate on the change-point verdict.
+  (burn rate); ``stable`` objectives gate on the change-point verdict,
+  breaching only on a move for the worse.
 
 Everything here is a pure function of registry contents: series are
 sorted by name, floats rounded before serialization, artifacts written
@@ -30,15 +35,13 @@ key-sorted and compact — identical registries yield byte-identical
 
 from __future__ import annotations
 
-import fnmatch
 import json
 import math
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import _schema
+from repro.obs.diff import match_series, series as manifest_series, worsened
 from repro.obs.registry import RunRegistry
 
 __all__ = [
@@ -93,6 +96,7 @@ DEFAULT_SLOS: Tuple[Dict[str, Any], ...] = (
      "objective": "max", "threshold": 2.0, "window": 8, "burn_rate": 0.5},
     {"name": "ingest-reject-rate", "series": "ingest.reject_rate",
      "objective": "max", "threshold": 0.05, "window": 8, "burn_rate": 0.25},
+    # Span seconds are inclusive; the SLO keeps its committed name.
     {"name": "span-self-time-stability", "series": "span_seconds[*]",
      "objective": "stable", "window": 16, "burn_rate": 0.0},
     {"name": "span-share-stability", "series": "span_share[*]",
@@ -109,62 +113,29 @@ class WatchConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _entry_series(entry: Dict[str, Any],
-                  manifest: Dict[str, Any]) -> Dict[str, float]:
-    """Every numeric series observable from one recorded run; ``manifest``
-    passed :func:`~repro.obs.manifest.load_manifest`, or is empty."""
-    values: Dict[str, float] = {}
-    wall = entry.get("wall_s")
-    if isinstance(wall, (int, float)):
-        values["wall_s"] = float(wall)
-
-    timings = manifest.get("span_timings", {})
-    seconds = {name: float(timings[name]["seconds"])
-               for name in sorted(timings)}
-    total = sum(seconds.values())
-    for name, value in seconds.items():
-        values[f"span_seconds[{name}]"] = value
-        if total > 0.0:
-            values[f"span_share[{name}]"] = value / total
-
-    health = manifest.get("health")
-    if health is not None:
-        if "counts" in health:
-            values["health.warn"] = float(health["counts"]["warn"])
-            values["health.fail"] = float(health["counts"]["fail"])
-        values["health.verdict_rank"] = float(
-            ("ok", "warn", "fail").index(health["verdict"]))
-
-    if "degradations" in manifest:
-        values["degradations"] = float(len(manifest["degradations"]))
-
-    ingest = manifest.get("ingest", {})
-    n_rows, n_bad = ingest.get("n_rows"), ingest.get("n_bad")
-    if isinstance(n_rows, (int, float)) and n_rows and \
-            isinstance(n_bad, (int, float)):
-        values["ingest.reject_rate"] = float(n_bad) / float(n_rows)
-    return values
-
-
 def collect_series(registry: RunRegistry,
                    last: int = 0) -> Dict[str, List[Tuple[int, float]]]:
     """All numeric series over registry history, keyed by series name.
 
-    Each series is a list of ``(seq, value)`` points in recorded order.
-    ``last`` bounds history to the most recent N runs (0 = all). Runs
-    whose directory or manifest has been deleted still contribute their
-    index-line series (``wall_s``); missing values simply leave gaps.
+    Each series is a list of ``(seq, value)`` points in recorded order:
+    the recorded manifest's :func:`~repro.obs.diff.series`, plus the index
+    line's ``wall_s``. ``last`` bounds history to the most recent N runs
+    (0 = all). Runs whose directory or manifest has been deleted still
+    contribute ``wall_s``; missing values simply leave gaps.
     """
     entries = registry.entries()
     if last > 0:
         entries = entries[-last:]
     series: Dict[str, List[Tuple[int, float]]] = {}
     for entry in entries:
-        seq = int(entry.get("seq", 0))
-        manifest = registry.read_manifest(entry) or {}
-        for name, value in _entry_series(entry, manifest).items():
+        manifest = registry.read_manifest(entry)
+        values = manifest_series(manifest) if manifest else {}
+        if _schema.is_number(entry.get("wall_s")):
+            values["wall_s"] = float(entry["wall_s"])
+        for name, value in values.items():
             if math.isfinite(value):
-                series.setdefault(name, []).append((seq, value))
+                series.setdefault(name, []).append(
+                    (int(entry.get("seq", 0)), value))
     return {name: series[name] for name in sorted(series)}
 
 
@@ -355,8 +326,7 @@ def _normalize_slo(spec: Dict[str, Any], index: int) -> Dict[str, Any]:
             f"slo '{name}': objective must be one of {_OBJECTIVES}")
     threshold = spec.get("threshold")
     if objective in ("max", "min"):
-        if not isinstance(threshold, (int, float)) or \
-                isinstance(threshold, bool):
+        if not _schema.is_number(threshold):
             raise WatchConfigError(
                 f"slo '{name}': {objective} objective needs a numeric "
                 f"'threshold'")
@@ -364,11 +334,10 @@ def _normalize_slo(spec: Dict[str, Any], index: int) -> Dict[str, Any]:
     else:
         threshold = None
     window = spec.get("window", 8)
-    if not isinstance(window, int) or isinstance(window, bool) or window < 2:
+    if not _schema.is_count(window) or window < 2:
         raise WatchConfigError(f"slo '{name}': window must be an int >= 2")
     burn = spec.get("burn_rate", 0.0)
-    if not isinstance(burn, (int, float)) or isinstance(burn, bool) or \
-            not 0.0 <= float(burn) <= 1.0:
+    if not _schema.is_number(burn) or not 0.0 <= burn <= 1.0:
         raise WatchConfigError(f"slo '{name}': burn_rate must be in [0, 1]")
     known = {"name", "series", "objective", "threshold", "window",
              "burn_rate"}
@@ -406,15 +375,13 @@ def load_slo_config(
             raise WatchConfigError(f"cannot read SLO config: {exc}") from exc
         if path.suffix.lower() == ".toml":
             import tomllib
-            try:
-                data = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as exc:
-                raise WatchConfigError(f"bad TOML in {path}: {exc}") from exc
+            loads, fmt = tomllib.loads, "TOML"
         else:
-            try:
-                data = json.loads(text)
-            except ValueError as exc:
-                raise WatchConfigError(f"bad JSON in {path}: {exc}") from exc
+            loads, fmt = json.loads, "JSON"
+        try:
+            data = loads(text)
+        except ValueError as exc:  # a TOMLDecodeError is a ValueError
+            raise WatchConfigError(f"bad {fmt} in {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise WatchConfigError(f"{path}: top level must be a table")
     specs = data.get("slo")
@@ -426,12 +393,6 @@ def load_slo_config(
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise WatchConfigError(f"duplicate slo names: {dupes}")
     return normalized
-
-
-def _match_series(name: str, pattern: str) -> bool:
-    """fnmatch with *literal* brackets: series names embed ``[span]``
-    suffixes, so ``[`` must never open a character class."""
-    return fnmatch.fnmatchcase(name, pattern.replace("[", "[[]"))
 
 
 def _eval_budget_slo(slo: Dict[str, Any],
@@ -458,16 +419,15 @@ def _eval_stable_slo(slo: Dict[str, Any],
                      points: Sequence[Tuple[int, float]]) -> Dict[str, Any]:
     analysis = detect_change_point(points[-slo["window"]:])
     state = analysis.get("state", "stable")
-    direction = analysis.get("direction")
-    # Every fleet series is smaller-is-better (times, shares, failures,
-    # rejects), so only upward movement breaches stability;
-    # a downward step is an improvement worth seeing, not a page.
-    worsened = state in ("stepped", "trending") and direction == "up"
+    # Only a move for the worse breaches stability; a step toward the
+    # series' better side is an improvement worth seeing, not a page.
+    moved_worse = state != "stable" and \
+        worsened(name, analysis.get("direction") == "up")
     detail: Dict[str, Any] = {
         "series": name,
         "n": analysis.get("n", len(points)),
         "state": state,
-        "met": not worsened,
+        "met": not moved_worse,
     }
     for key in ("change_seq", "delta", "slope", "direction", "note"):
         if key in analysis:
@@ -488,7 +448,7 @@ def evaluate_slos(slos: Sequence[Dict[str, Any]],
     results: List[Dict[str, Any]] = []
     breaches: List[Dict[str, Any]] = []
     for slo in slos:
-        matched = [n for n in names if _match_series(n, slo["series"])]
+        matched = [n for n in names if match_series(n, slo["series"])]
         details: List[Dict[str, Any]] = []
         for name in matched:
             points = series[name]
@@ -592,23 +552,7 @@ def write_watch_artifact(payload: Dict[str, Any],
     Byte identity contract: the same payload always serializes to the
     same bytes (sorted keys, no whitespace, trailing newline).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                               prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return _schema.write_json(payload, path)
 
 
 def _baseline_violations(payload: Dict[str, Any], where: str) -> List[str]:

@@ -180,6 +180,12 @@ class TestSuiteArtifacts:
         assert "executor" not in summary
         timings = json.loads((out_dir / "timings.json").read_text())
         assert timings["executor"] == "serial"
+        # Instrumentation lives only in the sidecar, per fixture and level.
+        for name, outcome in outcomes.items():
+            assert set(timings[name]) == {"clean"} | {
+                f"level_{c['level']:g}" for c in outcome.cells}
+            assert timings[name]["clean"]["span_counts"]
+            assert all("span_counts" not in c for c in outcome.cells)
 
     def test_silent_bias_demo_fails_the_gate(self):
         outcome = run_sensitivity("user-skew-heavy")
@@ -233,8 +239,12 @@ class TestGoldens:
             assert gates[name] is True, name
 
     def test_default_goldens_match_a_fresh_run(self, default_suite):
-        # Byte-identity against the committed baseline — the same check
-        # CI's `--baseline-dir` gate performs, pinned locally.
+        # Byte-identity against the committed baseline. A frontier holds
+        # only science (verdicts, distances, bias, band inflation,
+        # findings); span counts and wall seconds live in timings.json, so
+        # a tracing change cannot move it. CI's `--baseline-dir` gate is
+        # looser: it runs `obs diff`, which compares each cell's series
+        # under tolerances.
         _, out_dir = default_suite
         for name in DEFAULT_SENSITIVITY_NAMES:
             fresh = (out_dir / f"{name}.frontier.json").read_text()

@@ -16,9 +16,12 @@ from repro.obs.diff import (
     diff_artifacts,
     diff_exit_code,
     diff_paths,
+    direction,
     load_artifact,
     render_diff,
+    series,
     sniff_kind,
+    worsened,
     write_diff,
 )
 
@@ -33,6 +36,12 @@ def _manifest(tmp_path, name="manifest.json", **overrides):
         extra=overrides,
     )
     return obs.write_manifest(manifest, tmp_path / name)
+
+
+def _counters(**values):
+    """A metrics snapshot of one unlabelled counter per name."""
+    return {name: {"kind": "counter", "series": {"{}": value}}
+            for name, value in values.items()}
 
 
 class TestSelfDiff:
@@ -73,18 +82,37 @@ class TestSelfDiff:
 
 
 class TestClassification:
-    def test_direction_heuristics(self):
-        a = {"m": {"kind": "counter", "series": {
-            '{outcome="hit"}': 100.0, '{outcome="miss"}': 100.0,
-            '{kind="other"}': 100.0}}}
-        b = {"m": {"kind": "counter", "series": {
-            '{outcome="hit"}': 200.0, '{outcome="miss"}': 200.0,
-            '{kind="other"}': 200.0}}}
-        report = diff_artifacts(a, b)
+    def test_direction_rule(self):
+        # One rule names each series' better side and its tolerance.
+        assert direction("span_seconds[alpha]") == ("lower", "rel")
+        assert direction("span_share[alpha]") == ("lower", "share")
+        assert direction("span_count[alpha]") == ("pinned", "exact")
+        assert direction("health.warn") == ("lower", "exact")
+        assert direction("curve.n_valid_bins") == ("higher", "exact")
+        assert direction("curve.nlp[3]") == ("pinned", "curve")
+        assert direction("cell[0.5].gate_passed") == ("higher", "exact")
+        assert direction("cell[0.5].bias_linf") == ("pinned", "curve")
+        assert direction('metrics.autosens_task_retries_total{}') == \
+            ("lower", "rel")
+        assert worsened("span_seconds[alpha]", up=True)
+        assert not worsened("curve.n_valid_bins", up=True)
+        assert worsened("curve.nlp[3]", up=False)
+
+    def test_metric_counters_of_bad_events_are_lower_better(self):
+        def snapshot(failures, retries, m):
+            return {**_counters(autosens_task_failures_total=failures,
+                                autosens_task_retries_total=retries),
+                    "m": {"kind": "counter", "series": {
+                        '{outcome="hit"}': m, '{kind="other"}': m}}}
+
+        report = diff_artifacts(snapshot(100.0, 200.0, 100.0),
+                                snapshot(200.0, 100.0, 200.0))
         by_key = {e["key"]: e["classification"] for e in report["entries"]}
-        assert by_key['m{outcome="hit"}'] == "improved"
-        assert by_key['m{outcome="miss"}'] == "regressed"
-        # No known direction: any drift beyond tolerance is a regression.
+        assert by_key["autosens_task_failures_total{}"] == "regressed"
+        assert by_key["autosens_task_retries_total{}"] == "improved"
+        # Any other metric is pinned: drift beyond tolerance regresses,
+        # whatever its labels say.
+        assert by_key['m{outcome="hit"}'] == "regressed"
         assert by_key['m{kind="other"}'] == "regressed"
 
     def test_drift_within_tolerance_is_unchanged(self):
@@ -130,7 +158,7 @@ class TestManifestDiff:
         report = diff_paths(a, b)
         by_key = {e["key"]: e["classification"] for e in report["entries"]}
         assert by_key["health.verdict_rank"] == "regressed"
-        assert by_key["health.findings[warn]"] == "regressed"
+        assert by_key["health.warn"] == "regressed"
 
     def test_span_share_shift_is_detected(self, tmp_path):
         a = _manifest(tmp_path, "a.json", span_timings={
@@ -145,6 +173,8 @@ class TestManifestDiff:
         by_key = {e["key"]: e["classification"] for e in report["entries"]}
         assert by_key["span_share[alpha]"] == "regressed"
         assert by_key["span_share[sweep]"] == "improved"
+        assert by_key["span_seconds[alpha]"] == "regressed"
+        assert by_key["span_seconds[sweep]"] == "improved"
         assert by_key["span_count[alpha]"] == "unchanged"
 
     def test_run_directory_resolves_to_its_manifest(self, tmp_path):
@@ -193,13 +223,13 @@ class TestPlumbing:
             diff_artifacts({"run_id": "x"}, {"verdict": "ok", "findings": []})
 
     def test_render_lists_regressions_first(self):
-        a = {"m": {"kind": "counter", "series": {
-            '{outcome="miss"}': 1.0, '{outcome="hit"}': 1.0}}}
-        b = {"m": {"kind": "counter", "series": {
-            '{outcome="miss"}': 50.0, '{outcome="hit"}': 50.0}}}
+        a = _counters(autosens_task_failures_total=1.0,
+                      autosens_task_retries_total=50.0)
+        b = _counters(autosens_task_failures_total=50.0,
+                      autosens_task_retries_total=1.0)
         text = render_diff(diff_artifacts(a, b))
-        regressed_at = text.index("regressed")
-        improved_at = text.index("improved")
+        regressed_at = text.index("[regressed]")
+        improved_at = text.index("[ improved]")
         assert regressed_at < improved_at
         assert "summary:" in text
 
@@ -215,3 +245,99 @@ class TestPlumbing:
             load_artifact(bad)
         with pytest.raises(SchemaError):
             load_artifact(tmp_path / "missing.json")
+
+
+REGISTRIES = Path(__file__).parent / "golden" / "registry"
+
+
+def _spans_registry(root, preference_seconds):
+    """A registry whose runs differ only in one span's seconds."""
+    from repro.obs.registry import RunRegistry
+
+    registry = RunRegistry(root)
+    for seconds in preference_seconds:
+        run_dir = registry.new_run_dir("exp")
+        _manifest(run_dir, span_timings={
+            "ingest": {"count": 1, "seconds": 1.0},
+            "preference_compute": {"count": 1, "seconds": seconds},
+        })
+        registry.record(run_dir, run_id="exp", wall_s=1.0)
+    return registry
+
+
+class TestOneEngine:
+    """``obs diff`` and ``watch`` read one extractor and one rule."""
+
+    def test_watch_series_are_the_self_diff_entries(self):
+        from repro.obs.registry import RunRegistry
+        from repro.obs.watch import collect_series
+
+        registry = RunRegistry(REGISTRIES / "clean")
+        watched = set(collect_series(registry)) - {"wall_s"}
+        manifests = sorted((REGISTRIES / "clean").glob("*/manifest.json"))
+        assert len(manifests) == 8
+        for path in manifests:
+            report = diff_paths(path, path)
+            assert {e["key"] for e in report["entries"]} == watched
+            assert set(series(json.loads(path.read_text()))) == watched
+
+    @pytest.mark.parametrize("step,classification,met", [
+        (0.5, "improved", True), (1.6, "regressed", False)])
+    def test_diff_and_watch_agree_on_a_step(self, tmp_path, step,
+                                            classification, met):
+        from repro.obs.watch import build_watch_report, load_slo_config
+
+        history = [2.0, 2.02, 1.98, 2.01, 1.99] + [2.0 * step] * 3
+        registry = _spans_registry(tmp_path / "runs", history)
+        first, last = (registry.run_path(e) for e in
+                       (registry.entries()[0], registry.entries()[-1]))
+        report = diff_paths(first, last)
+        by_key = {e["key"]: e["classification"] for e in report["entries"]}
+        assert by_key["span_seconds[preference_compute]"] == classification
+        slos = load_slo_config({"slo": [
+            {"name": "spans", "series": "span_seconds[preference_compute]",
+             "objective": "stable", "window": 16}]})
+        watch = build_watch_report(registry, slos=slos)
+        (detail,) = watch["slo"]["slos"][0]["series"]
+        assert detail["state"] == "stepped"
+        assert detail["met"] is met
+
+    def test_watch_artifacts_are_not_diffable(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        out = tmp_path / "watch"
+        assert main(["watch", str(REGISTRIES / "clean"),
+                     "--out-dir", str(out)]) == 0
+        for name in ("baseline", "trend", "slo"):
+            path = out / f"{name}.json"
+            assert main(["obs", "diff", str(path), str(path)]) == 3
+        assert "unrecognized artifact" in capsys.readouterr().err
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", [
+        "write_diff", "write_manifest", "write_profile",
+        "write_watch_artifact", "write_health_report"])
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, writer):
+        from repro.obs.health import HealthReport
+        from repro.obs.watch import write_watch_artifact
+
+        circular = {"run_id": "x"}
+        circular["self"] = circular  # no JSON encoder can serialize this
+        write, payload = {
+            "write_diff": (write_diff, circular),
+            "write_manifest": (obs.write_manifest, circular),
+            "write_profile": (obs.write_profile, circular),
+            "write_watch_artifact": (write_watch_artifact, circular),
+            "write_health_report": (obs.write_health_report, HealthReport([{
+                "probe": "p", "stage": "s", "severity": "ok",
+                "message": "m", "context": circular}])),
+        }[writer]
+        with pytest.raises(ValueError):
+            write(payload, tmp_path / "artifact.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_out_creates_its_directory(self, tmp_path):
+        path = tmp_path / "new" / "manifest.json"
+        obs.write_manifest({"run_id": "x"}, path)
+        assert json.loads(path.read_text()) == {"run_id": "x"}

@@ -21,7 +21,7 @@ from repro.obs.watch import (
     watch_exit_code,
     write_watch_artifact,
 )
-from repro.obs.watch import _match_series
+from repro.obs.diff import match_series as _match_series
 
 GOLDEN = Path(__file__).parent / "golden" / "registry"
 CLEAN = GOLDEN / "clean"

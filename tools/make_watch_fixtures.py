@@ -7,8 +7,8 @@ job and ``tests/obs/test_watch.py``:
 
 - ``clean``: every series jitters a couple of percent around a stable
   mean — ``autosens watch --check`` must exit 0 with all SLOs met.
-- ``stepped``: identical except the ``preference_compute`` span self-time
-  steps from 2.0s to 3.2s at seq 6 and stays there — the watch gate must
+- ``stepped``: identical except the ``preference_compute`` span seconds
+  step from 2.0s to 3.2s at seq 6 and stays there — the watch gate must
   exit non-zero, name ``span_seconds[preference_compute]``, and attribute
   the change-point to seq 6.
 
