@@ -11,18 +11,31 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 from repro.errors import SchemaError
 
 
+class Parsed(NamedTuple):
+    """A file's already-parsed JSON: a loader validates ``payload`` and
+    names ``path`` in its violations, without reading the file again."""
+
+    path: Path
+    payload: Any
+
+
 def owner(source: Any, what: str) -> str:
     """The prefix of every violation: the file, or the artifact kind."""
+    if isinstance(source, Parsed):
+        return str(source.path)
     return str(source) if isinstance(source, (str, Path)) else what
 
 
 def read_json(source: Any, what: str) -> Any:
     """A path's parsed JSON, or ``source`` itself when already parsed."""
+    if isinstance(source, Parsed):
+        return source.payload
     if not isinstance(source, (str, Path)):
         return source
     try:

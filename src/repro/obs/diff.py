@@ -68,6 +68,12 @@ DEFAULT_REL_TOL = 0.10
 #: Default absolute tolerance for NLP curve values (the curve is ~O(1)).
 DEFAULT_CURVE_TOL = 0.02
 
+#: A span's seconds must move by at least this much to count as a change.
+#: Small spans are scheduler noise: two identical wall-clock runs of
+#: ``experiment bottleneck --scale small`` on a 2-vCPU host moved every
+#: span (0.2-58 ms) by 11-40 %, each by under 10 ms.
+SPAN_SECONDS_FLOOR = 0.1
+
 _VERDICT_RANK = {"ok": 0, "warn": 1, "fail": 2}
 
 #: Sensitivity-cell verdicts in increasing badness.
@@ -131,8 +137,9 @@ def worsened(name: str, up: bool) -> bool:
 
 
 def _entry(key: str, a: Optional[float], b: Optional[float],
-           tol: float, absolute: bool) -> Dict[str, Any]:
-    """Classify one quantity under its tolerance and its direction."""
+           tol: float, absolute: bool, floor: float = 0.0) -> Dict[str, Any]:
+    """Classify one quantity under its tolerance and its direction; a move
+    smaller than ``floor`` is ``unchanged`` whatever its drift."""
     entry: Dict[str, Any] = {"key": key, "a": a, "b": b}
     if a is None or b is None:
         entry["classification"] = "added" if a is None else "removed"
@@ -146,7 +153,7 @@ def _entry(key: str, a: Optional[float], b: Optional[float],
         abs(delta) / max(abs(a), abs(b), 1e-12)
     entry["delta"] = round(delta, 6)
     entry["drift"] = round(drift, 6)
-    if drift <= tol:
+    if drift <= tol or abs(delta) < floor:
         entry["classification"] = "unchanged"
     else:
         entry["classification"] = \
@@ -177,7 +184,7 @@ def load_artifact(path: Union[str, Path]) -> Dict[str, Any]:
         raise SchemaError(f"{path} is not a JSON object")
     loader = _kind_loader(sniff_kind(payload))
     if loader is not None:
-        loader(path)
+        loader(_schema.Parsed(path, payload))
     return payload
 
 
@@ -337,9 +344,12 @@ def diff_artifacts(a: Dict[str, Any], b: Dict[str, Any],
     entries = []
     for name in sorted(set(a_series) | set(b_series)):
         tolerance = direction(name)[1]
+        floor = SPAN_SECONDS_FLOOR if match_series(name, "span_seconds[*]") \
+            else 0.0
         entries.append(_entry(
             name, a_series.get(name), b_series.get(name),
-            tolerances[tolerance], absolute=tolerance in ("share", "curve")))
+            tolerances[tolerance], absolute=tolerance in ("share", "curve"),
+            floor=floor))
     summary = dict.fromkeys(CLASSIFICATIONS, 0)
     for entry in entries:
         summary[entry["classification"]] += 1

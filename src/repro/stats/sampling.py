@@ -1,4 +1,4 @@
-"""Time-based resampling primitives for the unbiased-distribution estimator.
+"""Sampling primitives: time-based resampling and a categorical draw.
 
 Section 2.2 of the paper approximates the unbiased latency distribution by
 repeatedly (1) drawing a point in time uniformly at random over the
@@ -6,10 +6,14 @@ observation window and (2) selecting the latency sample *closest in time* to
 that point, breaking ties uniformly at random. These two primitives live
 here; :func:`repro.core.unbiased.draw_unbiased_samples` assembles them into
 the paper's reference draw.
+
+:class:`InverseCdf` is the telemetry generator's categorical draw: the
+indices ``Generator.choice`` would return, from the same random stream.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -107,3 +111,51 @@ def sorted_by_time(
     times = np.asarray(times, dtype=float)
     order = np.argsort(times, kind="mergesort")
     return (times[order],) + tuple(np.asarray(c)[order] for c in columns)
+
+
+#: Buckets of :class:`InverseCdf`'s guide table. A power of two, so a
+#: draw's bucket ``floor(u * size)`` and every bucket edge are exact.
+GUIDE_TABLE_SIZE = 1 << 14
+
+
+class InverseCdf:
+    """``Generator.choice(len(p), size=m, p=p)`` without a binary search
+    per draw.
+
+    ``choice`` draws ``u = random(m)`` and returns
+    ``cdf.searchsorted(u, side="right")``, with ``cdf = p.cumsum()`` divided
+    by its last entry. :meth:`draw` consumes the same ``random(m)`` and
+    returns the same indices. A guide table holds, for each of
+    :data:`GUIDE_TABLE_SIZE` equal buckets of ``[0, 1)``, the number of CDF
+    entries at or below the bucket's lower edge; a draw starts from its
+    bucket's count and steps past the few entries between that edge and
+    ``u``. ``p`` is checked as ``choice`` checks it, with its errors.
+    """
+
+    def __init__(self, p: np.ndarray) -> None:
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError("p must be 1-dimensional and non-empty")
+        total = math.fsum(p)
+        if math.isnan(total):
+            raise ValueError("Probabilities contain NaN")
+        if np.any(p < 0):
+            raise ValueError("Probabilities are not non-negative")
+        if abs(total - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+            raise ValueError("Probabilities do not sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf
+        edges = np.arange(GUIDE_TABLE_SIZE) / GUIDE_TABLE_SIZE
+        self.guide = cdf.searchsorted(edges, side="right").astype(np.int64)
+
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """``m`` indices, as ``rng.choice(len(p), size=m, p=p)`` returns them."""
+        u = rng.random(m)
+        idx = self.guide[(u * GUIDE_TABLE_SIZE).astype(np.int64)]
+        # The last CDF entry is exactly 1 > u, so no index passes the end.
+        pending = np.flatnonzero(self.cdf[idx] <= u)
+        while pending.size:
+            idx[pending] += 1
+            pending = pending[self.cdf[idx[pending]] <= u[pending]]
+        return idx

@@ -15,7 +15,12 @@ from typing import Any, Mapping, Optional
 from repro.errors import SchemaError
 
 
-@dataclass(frozen=True)
+#: ``extra``'s default: each record gets a fresh dict, as from
+#: ``field(default_factory=dict)``.
+_NO_EXTRA: Any = object()
+
+
+@dataclass(frozen=True, init=False)
 class ActionRecord:
     """One logged user action.
 
@@ -52,15 +57,38 @@ class ActionRecord:
     tz_offset_hours: float = 0.0
     extra: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.action, str) or not self.action:
-            raise SchemaError(f"action must be a non-empty string, got {self.action!r}")
-        if self.latency_ms < 0:
-            raise SchemaError(f"latency must be non-negative, got {self.latency_ms}")
-        if not -24.0 <= self.tz_offset_hours <= 24.0:
+    def __init__(
+        self,
+        time: float,
+        action: str,
+        latency_ms: float,
+        user_id: str = "",
+        user_class: str = "",
+        success: bool = True,
+        tz_offset_hours: float = 0.0,
+        extra: Mapping[str, Any] = _NO_EXTRA,
+    ) -> None:
+        # Hand-written: a frozen dataclass's generated __init__ sets each
+        # field through object.__setattr__, which costs more than the rest
+        # of building a record. Writing the instance dict directly leaves
+        # assignment frozen, and eq, repr and pickling unchanged.
+        if not isinstance(action, str) or not action:
+            raise SchemaError(f"action must be a non-empty string, got {action!r}")
+        if latency_ms < 0:
+            raise SchemaError(f"latency must be non-negative, got {latency_ms}")
+        if not -24.0 <= tz_offset_hours <= 24.0:
             raise SchemaError(
-                f"tz_offset_hours out of range [-24, 24]: {self.tz_offset_hours}"
+                f"tz_offset_hours out of range [-24, 24]: {tz_offset_hours}"
             )
+        values = self.__dict__
+        values["time"] = time
+        values["action"] = action
+        values["latency_ms"] = latency_ms
+        values["user_id"] = user_id
+        values["user_class"] = user_class
+        values["success"] = success
+        values["tz_offset_hours"] = tz_offset_hours
+        values["extra"] = {} if extra is _NO_EXTRA else extra
 
     def local_time(self) -> float:
         """Action start time shifted into the user's local clock."""

@@ -23,9 +23,38 @@ def hour_of_day(times: np.ndarray, tz_offset_hours: np.ndarray | float = 0.0) ->
     return (local % SECONDS_PER_DAY) / SECONDS_PER_HOUR
 
 
+#: :func:`hour_slot` takes its fast path below this many hours since the
+#: epoch, far inside the range where every whole hour is a float.
+_FAST_HOURS = 2.0**40
+
+
 def hour_slot(times: np.ndarray, tz_offset_hours: np.ndarray | float = 0.0) -> np.ndarray:
-    """Integer hour-of-day slot 0..23 (the paper's 1-hour α slots)."""
-    return np.floor(hour_of_day(times, tz_offset_hours)).astype(np.int64)
+    """Integer hour-of-day slot 0..23 (the paper's 1-hour α slots).
+
+    Bitwise ``floor(hour_of_day(times, tz_offset_hours))``, without its
+    float ``%`` on every row. Take the rounded quotient ``q = local /
+    3600``. If ``q`` is in ``[0, 2**40)`` and not a whole number, ``floor(q)``
+    is the exact hour count, so ``floor(q) % 24`` is the slot:
+    ``hour_of_day``'s own rounding can reach the next whole hour only
+    where ``q``'s does too, and then ``q`` is whole. The other rows (a
+    whole ``q``, a negative, non-finite or huge local time) take the
+    reference formula.
+    """
+    t = np.asarray(times, dtype=float)
+    tz = np.asarray(tz_offset_hours, dtype=float)
+    quotient = np.asarray(t + SECONDS_PER_HOUR * tz, dtype=float)
+    quotient /= SECONDS_PER_HOUR
+    with np.errstate(invalid="ignore"):  # odd rows are overwritten below
+        slot = quotient.astype(np.int64)  # truncation is floor for q >= 0
+    odd = quotient == slot
+    if quotient.size and not (quotient.min() >= 0.0 and quotient.max() < _FAST_HOURS):
+        odd |= ~((quotient >= 0.0) & (quotient < _FAST_HOURS))
+    slot %= 24
+    if odd.any():
+        local = (np.broadcast_to(t, odd.shape)[odd]
+                 + SECONDS_PER_HOUR * np.broadcast_to(tz, odd.shape)[odd])
+        slot[odd] = np.floor((local % SECONDS_PER_DAY) / SECONDS_PER_HOUR).astype(np.int64)
+    return slot
 
 
 def absolute_hour_slot(times: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ from repro.errors import ConfigError
 from repro.parallel import resolve_executor
 from repro.parallel.seeding import task_seeds
 from repro.stats.rng import RngFactory, SeedLike
+from repro.stats.sampling import InverseCdf
 from repro.telemetry.log_store import LogStore
 from repro.workload.actions import ActionMix, owa_action_mix
 from repro.workload.activity_model import ActivityModel
@@ -148,17 +149,33 @@ class _ChunkRngs:
         )
 
 
+def _time_order(times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of ``times`` (which hold no NaN), and the
+    sorted times.
+
+    The default argsort is several times faster than mergesort but not
+    stable. When no two times are equal only one permutation sorts them,
+    so it is the stable one; on a tie, mergesort decides.
+    """
+    order = np.argsort(times)
+    ordered = times[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(times, kind="mergesort")
+        ordered = times[order]
+    return order, ordered
+
+
 def _chunk_task(payload: tuple) -> Tuple[int, Optional[tuple]]:
     """Top-level (picklable) task: simulate one candidate chunk.
 
     Each chunk derives its generators from its own pre-spawned seed, making
     the result a pure function of the payload — identical on any backend.
     """
-    (generator, m, duration_s, population, grid, user_probs,
+    (generator, m, duration_s, population, grid, user_draw,
      alpha_max, pref_bound, seed) = payload
     rngs = _ChunkRngs.from_factory(RngFactory(seed))
     return generator._simulate_chunk(
-        m, duration_s, population, grid, user_probs, alpha_max, pref_bound, rngs
+        m, duration_s, population, grid, user_draw, alpha_max, pref_bound, rngs
     )
 
 
@@ -196,31 +213,64 @@ class TelemetryGenerator:
             for name in population.class_vocab
         }
 
-    def _evaluate_preference(
+    def _acceptance(
         self,
-        latency_for_response: np.ndarray,
+        t: np.ndarray,
+        tz: np.ndarray,
+        class_codes: np.ndarray,
         action_idx: np.ndarray,
         user_idx: np.ndarray,
-        hours: np.ndarray,
+        response_latency: np.ndarray,
         population: Population,
+        alpha_max: float,
+        pref_bound: float,
     ) -> np.ndarray:
-        """Vectorized ground-truth preference per candidate."""
-        pref = np.empty(latency_for_response.shape, dtype=float)
-        user_exponent = population.conditioning_exponents[user_idx]
+        """Thinning probability per candidate, ``(α / α_max) · (pref / bound)``.
+
+        One stable counting sort groups the candidates by ``(class,
+        action)`` code, class-major, so each class and each ``action x
+        class`` group is a contiguous slice. Every activity curve and every
+        preference curve runs once on its slice, and the product is
+        scattered back to candidate order once. Every operation is
+        elementwise, so each value is bitwise what a per-group mask gives.
+        """
+        n_actions = len(self.action_mix.names)
+        n_groups = len(population.class_vocab) * n_actions
+        codes = class_codes * n_actions + action_idx
+        order = np.argsort(codes.astype(np.min_scalar_type(n_groups - 1)), kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=n_groups))))
+
+        hours = (((t + 3600.0 * tz) % SECONDS_PER_DAY) / 3600.0)[order]
+        latency = response_latency[order]
+        exponent = population.conditioning_exponents[user_idx[order]]
         if self.ground_truth.period_exponents:
-            period_exponent = self.ground_truth.period_exponent(hours)
-        else:
-            period_exponent = 1.0
-        exponent = user_exponent * period_exponent
-        class_codes = population.classes[user_idx]
-        for a_idx, action_name in enumerate(self.action_mix.names):
-            for c_code, class_name in enumerate(population.class_vocab):
-                mask = (action_idx == a_idx) & (class_codes == c_code)
-                if not np.any(mask):
+            exponent = exponent * self.ground_truth.period_exponent(hours)
+
+        alpha = np.empty(order.size, dtype=float)
+        pref = np.empty(order.size, dtype=float)
+        for c_code, class_name in enumerate(population.class_vocab):
+            first = c_code * n_actions
+            rows = slice(bounds[first], bounds[first + n_actions])
+            if rows.start == rows.stop:
+                continue
+            alpha[rows] = self.activity_model.curve_for(class_name)(hours[rows])
+            weekend = self.activity_model.weekend_factor.get(class_name)
+            if weekend is not None:
+                members = order[rows]
+                local = t[members] + 3600.0 * tz[members]
+                day = np.floor(local / SECONDS_PER_DAY).astype(np.int64)
+                is_weekend = (day % 7) >= 5
+                alpha[rows] = np.where(is_weekend, alpha[rows] * weekend, alpha[rows])
+            for a_idx, action_name in enumerate(self.action_mix.names):
+                group = slice(bounds[first + a_idx], bounds[first + a_idx + 1])
+                if group.start == group.stop:
                     continue
                 curve = self.ground_truth.curve_for(action_name, class_name)
-                pref[mask] = curve(latency_for_response[mask], exponent=1.0) ** exponent[mask]
-        return pref
+                pref[group] = curve(latency[group], exponent=1.0) ** exponent[group]
+
+        accept_prob = np.empty(order.size, dtype=float)
+        accept_prob[order] = (alpha / alpha_max) * (pref / pref_bound)
+        return accept_prob
 
     def _make_grid(self, duration_s: float, factory: RngFactory) -> LatencyGrid:
         """Sample the latency level path; subclasses may replay a trace.
@@ -254,7 +304,7 @@ class TelemetryGenerator:
         duration_s: float,
         population: Population,
         grid: LatencyGrid,
-        user_probs: np.ndarray,
+        user_draw: InverseCdf,
         alpha_max: float,
         pref_bound: float,
         rngs: "_ChunkRngs",
@@ -269,7 +319,7 @@ class TelemetryGenerator:
         tz_by_user = population.tz_offsets
 
         t = rngs.times.uniform(cfg.start, cfg.start + duration_s, size=m)
-        user_idx = rngs.users.choice(population.n_users, size=m, p=user_probs)
+        user_idx = user_draw.draw(rngs.users, m)
         action_idx = self.action_mix.sample(m, rng=rngs.actions)
 
         level = grid.level_at(t)
@@ -282,30 +332,13 @@ class TelemetryGenerator:
         realized = predictable * jitter
 
         tz = tz_by_user[user_idx]
-        local_hours = ((t + 3600.0 * tz) % SECONDS_PER_DAY) / 3600.0
-
-        # Activity factor per candidate (class-dependent curves).
-        alpha = np.empty(m, dtype=float)
         class_codes = population.classes[user_idx]
-        for c_code, class_name in enumerate(population.class_vocab):
-            mask = class_codes == c_code
-            if not np.any(mask):
-                continue
-            curve = self.activity_model.curve_for(class_name)
-            alpha[mask] = curve(local_hours[mask])
-            weekend = self.activity_model.weekend_factor.get(class_name)
-            if weekend is not None:
-                local = t[mask] + 3600.0 * tz[mask]
-                day = np.floor(local / SECONDS_PER_DAY).astype(np.int64)
-                is_weekend = (day % 7) >= 5
-                alpha[mask] = np.where(is_weekend, alpha[mask] * weekend, alpha[mask])
 
         response_latency = realized if cfg.response_mode == "realized" else predictable
-        pref = self._evaluate_preference(
-            response_latency, action_idx, user_idx, local_hours, population
+        accept_prob = self._acceptance(
+            t, tz, class_codes, action_idx, user_idx,
+            response_latency, population, alpha_max, pref_bound,
         )
-
-        accept_prob = (alpha / alpha_max) * (pref / pref_bound)
         accepted = rngs.accept.random(m) < accept_prob
         if not np.any(accepted):
             return 0, None
@@ -356,7 +389,7 @@ class TelemetryGenerator:
         gen_counts = factory.child("candidate-count")
         n_candidates = int(gen_counts.poisson(total_max_rate * duration_s))
 
-        user_probs = population.sampling_probabilities()
+        user_draw = InverseCdf(population.sampling_probabilities())
 
         sizes = []
         remaining = n_candidates
@@ -369,7 +402,7 @@ class TelemetryGenerator:
             rngs = _ChunkRngs.from_factory(factory)
             results = [
                 self._simulate_chunk(
-                    m, duration_s, population, grid, user_probs,
+                    m, duration_s, population, grid, user_draw,
                     alpha_max, pref_bound, rngs,
                 )
                 for m in sizes
@@ -377,7 +410,7 @@ class TelemetryGenerator:
         else:
             seeds = task_seeds(factory, "generator-chunk", len(sizes))
             payloads = [
-                (self, m, duration_s, population, grid, user_probs,
+                (self, m, duration_s, population, grid, user_draw,
                  alpha_max, pref_bound, seed)
                 for m, seed in zip(sizes, seeds)
             ]
@@ -394,9 +427,9 @@ class TelemetryGenerator:
             classes = np.concatenate([c[4] for c in chunks])
             success = np.concatenate([c[5] for c in chunks])
             tz = np.concatenate([c[6] for c in chunks])
-            order = np.argsort(times, kind="mergesort")
+            order, times = _time_order(times)
             logs = LogStore.from_coded_arrays(
-                times=times[order],
+                times=times,
                 latencies_ms=latencies[order],
                 action_codes=actions[order],
                 action_vocab=list(self.action_mix.names),

@@ -197,12 +197,20 @@ class GroundTruth:
 
     def period_exponent(self, hours: np.ndarray) -> np.ndarray:
         """Per-sample sensitivity exponent from local hour of day."""
+        hours = np.asarray(hours, dtype=float)
         if not self.period_exponents:
-            return np.ones(np.asarray(hours).shape, dtype=float)
-        out = np.empty(np.asarray(hours).shape, dtype=float)
-        flat = out.ravel()
-        for i, h in enumerate(np.asarray(hours, dtype=float).ravel()):
-            flat[i] = self.period_exponents.get(DayPeriod.of_hour(h), 1.0)
+            return np.ones(hours.shape, dtype=float)
+        # DayPeriod.of_hour per element, as masks: NaN falls through to
+        # LATE_NIGHT there and here.
+        hour = hours % 24.0
+        periods = (
+            (DayPeriod.NIGHT, (20.0 <= hour) | (hour < 2.0)),
+            (DayPeriod.AFTERNOON, (14.0 <= hour) & (hour < 20.0)),
+            (DayPeriod.MORNING, (8.0 <= hour) & (hour < 14.0)),
+        )
+        out = np.full(hours.shape, self.period_exponents.get(DayPeriod.LATE_NIGHT, 1.0))
+        for period, mask in periods:
+            out[mask] = self.period_exponents.get(period, 1.0)
         return out
 
     def preference(

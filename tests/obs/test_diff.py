@@ -13,6 +13,7 @@ import pytest
 import repro.obs as obs
 from repro.errors import SchemaError
 from repro.obs.diff import (
+    SPAN_SECONDS_FLOOR,
     diff_artifacts,
     diff_exit_code,
     diff_paths,
@@ -177,6 +178,44 @@ class TestManifestDiff:
         assert by_key["span_seconds[sweep]"] == "improved"
         assert by_key["span_count[alpha]"] == "unchanged"
 
+    def test_sub_floor_span_jitter_is_unchanged(self, tmp_path):
+        # Two wall-clock runs of the same work: every span is under the
+        # floor and moves by 40 %, as scheduler noise does on a small host.
+        # (Shares keep their own tolerance; these stay inside it.)
+        spans = {"alpha": (0.0008, 0.6), "slice": (0.0004, 1.4),
+                 "slotted_counts": (0.0137, 0.6),
+                 "preference_curve": (0.0234, 1.4),
+                 "experiment": (0.0534, 1.4)}
+        assert max(s for s, _ in spans.values()) < SPAN_SECONDS_FLOOR
+        a = _manifest(tmp_path, "a.json", span_timings={
+            name: {"count": 1, "seconds": s} for name, (s, _) in spans.items()})
+        b = _manifest(tmp_path, "b.json", span_timings={
+            name: {"count": 1, "seconds": s * k}
+            for name, (s, k) in spans.items()})
+        report = diff_paths(a, b)
+        assert report["summary"]["regressed"] == 0
+        assert report["summary"]["improved"] == 0
+        assert diff_exit_code(report) == 0
+
+    def test_a_doubled_span_above_the_floor_regresses(self, tmp_path):
+        seconds = 2 * SPAN_SECONDS_FLOOR
+        a = _manifest(tmp_path, "a.json", span_timings={
+            "alpha": {"count": 1, "seconds": seconds}})
+        b = _manifest(tmp_path, "b.json", span_timings={
+            "alpha": {"count": 1, "seconds": 2 * seconds}})
+        report = diff_paths(a, b)
+        by_key = {e["key"]: e["classification"] for e in report["entries"]}
+        assert by_key["span_seconds[alpha]"] == "regressed"
+        assert diff_exit_code(report) == 1
+
+    def test_the_floor_is_for_seconds_only(self):
+        # A tiny metric total moving far still counts.
+        a = {"run_id": "x", "metrics": _counters(autosens_failures_total=0.001)}
+        b = {"run_id": "x", "metrics": _counters(autosens_failures_total=0.002)}
+        (entry,) = [e for e in diff_artifacts(a, b)["entries"]
+                    if "failures" in e["key"]]
+        assert entry["classification"] == "regressed"
+
     def test_run_directory_resolves_to_its_manifest(self, tmp_path):
         _manifest(tmp_path)
         report = diff_paths(tmp_path, tmp_path)
@@ -237,6 +276,31 @@ class TestPlumbing:
         report = diff_artifacts({"run_id": "x"}, {"run_id": "x"})
         path = write_diff(report, tmp_path / "diff.json")
         assert json.loads(path.read_text()) == report
+
+    def test_load_artifact_parses_each_file_once(self, tmp_path, monkeypatch):
+        path = _manifest(tmp_path)
+        reads = []
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        assert load_artifact(path)["run_id"]
+        assert reads == [path]
+
+    def test_load_artifact_names_the_invalid_file(self, tmp_path):
+        path = _manifest(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["schema"] = -1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=f"^{path}: schema != "):
+            load_artifact(path)
+        frontier = tmp_path / "frontier.json"
+        frontier.write_text(json.dumps({"fixture": "f", "cells": []}))
+        with pytest.raises(SchemaError, match=f"^{frontier}: "):
+            load_artifact(frontier)
 
     def test_load_artifact_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import EmptyDataError
 from repro.stats.sampling import (
+    GUIDE_TABLE_SIZE,
+    InverseCdf,
     nearest_time_sample,
     random_times,
     sorted_by_time,
@@ -121,3 +123,59 @@ def test_nearest_distance_optimal(sample_list, query_list):
     best = np.min(np.abs(queries[:, None] - times[None, :]), axis=1)
     chosen = np.abs(queries - times[idx])
     assert np.allclose(chosen, best, atol=1e-9)
+
+
+def _probabilities():
+    """Named ``p`` vectors: skewed, with zeros, tiny and subnormal entries,
+    a single entry, and more entries than the guide table has buckets."""
+    rng = np.random.default_rng(0)
+    skewed = np.exp(rng.normal(-0.32, 0.8, 1800))
+    gappy = rng.random(60)
+    gappy[::3] = 0.0
+    gappy[[5, 7, 9]] = (1e-300, 5e-324, 1e-17)
+    sparse = np.zeros(3 * GUIDE_TABLE_SIZE)
+    sparse[rng.integers(0, sparse.size, 300)] = rng.random(300)
+    return {
+        "skewed": skewed / skewed.sum(),
+        "zeros": np.array([0.0, 0.5, 0.0, 0.0, 0.5, 0.0]),
+        "gappy": gappy / gappy.sum(),
+        "leading-and-trailing-zeros": np.array([0.0, 0.3, 0.7, 0.0]),
+        "single": np.array([1.0]),
+        "uniform-wide": np.full(2 * GUIDE_TABLE_SIZE, 1.0 / (2 * GUIDE_TABLE_SIZE)),
+        "sparse-wide": sparse / sparse.sum(),
+    }
+
+
+class TestInverseCdf:
+    @pytest.mark.parametrize("name", sorted(_probabilities()))
+    def test_draw_is_generator_choice(self, name):
+        p = _probabilities()[name]
+        ours, numpys = np.random.default_rng(11), np.random.default_rng(11)
+        for m in (0, 1, 5000, 200_000):
+            expected = numpys.choice(p.size, size=m, p=p)
+            drawn = InverseCdf(p).draw(ours, m)
+            assert drawn.dtype == expected.dtype
+            np.testing.assert_array_equal(drawn, expected)
+        # The same stream was consumed, so the generators stay in step.
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_zero_probability_is_never_drawn(self):
+        p = _probabilities()["zeros"]
+        drawn = InverseCdf(p).draw(np.random.default_rng(2), 50_000)
+        assert set(np.unique(drawn)) == {1, 4}
+
+    @pytest.mark.parametrize("p, message", [
+        ([0.5, np.nan, 0.5], "NaN"),
+        ([1.5, -0.5], "non-negative"),
+        ([0.3, 0.3], "sum to 1"),
+        ([[0.5, 0.5]], "1-dimensional"),
+    ])
+    def test_rejects_what_choice_rejects(self, p, message):
+        with pytest.raises(ValueError, match=message):
+            np.random.default_rng(0).choice(len(p), size=3, p=p)
+        with pytest.raises(ValueError, match=message):
+            InverseCdf(p)
+
+    def test_rejects_an_empty_p(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            InverseCdf([])

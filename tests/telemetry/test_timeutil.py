@@ -28,6 +28,30 @@ class TestSlots:
         slots = timeutil.hour_slot(np.array([0.0, 3599.0, 3600.0]))
         assert slots.tolist() == [0, 0, 1]
 
+    @pytest.mark.parametrize("tz", [0.0, -5.0, 8.0, 5.5, -3.5, "per-row"])
+    def test_hour_slot_is_floor_of_hour_of_day(self, tz):
+        # Bitwise the reference at every hour edge of 400 days (the edge,
+        # one ulp either side, in both signs), at signed zeros, subnormals,
+        # the float-integer limits and beyond.
+        edges = np.arange(400 * 24 + 1) * 3600.0
+        edges = np.concatenate([
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        times = np.concatenate([edges, -edges, [
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            2.0**52 - 1.0, 2.0**52, 2.0**53, -2.0**53, 2.0**53 + 2.0,
+            3600.0 * 2.0**40, np.nextafter(3600.0 * 2.0**40, 0.0),
+            1e17, -1e17, 1e300]])
+        if tz == "per-row":
+            tz = np.random.default_rng(0).choice([-5.0, 0.0, 5.5, 8.0], times.size)
+        expected = np.floor(timeutil.hour_of_day(times, tz)).astype(np.int64)
+        np.testing.assert_array_equal(timeutil.hour_slot(times, tz), expected)
+
+    def test_hour_slot_of_non_finite_times_is_the_reference(self):
+        times = np.array([np.nan, np.inf, -np.inf, 7200.5])
+        with np.errstate(invalid="ignore"):
+            expected = np.floor(timeutil.hour_of_day(times)).astype(np.int64)
+            np.testing.assert_array_equal(timeutil.hour_slot(times), expected)
+
     def test_absolute_hour_slot(self):
         slots = timeutil.absolute_hour_slot(np.array([0.0, 86400.0 + 10.0]))
         assert slots.tolist() == [0, 24]

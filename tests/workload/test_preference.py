@@ -119,6 +119,21 @@ class TestGroundTruth:
         assert exps[0] == PERIOD_EXPONENTS[DayPeriod.MORNING]
         assert exps[1] == PERIOD_EXPONENTS[DayPeriod.LATE_NIGHT]
 
+    @pytest.mark.parametrize("exponents", [
+        PERIOD_EXPONENTS, {DayPeriod.NIGHT: 0.5}, {DayPeriod.LATE_NIGHT: 2.0}])
+    def test_period_exponent_is_of_hour_per_sample(self, exponents):
+        edges = np.array([0.0, 2.0, 8.0, 14.0, 20.0, 24.0])
+        hours = np.concatenate([
+            np.linspace(-30.0, 54.0, 2001), edges, np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf), [-0.0, np.nan]]).reshape(43, 47)
+        truth = GroundTruth({("a", ""): paper_curve(ActionType.SELECT_MAIL)},
+                            period_exponents=exponents)
+        expected = np.array([exponents.get(DayPeriod.of_hour(h), 1.0)
+                             for h in hours.ravel()]).reshape(hours.shape)
+        exps = truth.period_exponent(hours)
+        assert exps.shape == hours.shape
+        np.testing.assert_array_equal(exps, expected)
+
     def test_preference_combines_exponents(self):
         truth = GroundTruth.paper_default(time_of_day_effect=True)
         latencies = np.array([1000.0])
