@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 import repro.obs as obs
-from repro.core.unbiased import _voronoi_tensor, _window
+from repro.core.unbiased import _in_time_order, _voronoi_tensor, _window
 from repro.errors import ConfigError, EmptyDataError, InsufficientDataError
 from repro.runtime.supervisor import check_deadline
 from repro.stats.histogram import Histogram1D, HistogramBins
@@ -212,17 +212,30 @@ def _exact_unbiased_tensor(
     return u, seconds
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)`` of a non-empty integer array, by sorting.
+def _slot_rows(slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct slot ids, sorted, and each action's row among them.
 
-    NumPy 2's ``np.unique`` takes a hash-table path for integers that is
-    several times slower than a sort on many rows with few distinct values.
+    The slots of a non-empty slice usually span fewer ids than it has
+    actions (24 hours of the day, or the hours of its days): then one
+    ``bincount`` finds the ids and a lookup table gives the rows.
+    Otherwise (a short slice over a long span, or a NaN time's slot) a
+    sort finds the ids and a binary search the rows. NumPy 2's
+    ``np.unique`` takes a hash-table path for integers that is several
+    times slower than either on many rows with few distinct values.
     """
-    ordered = np.sort(values)
+    lo, hi = int(slots.min()), int(slots.max())
+    if 0 <= hi - lo < slots.size:
+        offset = slots - lo if lo else slots
+        present = np.flatnonzero(np.bincount(offset, minlength=hi - lo + 1))
+        table = np.empty(hi - lo + 1, dtype=np.int64)
+        table[present] = np.arange(present.size)
+        return present + lo, table[offset]
+    ordered = np.sort(slots)
     first = np.empty(ordered.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
+    slot_ids = ordered[first]
+    return slot_ids, np.searchsorted(slot_ids, slots)
 
 
 def slotted_counts(
@@ -240,8 +253,7 @@ def slotted_counts(
     if logs.is_empty:
         raise EmptyDataError("cannot slot empty logs")
 
-    action_slots = slot_of_times(logs.times, scheme, logs.tz_offsets)
-    slot_ids = _distinct(action_slots)
+    slot_ids, slot_rows = _slot_rows(slot_of_times(logs.times, scheme, logs.tz_offsets))
     n_slots = slot_ids.size
 
     # c[T, L] — biased counts per slot, one bincount pass over all actions
@@ -250,8 +262,7 @@ def slotted_counts(
     with obs.span("slotted_counts.biased", n_slots=n_slots):
         bin_idx = bins.index_of(logs.latencies_ms)
         in_grid = bin_idx >= 0
-        flat = (np.searchsorted(slot_ids, action_slots)[in_grid] * bins.count
-                + bin_idx[in_grid])
+        flat = slot_rows[in_grid] * bins.count + bin_idx[in_grid]
         c = np.bincount(flat, minlength=n_slots * bins.count).astype(float)
         c = c.reshape(n_slots, bins.count)
 
@@ -260,9 +271,8 @@ def slotted_counts(
     # the merge weight recorded on the result.
     tz = float(np.median(logs.tz_offsets))
     with obs.span("slotted_counts.unbiased"):
-        order = np.argsort(logs.times, kind="mergesort")
         u, seconds = _exact_unbiased_tensor(
-            logs.times[order], bin_idx[order], slot_ids, bins.count, scheme, tz)
+            *_in_time_order(logs.times, bin_idx), slot_ids, bins.count, scheme, tz)
     slot_totals = u.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(slot_totals > 0, u / slot_totals, 0.0)

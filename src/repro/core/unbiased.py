@@ -68,8 +68,7 @@ def draw_unbiased_samples(
     """Run the random-time / nearest-sample procedure and keep the pieces."""
     if logs.is_empty:
         raise EmptyDataError("cannot estimate the unbiased distribution from empty logs")
-    order = np.argsort(logs.times, kind="mergesort")
-    times = logs.times[order]
+    times, latencies = _in_time_order(logs.times, logs.latencies_ms)
     generator = spawn_rng(rng)
     lo, hi = _window(times)
     if n_samples is None:
@@ -79,7 +78,7 @@ def draw_unbiased_samples(
         query_times=queries,
         selected_indices=nearest_time_sample(times, queries, rng=generator),
         sample_times=times,
-        sample_latencies=logs.latencies_ms[order],
+        sample_latencies=latencies,
     )
 
 
@@ -95,14 +94,27 @@ def unbiased_histogram(logs: LogStore, bins: HistogramBins) -> Histogram1D:
     """
     if logs.is_empty:
         raise EmptyDataError("cannot estimate the unbiased distribution from empty logs")
-    order = np.argsort(logs.times, kind="mergesort")
-    times = logs.times[order]
+    times, latencies = _in_time_order(logs.times, logs.latencies_ms)
     lo, hi = _window(times)
-    u = _voronoi_tensor(times, bins.index_of(logs.latencies_ms[order]),
+    u = _voronoi_tensor(times, bins.index_of(latencies),
                         np.array([lo, hi]), np.zeros(1, dtype=np.intp), (1, bins.count))
     hist = Histogram1D(bins)
     hist.add_counts(u[0] * (UNBIASED_MASS_PER_ACTION * times.size / (hi - lo)))
     return hist
+
+
+def _in_time_order(times: np.ndarray, *columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``times`` and the row-aligned ``columns`` in stable time order.
+
+    A slice of a time-sorted store is already in order (``where`` and
+    ``filter`` keep row order), and a stable sort of sorted keys is the
+    identity, so one O(n) check replaces the sort and its gathers there.
+    NaN times fail the check and take the sort.
+    """
+    if np.all(times[1:] >= times[:-1]):
+        return (times, *columns)
+    order = np.argsort(times, kind="mergesort")
+    return (times[order], *(column[order] for column in columns))
 
 
 def _window(sorted_times: np.ndarray) -> Tuple[float, float]:

@@ -66,23 +66,32 @@ class MonotoneCubicInterpolator:
         return m
 
     def __call__(self, query: np.ndarray) -> np.ndarray:
+        """The cubic Hermite sum ``h00·y0 + h10·h·m0 + h01·y1 + h11·h·m1``.
+
+        Each shared factor (``1 - t``, ``t²``, ``2t``, ``idx + 1``) is
+        computed once and the sum is accumulated in place, in the same
+        left-to-right order, so every value is bitwise the plain formula's
+        (``(1 - t) ** 2`` is ``u * u`` in NumPy), and one binary search over
+        the interior anchors finds the interval.
+        """
         q = np.atleast_1d(np.asarray(query, dtype=float))
-        q_clamped = np.clip(q, self.x[0], self.x[-1])
-        idx = np.clip(np.searchsorted(self.x, q_clamped, side="right") - 1, 0, self.x.size - 2)
+        t = np.clip(q, self.x[0], self.x[-1])
+        # The interval of each clamped query: the interior anchors at or
+        # below it (NaN sorts last, into the last interval).
+        idx = np.searchsorted(self.x[1:-1], t, side="right")
+        nxt = idx + 1
         x0 = self.x[idx]
-        x1 = self.x[idx + 1]
-        h = x1 - x0
-        t = (q_clamped - x0) / h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        out = (
-            h00 * self.y[idx]
-            + h10 * h * self.m[idx]
-            + h01 * self.y[idx + 1]
-            + h11 * h * self.m[idx + 1]
-        )
+        h = self.x[nxt] - x0
+        t -= x0
+        t /= h
+        u = 1 - t
+        uu = u * u
+        tt = t * t
+        two_t = 2 * t
+        out = (1 + two_t) * uu * self.y[idx]
+        out += t * uu * h * self.m[idx]
+        out += tt * (3 - two_t) * self.y[nxt]
+        out += tt * (t - 1) * h * self.m[nxt]
         if np.isscalar(query) or np.asarray(query).ndim == 0:
             return out[0]
         return out

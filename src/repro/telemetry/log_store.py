@@ -9,6 +9,7 @@ shared vocabularies, so filtering and grouping never touch Python strings.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,6 +63,15 @@ def _as_name(value: Union[str, ActionType, UserClass]) -> str:
     if isinstance(value, (ActionType, UserClass)):
         return value.value
     return str(value)
+
+
+def _code(vocab: List[str], value: Union[str, ActionType, UserClass, None]) -> Optional[int]:
+    """``value``'s code in ``vocab``: ``None`` for no value, -1 for a name
+    the vocabulary lacks."""
+    if value is None:
+        return None
+    name = _as_name(value)
+    return vocab.index(name) if name in vocab else -1
 
 
 class Columns(NamedTuple):
@@ -141,6 +151,9 @@ class LogStore:
 
     #: Set by the telemetry readers; ``None`` for in-memory stores.
     ingest_report = None
+    #: The group index: ``None`` until the first :meth:`where` that names
+    #: an action builds it (:meth:`_group_index`).
+    _groups = None
 
     def __init__(
         self,
@@ -319,19 +332,78 @@ class LogStore:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.times.shape:
             raise SchemaError("mask must have one entry per row")
-        idx = np.flatnonzero(mask)
+        return self._take(np.flatnonzero(mask))
+
+    def _take(self, rows: np.ndarray) -> "LogStore":
+        """The store of the given rows, in that order (vocabularies shared)."""
+        rows = np.asarray(rows, dtype=np.intp)  # ``take`` would cast per column
         return LogStore(
-            times=self.times.take(idx),
-            latencies_ms=self.latencies_ms.take(idx),
-            action_codes=self.action_codes.take(idx),
-            user_codes=self.user_codes.take(idx),
-            class_codes=self.class_codes.take(idx),
-            success=self.success.take(idx),
-            tz_offsets=self.tz_offsets.take(idx),
+            times=self.times.take(rows),
+            latencies_ms=self.latencies_ms.take(rows),
+            action_codes=self.action_codes.take(rows),
+            user_codes=self.user_codes.take(rows),
+            class_codes=self.class_codes.take(rows),
+            success=self.success.take(rows),
+            tz_offsets=self.tz_offsets.take(rows),
             action_vocab=self.action_vocab,
             user_vocab=self.user_vocab,
             class_vocab=self.class_vocab,
         )
+
+    def __getstate__(self) -> dict:
+        # The group index is a cache: a pickle (and so a checkpoint key
+        # over a pickled payload) must not depend on whether it was built.
+        state = self.__dict__.copy()
+        state.pop("_groups", None)
+        return state
+
+    def _group_index(self) -> Optional[Tuple[np.ndarray, np.ndarray, int, int]]:
+        """The rows grouped by ``(action code, class code)``, built once.
+
+        ``(rows, bounds, n_actions, n_classes)``: ``rows`` holds every row
+        index, stably sorted by the group key ``action × n_classes +
+        class``, so group ``g``'s rows are ``rows[bounds[g]:bounds[g + 1]]``
+        in row order, and an action's groups are adjacent. The index is
+        kept on the store and left out of its pickle; it relies on a
+        store's columns never changing after construction. ``None`` when a
+        code lies outside its vocabulary (``from_coded_arrays`` accepts
+        any codes), which sends :meth:`where` down the all-rows path.
+        """
+        groups = self._groups
+        if groups is None:
+            n_actions, n_classes = len(self.action_vocab), len(self.class_vocab)
+            codes_fit = all(
+                codes.size == 0 or (codes.min() >= 0 and codes.max() < size)
+                for codes, size in ((self.action_codes, n_actions),
+                                    (self.class_codes, n_classes)))
+            groups = ()
+            if codes_fit:
+                n_groups = n_actions * n_classes
+                key = self.action_codes * n_classes + self.class_codes
+                bounds = np.zeros(n_groups + 1, dtype=np.int64)
+                np.cumsum(np.bincount(key, minlength=n_groups), out=bounds[1:])
+                # A small unsigned key makes the stable argsort a radix sort.
+                key = key.astype(np.min_scalar_type(max(n_groups - 1, 0)))
+                rows = np.argsort(key, kind="stable").astype(
+                    np.int32 if len(self) < 2**31 else np.int64)
+                groups = (rows, bounds, n_actions, n_classes)
+            self._groups = groups
+        return groups or None
+
+    def _rows_of(self, action_code: int, class_code: Optional[int]) -> Optional[np.ndarray]:
+        """The rows of one action (and class), ascending; ``None`` without
+        a group index."""
+        index = self._group_index()
+        if index is None:
+            return None
+        rows, bounds, n_actions, n_classes = index
+        if action_code >= n_actions or (class_code is not None and class_code >= n_classes):
+            return rows[:0]  # a name the vocabulary gained after the build
+        first = action_code * n_classes
+        if class_code is not None:
+            return rows[bounds[first + class_code]:bounds[first + class_code + 1]]
+        # The action's class groups, merged back into row order.
+        return np.sort(rows[bounds[first]:bounds[first + n_classes]], kind="stable")
 
     def where(
         self,
@@ -350,41 +422,56 @@ class LogStore:
         All criteria are conjunctive; ``None`` means "no constraint". The
         paper's analyses only consider successful actions, hence
         ``success_only`` defaults to true.
+
+        A named action takes its candidate rows from the store's group
+        index (:meth:`_group_index`), so the other criteria are evaluated
+        on the action's rows (the action and class's, when both are
+        named) instead of the whole store. Without an action, or without
+        an index, the candidates are all rows.
         """
-        mask = np.ones(len(self), dtype=bool)
+        action_code = _code(self.action_vocab, action)
+        class_code = _code(self.class_vocab, user_class)
+        if action_code == -1 or class_code == -1:
+            return self._take(np.empty(0, dtype=np.intp))
+
+        rows = None if action_code is None else self._rows_of(action_code, class_code)
+        conditions = []
+        if rows is None:
+            pick = slice(None)
+            if action_code is not None:
+                conditions.append(self.action_codes == action_code)
+            if class_code is not None:
+                conditions.append(self.class_codes == class_code)
+        else:
+            pick = rows = rows.astype(np.intp)
         if success_only:
-            mask &= self.success
-        if action is not None:
-            name = _as_name(action)
-            try:
-                code = self.action_vocab.index(name)
-            except ValueError:
-                return self.filter(np.zeros(len(self), dtype=bool))
-            mask &= self.action_codes == code
-        if user_class is not None:
-            name = _as_name(user_class)
-            try:
-                code = self.class_vocab.index(name)
-            except ValueError:
-                return self.filter(np.zeros(len(self), dtype=bool))
-            mask &= self.class_codes == code
+            conditions.append(self.success[pick])
+        if period is not None or month is not None or time_range is not None:
+            times = self.times[pick]
         if period is not None:
-            hours = timeutil.hour_of_day(self.times, self.tz_offsets)
+            hours = timeutil.hour_of_day(times, self.tz_offsets[pick])
             lo, hi = _PERIOD_HOURS[period]
             if lo < hi:
-                mask &= (hours >= lo) & (hours < hi)
+                conditions.append((hours >= lo) & (hours < hi))
             else:  # wraps midnight
-                mask &= (hours >= lo) | (hours < hi)
+                conditions.append((hours >= lo) | (hours < hi))
         if month is not None:
-            mask &= timeutil.month_index(self.times, days_per_month) == month
+            conditions.append(timeutil.month_index(times, days_per_month) == month)
         if time_range is not None:
             lo_t, hi_t = time_range
-            mask &= (self.times >= lo_t) & (self.times < hi_t)
+            conditions.append((times >= lo_t) & (times < hi_t))
         if user_codes is not None:
-            mask &= np.isin(self.user_codes, np.asarray(user_codes, dtype=np.int64))
+            conditions.append(np.isin(self.user_codes[pick],
+                                      np.asarray(user_codes, dtype=np.int64)))
         if tz_offset is not None:
-            mask &= np.isclose(self.tz_offsets, tz_offset)
-        return self.filter(mask)
+            conditions.append(np.isclose(self.tz_offsets[pick], tz_offset))
+
+        if conditions:
+            mask = functools.reduce(np.logical_and, conditions)
+            rows = np.flatnonzero(mask) if rows is None else rows[mask]
+        elif rows is None:
+            rows = np.arange(len(self))
+        return self._take(rows)
 
     def successful(self) -> "LogStore":
         """Only the rows where the action succeeded."""
@@ -392,19 +479,7 @@ class LogStore:
 
     def sorted_by_time(self) -> "LogStore":
         """Rows ordered by timestamp (stable sort)."""
-        order = np.argsort(self.times, kind="mergesort")
-        return LogStore(
-            times=self.times[order],
-            latencies_ms=self.latencies_ms[order],
-            action_codes=self.action_codes[order],
-            user_codes=self.user_codes[order],
-            class_codes=self.class_codes[order],
-            success=self.success[order],
-            tz_offsets=self.tz_offsets[order],
-            action_vocab=self.action_vocab,
-            user_vocab=self.user_vocab,
-            class_vocab=self.class_vocab,
-        )
+        return self._take(np.argsort(self.times, kind="mergesort"))
 
     def concat(self, other: "LogStore") -> "LogStore":
         """Concatenate two stores, re-encoding the other's vocabularies."""

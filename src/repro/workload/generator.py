@@ -165,6 +165,12 @@ def _time_order(times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return order, ordered
 
 
+def _pop_column(columns: List[Optional[tuple]], j: int) -> np.ndarray:
+    """Column ``j`` of the chunks as one array, releasing its chunk parts."""
+    parts, columns[j] = columns[j], None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _chunk_task(payload: tuple) -> Tuple[int, Optional[tuple]]:
     """Top-level (picklable) task: simulate one candidate chunk.
 
@@ -417,28 +423,28 @@ class TelemetryGenerator:
             results = resolve_executor(executor).map_ordered(_chunk_task, payloads)
 
         n_accepted = sum(r[0] for r in results)
-        chunks = [r[1] for r in results if r[1] is not None]
+        # One tuple of chunk parts per column; dropping ``results`` leaves
+        # these tuples the only owners of the chunks' arrays.
+        columns = list(zip(*(r[1] for r in results if r[1] is not None)))
+        del results
 
-        if chunks:
-            times = np.concatenate([c[0] for c in chunks])
-            latencies = np.concatenate([c[1] for c in chunks])
-            actions = np.concatenate([c[2] for c in chunks])
-            users = np.concatenate([c[3] for c in chunks])
-            classes = np.concatenate([c[4] for c in chunks])
-            success = np.concatenate([c[5] for c in chunks])
-            tz = np.concatenate([c[6] for c in chunks])
-            order, times = _time_order(times)
+        if columns:
+            order, times = _time_order(_pop_column(columns, 0))
+            # One column at a time: each concatenated copy is freed before
+            # the next column is built.
+            latencies, actions, users, classes, success, tz = (
+                _pop_column(columns, j).take(order) for j in range(1, 7))
             logs = LogStore.from_coded_arrays(
                 times=times,
-                latencies_ms=latencies[order],
-                action_codes=actions[order],
+                latencies_ms=latencies,
+                action_codes=actions,
                 action_vocab=list(self.action_mix.names),
-                user_codes=users[order],
+                user_codes=users,
                 user_vocab=list(population.user_ids),
-                class_codes=classes[order],
+                class_codes=classes,
                 class_vocab=list(population.class_vocab),
-                success=success[order],
-                tz_offsets=tz[order],
+                success=success,
+                tz_offsets=tz,
             )
         else:
             logs = LogStore.from_coded_arrays(
